@@ -16,8 +16,8 @@ from itertools import combinations_with_replacement
 from random import Random
 
 from .errors import ContainmentError, HomogeneityError, ImproperIdealError
-from .groebner import Ideal, colon, contains, saturate
-from .ring import GradingSpec, Polynomial, mono_divides
+from .groebner import Ideal, _dp_axpy, colon, contains, saturate
+from .ring import Exps, GradingSpec, Polynomial, mono_mul
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,22 @@ def strongly_golod(I: Ideal) -> StronglyGolodReport:
     if not I.is_proper():
         raise ImproperIdealError("the unit ideal is outside the predicate's domain")
     dgens = derivative_ideal(I).generators
+    # Normal forms modulo a reduced basis are linear, so NF(d_a * d_b) is the
+    # sum of c * NF(x^e * d_a) over the terms c*x^e of d_b.  The normal forms
+    # of the monomial multiples of d_a are kept for every b >= a.
     for a in range(len(dgens)):
+        multiples: dict[Exps, dict[Exps, Fraction]] = {}
         for b in range(a, len(dgens)):
-            nf = I.normal_form(dgens[a] * dgens[b])
-            if not nf.is_member:
-                witness = DerivativePairWitness(dgens[a], dgens[b], nf.remainder)
+            rem: dict[Exps, Fraction] = {}
+            for e2, c2 in dgens[b].terms:
+                multiple = multiples.get(e2)
+                if multiple is None:
+                    multiple = multiples[e2] = {}
+                    for e1, c1 in dgens[a].terms:
+                        _dp_axpy(multiple, c1, None, I.nf_monomial(mono_mul(e1, e2)))
+                _dp_axpy(rem, c2, None, multiple)
+            if rem:
+                witness = DerivativePairWitness(dgens[a], dgens[b], Polynomial(I.ring, rem))
                 return StronglyGolodReport(False, witness)
     return StronglyGolodReport(True)
 
@@ -262,15 +273,9 @@ def _entry(name, ring, texts, description, monomial, sweep=True) -> CorpusEntry:
     return CorpusEntry(name, Ideal.from_strings(ring, texts), description, monomial, sweep)
 
 
-def _minimalize_exps(vecs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    out = []
-    for v in sorted(set(vecs), key=lambda t: (sum(t), t)):
-        if not any(mono_divides(u, v) for u in out):
-            out.append(v)
-    return out
-
-
 def _random_monomial_entry(rng: Random, idx: int, ring: GradingSpec) -> CorpusEntry:
+    from .monomial import _minimalize
+
     n = ring.n
     vecs: list[tuple[int, ...]] = []
     # pure powers in all but the last variable keep the quotient small while
@@ -287,7 +292,7 @@ def _random_monomial_entry(rng: Random, idx: int, ring: GradingSpec) -> CorpusEn
             if sum(e) >= 2 and e[: n - 1] != [0] * (n - 1):
                 vecs.append(tuple(e))
                 break
-    gens = [Polynomial.monomial(ring, e) for e in _minimalize_exps(vecs)]
+    gens = [Polynomial.monomial(ring, e) for e in _minimalize(ring, vecs)]
     return CorpusEntry(
         f"seeded-monomial-{idx}",
         Ideal(ring, gens),

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
+    AlgebraError,
     HomogeneityError,
     RingMismatchError,
     SaturationLimitError,
@@ -137,7 +138,7 @@ def _sub_scaled(a: ModVec, b: ModVec, shift: Exps, coeff: Fraction, order: Monom
 def _dp_axpy(target: dict, factor: Fraction, shift: Exps | None, src: dict) -> None:
     for e, c in src.items():
         key = mono_mul(e, shift) if shift is not None else e
-        acc = target.get(key, Fraction(0)) + factor * c
+        acc = target.get(key, 0) + factor * c
         if acc:
             target[key] = acc
         elif key in target:
@@ -298,7 +299,8 @@ class _Engine:
             self.reps = reps[:i] + reps[i + 1:]
             rep_i = [dict(d) for d in reps[i]] if self.track else None
             rem, rep_i = self.nf(polys[i], rep_i)
-            assert rem, "basis element reduced to zero during interreduction"
+            if not rem:
+                raise AlgebraError("basis element reduced to zero during interreduction")
             polys[i] = rem
             if self.track:
                 reps[i] = rep_i
@@ -328,7 +330,7 @@ class SaturationResult:
 class Ideal:
     """Finitely generated ideal of a weighted polynomial ring over Q."""
 
-    __slots__ = ("ring", "generators", "_gb", "_nf_eng")
+    __slots__ = ("ring", "generators", "_gb", "_reducers", "_nf")
 
     def __init__(self, ring: GradingSpec, generators: Sequence[Polynomial]):
         gens = []
@@ -340,7 +342,10 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._gb: tuple[Polynomial, ...] | None = None
-        self._nf_eng: _Engine | None = None
+        # (lead, [(tail exps, -c / lc)]) per basis element, and the monomial
+        # normal-form memo; both are built lazily from the cached basis
+        self._reducers: list[tuple[Exps, list[tuple[Exps, Fraction]]]] | None = None
+        self._nf: dict[Exps, dict[Exps, Fraction]] = {}
 
     @classmethod
     def from_strings(cls, ring: GradingSpec, texts: Sequence[str]) -> "Ideal":
@@ -372,24 +377,62 @@ class Ideal:
     def _set_gb_cache(self, gb: tuple[Polynomial, ...]):
         self._gb = gb
 
-    def _nf_engine(self) -> _Engine:
-        if self._nf_eng is None:
-            order = MonomialOrder.grevlex(self.ring)
-            eng = _Engine(order, 1, 0, track=False)
-            for g in self.groebner_basis():
-                mv = _to_internal([g], order)
-                eng.leads.append(mv[0][0])
-                eng.polys.append(mv)
-                eng.reps.append([])
-            self._nf_eng = eng
-        return self._nf_eng
+    def nf_monomial(self, e: Exps) -> dict[Exps, Fraction]:
+        """Normal form of x^e modulo the reduced grevlex basis, memoized.
+
+        The returned dict is shared with the memo and must not be mutated.
+        A reducible x^e = x^s * lead(g) equals -x^s * tail(g) / lc(g) modulo
+        the ideal, and every monomial of that tail is smaller than x^e, so
+        the memo fills bottom-up from an explicit stack.
+        """
+        memo = self._nf
+        hit = memo.get(e)
+        if hit is not None:
+            return hit
+        if self._reducers is None:
+            self._reducers = [
+                (g.terms[0][0], [(t, -c / g.terms[0][1]) for t, c in g.terms[1:]])
+                for g in self.groebner_basis()
+            ]
+        reducers = self._reducers
+        pending: dict[Exps, list[tuple[Exps, Fraction]]] = {}
+        stack = [e]
+        while stack:
+            u = stack[-1]
+            if u in memo:
+                stack.pop()
+                continue
+            expansion = pending.get(u)
+            if expansion is None:
+                for lead, tail in reducers:
+                    if mono_divides(lead, u):
+                        s = mono_div(u, lead)
+                        expansion = [(mono_mul(s, t), c) for t, c in tail]
+                        break
+                else:
+                    memo[u] = {u: Fraction(1)}
+                    stack.pop()
+                    continue
+                missing = [v for v, _ in expansion if v not in memo]
+                if missing:
+                    # u is revisited once everything pushed above it is memoized
+                    pending[u] = expansion
+                    stack.extend(missing)
+                    continue
+            stack.pop()
+            nf: dict[Exps, Fraction] = {}
+            for v, c in expansion:
+                _dp_axpy(nf, c, None, memo[v])
+            memo[u] = nf
+        return memo[e]
 
     def normal_form(self, p: Polynomial) -> NormalForm:
         if p.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
-        eng = self._nf_engine()
-        rem, _ = eng.nf(_to_internal([p], eng.order))
-        r = _from_internal(rem, self.ring, 1)[0]
+        rem: dict[Exps, Fraction] = {}
+        for e, c in p.terms:
+            _dp_axpy(rem, c, None, self.nf_monomial(e))
+        r = Polynomial(self.ring, rem)
         return NormalForm(r, r.is_zero())
 
     def contains_poly(self, p: Polynomial) -> bool:
@@ -444,7 +487,8 @@ def _lift(p: Polynomial, ext: GradingSpec) -> Polynomial:
 
 
 def _drop(p: Polynomial, ring: GradingSpec) -> Polynomial:
-    assert all(e[0] == 0 for e, _ in p.terms)
+    if any(e[0] for e, _ in p.terms):
+        raise AlgebraError(f"{p} still involves the elimination variable")
     return Polynomial(ring, {e[1:]: c for e, c in p.terms})
 
 
@@ -476,7 +520,8 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
 
 def _exact_div(p: Polynomial, f: Polynomial) -> Polynomial:
     """p / f when the division is exact; raises if a remainder appears."""
-    assert not f.is_zero()
+    if f.is_zero():
+        raise AlgebraError("division by the zero polynomial")
     order = MonomialOrder.grevlex(p.ring)
     lc = f.terms[0][1]
     eng = _Engine(order, 1, 0, track=False)
@@ -485,7 +530,8 @@ def _exact_div(p: Polynomial, f: Polynomial) -> Polynomial:
     eng.polys.append(mv)
     eng.reps.append([])
     rem, quots = eng.nf_quotients(_to_internal([p], order))
-    assert not rem, f"{f} does not divide {p}"
+    if rem:
+        raise AlgebraError(f"{f} does not divide {p}")
     q = Polynomial(p.ring, quots[0])
     return q * (Fraction(1) / lc)
 
@@ -501,7 +547,8 @@ def colon(I: Ideal, J: Ideal) -> Ideal:
         meet = intersect(I, Ideal(I.ring, [f]))
         quot = Ideal(I.ring, [_exact_div(g, f) for g in meet.generators])
         result = quot if result is None else intersect(result, quot)
-    assert result is not None
+    if result is None:
+        raise ZeroColonError("colon by an ideal without generators")
     return result
 
 
@@ -589,7 +636,8 @@ def module_syzygies(columns: Sequence[Sequence[Polynomial]], ring: GradingSpec) 
             shifted = [((c, mono_mul(e, sa)), v) for (c, e), v in G[a]]
             svec = _sub_scaled(shifted, G[b], sb, Fraction(1), order)
             rem, quots = nf_eng.nf_quotients(svec)
-            assert not rem, "S-pair of a Groebner basis failed to reduce to zero"
+            if rem:
+                raise AlgebraError("S-pair of a Groebner basis failed to reduce to zero")
             s = [dict() for _ in G]
             s[a][sa] = s[a].get(sa, Fraction(0)) + Fraction(1)
             s[b][sb] = s[b].get(sb, Fraction(0)) - Fraction(1)
@@ -605,7 +653,8 @@ def module_syzygies(columns: Sequence[Sequence[Polynomial]], ring: GradingSpec) 
     # rows of I - Q*T
     for i, vec in enumerate(vecs):
         rem, quots = nf_eng.nf_quotients(vec)
-        assert not rem, "input column is not in the module it generates"
+        if rem:
+            raise AlgebraError("input column is not in the module it generates")
         row = [dict() for _ in cols]
         row[i][tuple(0 for _ in range(ring.n))] = Fraction(1)
         for g_idx, q in enumerate(quots):

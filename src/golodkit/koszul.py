@@ -23,7 +23,7 @@ StrandKey = tuple[Wedge, Exps]
 
 
 class QuotientBasis:
-    """Standard-monomial bases of R = S/I per degree, with cached normal forms."""
+    """Standard-monomial bases of R = S/I per degree; normal forms come from the ideal's memo."""
 
     def __init__(self, I: Ideal):
         self.I = I
@@ -31,7 +31,6 @@ class QuotientBasis:
         self.leads = tuple(g.terms[0][0] for g in I.groebner_basis())
         self._monos: dict[int, list[Exps]] = {}
         self._std: dict[int, list[Exps]] = {}
-        self._nf: dict[Exps, dict[Exps, Fraction]] = {}
 
     def monomials(self, d: int) -> list[Exps]:
         if d < 0:
@@ -61,14 +60,8 @@ class QuotientBasis:
         return self._std[d]
 
     def nf_monomial(self, u: Exps) -> dict[Exps, Fraction]:
-        """Expansion of x^u over the standard basis of its degree."""
-        if u not in self._nf:
-            if self.is_standard(u):
-                self._nf[u] = {u: Fraction(1)}
-            else:
-                r = self.I.normal_form(Polynomial.monomial(self.ring, u)).remainder
-                self._nf[u] = {e: c for e, c in r.terms}
-        return self._nf[u]
+        """Expansion of x^u over the standard basis of its degree (shared, read-only)."""
+        return self.I.nf_monomial(u)
 
 
 def _wedge_weight(ring: GradingSpec, W: Wedge) -> int:

@@ -62,6 +62,20 @@ def test_strongly_golod_counterexample_witness(r3):
     assert I.normal_form(w.left * w.right).remainder == w.remainder
 
 
+@pytest.mark.parametrize(
+    "gens, left, right, remainder",
+    [
+        (["x^2+y^2+z^2", "x*y"], "2*x", "2*x", "-4*y^2 - 4*z^2"),
+        (["x^2*y+y*z^2+z^3", "x*z^2-y^3"], "2*x*y", "2*x*y", "-4*y^2*z^2 - 4*y*z^3"),
+    ],
+)
+def test_strongly_golod_multi_term_witnesses(r3, gens, left, right, remainder):
+    I = Ideal.from_strings(r3, gens)
+    w = strongly_golod(I).witness
+    assert (str(w.left), str(w.right), str(w.remainder)) == (left, right, remainder)
+    assert I.normal_form(w.left * w.right).remainder == w.remainder
+
+
 def test_strongly_golod_positive_cases(r2, r3):
     assert strongly_golod(Ideal.from_strings(r2, ["x^2", "x*y", "y^2"])).verdict
     assert strongly_golod(Ideal.from_strings(r2, ["x^2*y^2"])).verdict

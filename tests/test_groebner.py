@@ -1,11 +1,13 @@
 """Groebner engine: reduced bases, membership, intersection, colon, syzygies."""
 
+import sys
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from golodkit import (
+    AlgebraError,
     GradingSpec,
     Ideal,
     Polynomial,
@@ -17,6 +19,7 @@ from golodkit import (
     saturate,
     syzygies,
 )
+from golodkit.groebner import MonomialOrder, _Engine, _exact_div, _from_internal, _to_internal
 from golodkit.ring import grevlex_key, mono_div, mono_divides, mono_lcm
 
 from conftest import oracle_member, random_homogeneous
@@ -99,6 +102,67 @@ def test_normal_form_is_linear_and_idempotent(r2):
     lhs = I.normal_form(f + g).remainder
     rhs = nf + I.normal_form(g).remainder
     assert lhs == rhs
+
+
+def _engine_remainder(I: Ideal, p: Polynomial) -> Polynomial:
+    """Reference: term-by-term reduction by the Buchberger engine's nf."""
+    order = MonomialOrder.grevlex(I.ring)
+    eng = _Engine(order, 1, 0, track=False)
+    for g in I.groebner_basis():
+        mv = _to_internal([g], order)
+        eng.leads.append(mv[0][0])
+        eng.polys.append(mv)
+        eng.reps.append([])
+    rem, _ = eng.nf(_to_internal([p], order))
+    return _from_internal(rem, I.ring, 1)[0]
+
+
+def test_normal_form_matches_engine_and_oracle(r3, rw):
+    rng = Random(53)
+    for ring in (r3, rw):
+        for trial in range(4):
+            gens = [random_homogeneous(ring, rng.randint(2, 4), rng) for _ in range(2)]
+            I = Ideal(ring, gens)
+            for d in (2, 3, 4, 5):
+                f = random_homogeneous(ring, d, rng)
+                nf = I.normal_form(f)
+                assert nf.remainder == _engine_remainder(I, f)
+                assert nf.is_member == oracle_member(I, f)
+            member = gens[0] * random_homogeneous(ring, 2, rng)
+            assert I.normal_form(member).is_member
+            assert oracle_member(I, member)
+
+
+def test_normal_form_of_inhomogeneous_ideal(r3):
+    rng = Random(59)
+    I = Ideal.from_strings(r3, ["x^2 + y", "x*y - z^2 + 1", "y*z^2 - x"])
+    for _ in range(8):
+        f = sum(
+            (random_homogeneous(r3, d, rng) for d in range(4)),
+            Polynomial.zero(r3),
+        )
+        nf = I.normal_form(f)
+        assert nf.remainder == _engine_remainder(I, f)
+        assert I.normal_form(nf.remainder).remainder == nf.remainder
+        g = f * I.generators[1] + nf.remainder
+        assert I.normal_form(g).remainder == nf.remainder
+
+
+def test_monomial_normal_form_chain_deeper_than_recursion_limit(r2):
+    # x^k -> x^(k-1)*y -> ... -> y^k is a chain of k reductions
+    I = Ideal.from_strings(r2, ["x - y"])
+    k = sys.getrecursionlimit() + 100
+    assert I.nf_monomial((k, 0)) == {(0, k): Fraction(1)}
+    assert I.normal_form(Polynomial.monomial(r2, (k - 1, 1))).remainder == Polynomial.monomial(r2, (0, k))
+
+
+def test_exact_div_raises_on_a_remainder(r2):
+    x, y = r2.variables()
+    with pytest.raises(AlgebraError):
+        _exact_div(x, y)
+    with pytest.raises(AlgebraError):
+        _exact_div(x, Polynomial.zero(r2))
+    assert _exact_div(x * y, y) == x
 
 
 def test_intersection_of_principal_ideals(r2):
