@@ -15,8 +15,8 @@ from itertools import combinations
 from .calculus import derivative_ideal, strongly_golod
 from .errors import AlgebraError
 from .groebner import Ideal
-from .linalg import TrackedSpan, Vec, kernel_of_columns
-from .ring import Exps, GradingSpec, Polynomial, mono_divides
+from .linalg import Span, Vec, kernel_of_columns
+from .ring import Exps, GradingSpec, Polynomial, mono_divides, monomials_of_degree
 
 Wedge = tuple[int, ...]
 StrandKey = tuple[Wedge, Exps]
@@ -33,22 +33,8 @@ class QuotientBasis:
         self._std: dict[int, list[Exps]] = {}
 
     def monomials(self, d: int) -> list[Exps]:
-        if d < 0:
-            return []
         if d not in self._monos:
-            w = self.ring.weights
-            out: list[Exps] = []
-
-            def rec(pos: int, left: int, acc: list[int]):
-                if pos == len(w) - 1:
-                    if left % w[pos] == 0:
-                        out.append(tuple(acc + [left // w[pos]]))
-                    return
-                for e in range(left // w[pos] + 1):
-                    rec(pos + 1, left - e * w[pos], acc + [e])
-
-            rec(0, d, [])
-            self._monos[d] = sorted(out)
+            self._monos[d] = monomials_of_degree(self.ring.weights, d)
         return self._monos[d]
 
     def is_standard(self, u: Exps) -> bool:
@@ -82,7 +68,7 @@ class _Complex:
         self.n = I.ring.n
         self._basis: dict[tuple[int, int], tuple[list[StrandKey], dict[StrandKey, int]]] = {}
         self._cols: dict[tuple[int, int], list[Vec]] = {}
-        self._bspan: dict[tuple[int, int], TrackedSpan] = {}
+        self._bspan: dict[tuple[int, int], Span] = {}
         self._kernel: dict[tuple[int, int], list[Vec]] = {}
 
     def basis(self, l: int, d: int):
@@ -134,10 +120,10 @@ class _Complex:
                 self._kernel[key] = kernel_of_columns(self.differential_columns(l, d))
         return self._kernel[key]
 
-    def boundary_span(self, l: int, d: int) -> TrackedSpan:
+    def boundary_span(self, l: int, d: int) -> Span:
         key = (l, d)
         if key not in self._bspan:
-            span = TrackedSpan()
+            span = Span()
             for col in self.differential_columns(l + 1, d):
                 span.add(col)
             self._bspan[key] = span
@@ -145,10 +131,8 @@ class _Complex:
 
     def homology(self, l: int, d: int) -> tuple[int, list[Vec]]:
         """Dimension and cycle representatives extending the boundary span."""
-        probe = TrackedSpan()
-        for col in self.differential_columns(l + 1, d):
-            probe.add(col)
-        reps = [z for z in self.kernel(l, d) if probe.add(z) is None]
+        probe = self.boundary_span(l, d).copy()
+        reps = [z for z in self.kernel(l, d) if probe.add(z)]
         return len(reps), reps
 
 
@@ -292,7 +276,7 @@ def derivative_cycle_check(
         # basis of the degree-e slice of d(I)*R, over standard monomials
         if e not in dbasis:
             std_index = {u: t for t, u in enumerate(qb.std(e))}
-            span = TrackedSpan()
+            span = Span()
             basis = []
             for f in dgens:
                 fdeg = f.homogeneity().degree
@@ -306,7 +290,7 @@ def derivative_cycle_check(
                                 vec[idx] = acc
                             elif idx in vec:
                                 del vec[idx]
-                    if vec and span.add(vec) is None:
+                    if vec and span.add(vec):
                         basis.append({qb.std(e)[i]: c for i, c in vec.items()})
             dbasis[e] = basis
         return dbasis[e]
@@ -336,9 +320,7 @@ def derivative_cycle_check(
                     elif tgt in img:
                         del img[tgt]
             cols.append(img)
-        captured = TrackedSpan()
-        for col in cx.differential_columns(l + 1, d):
-            captured.add(col)
+        captured = cx.boundary_span(l, d).copy()
         base_dim = captured.dim
         for combo in kernel_of_columns(cols):
             z: Vec = {}

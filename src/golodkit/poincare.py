@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import AlgebraError, ImproperIdealError
 from .groebner import Ideal
 from .koszul import QuotientBasis, koszul_homology
-from .linalg import TrackedSpan, Vec, kernel_of_columns
+from .linalg import Span, Vec, integral, kernel_of_columns
 from .ring import Exps
 
 Coeffs = dict[tuple[int, int], int]
@@ -83,7 +83,8 @@ def _mul(A: Coeffs, B: Coeffs, i_max: int, d_max: int) -> Coeffs:
 
 def _geometric_inverse(D: Coeffs, i_max: int, d_max: int) -> Coeffs:
     """(1 - D)^{-1} for D with positive t-order, truncated."""
-    assert all(i >= 1 for i, _ in D), "denominator must have positive t-order"
+    if any(i < 1 for i, _ in D):
+        raise AlgebraError("denominator must have positive t-order")
     inv: Coeffs = {(0, 0): 1}
     term: Coeffs = {(0, 0): 1}
     while True:
@@ -94,23 +95,29 @@ def _geometric_inverse(D: Coeffs, i_max: int, d_max: int) -> Coeffs:
             inv[k] = inv.get(k, 0) + c
 
 
-def _default_d_max(I: Ideal, i_max: int) -> int:
+def _top_shift(I: Ideal) -> int:
+    """Largest generator degree in the minimal free resolution of S/I."""
     from .resolution import minimal_free_resolution
 
     res = minimal_free_resolution(I)
-    maxshift = max((d for degs in res.shifts for d in degs), default=0)
-    return i_max * max(maxshift, max(I.ring.weights))
+    return max((d for degs in res.shifts for d in degs), default=0)
+
+
+def _default_d_max(I: Ideal, i_max: int, top: int) -> int:
+    return i_max * max(top, max(I.ring.weights))
 
 
 def serre_bound_series(I: Ideal, i_max: int = 4, d_max: int | None = None) -> BigradedSeries:
     """Golod upper bound for the Poincare series of R = S/I, expanded exactly."""
+    top = _top_shift(I)
     if d_max is None:
-        d_max = _default_d_max(I, i_max)
-    from .resolution import minimal_free_resolution
+        d_max = _default_d_max(I, i_max, top)
+    return _serre_bound(I, i_max, d_max, top)
 
-    res = minimal_free_resolution(I)
-    maxshift = max((d for degs in res.shifts for d in degs), default=0)
-    hom = koszul_homology(I, I.ring.n, maxshift + max(I.ring.weights))
+
+def _serre_bound(I: Ideal, i_max: int, d_max: int, top: int) -> BigradedSeries:
+    """serre_bound_series with the resolution's top shift already known."""
+    hom = koszul_homology(I, I.ring.n, top + max(I.ring.weights))
     num: Coeffs = {(0, 0): 1}
     for a in I.ring.weights:
         num = _mul(num, {(0, 0): 1, (1, a): 1}, i_max, d_max)
@@ -133,11 +140,23 @@ def actual_poincare(I: Ideal, i_max: int = 4, d_max: int | None = None) -> Bigra
     if not I.is_proper():
         raise ImproperIdealError("the residue field of the zero ring has no resolution")
     if d_max is None:
-        d_max = _default_d_max(I, i_max)
+        d_max = _default_d_max(I, i_max, _top_shift(I))
     if i_max < 0 or d_max < 0:
         raise ValueError("bounds must be non-negative")
     ring = I.ring
     qb = QuotientBasis(I)
+    # Only spans and their dimensions are read below, so every vector may be
+    # rescaled: kernel vectors are kept as integer multiples, and normal-form
+    # coefficients that are integers as ints, which keeps most sums integer.
+    nf_memo: dict[Exps, dict[Exps, int | Fraction]] = {}
+
+    def nf(u: Exps) -> dict[Exps, int | Fraction]:
+        out = nf_memo.get(u)
+        if out is None:
+            out = nf_memo[u] = {v: c.numerator if c.denominator == 1 else c
+                                for v, c in qb.nf_monomial(u).items()}
+        return out
+
     coeffs: Coeffs = {(0, 0): 1}
     truncated = False
 
@@ -161,7 +180,7 @@ def actual_poincare(I: Ideal, i_max: int = 4, d_max: int | None = None) -> Bigra
                 kernels[d] = []
                 continue
             if i == 1:
-                kern = [{key: Fraction(1)} for key in src_keys] if d >= 1 else []
+                kern = [{key: 1} for key in src_keys] if d >= 1 else []
             else:
                 tgt_index: dict[tuple[int, Exps], int] = {}
                 for r, sr in enumerate(shifts_prev2):
@@ -173,9 +192,9 @@ def actual_poincare(I: Ideal, i_max: int = 4, d_max: int | None = None) -> Bigra
                     img: Vec = {}
                     for (r, u), c in images_prev[j].items():
                         prod = tuple(a + b for a, b in zip(m, u))
-                        for v, cc in qb.nf_monomial(prod).items():
+                        for v, cc in nf(prod).items():
                             idx = tgt_index[(r, v)]
-                            acc = img.get(idx, Fraction(0)) + c * cc
+                            acc = img.get(idx, 0) + c * cc
                             if acc:
                                 img[idx] = acc
                             elif idx in img:
@@ -183,33 +202,39 @@ def actual_poincare(I: Ideal, i_max: int = 4, d_max: int | None = None) -> Bigra
                     columns.append(img)
                 kern = []
                 for combo in kernel_of_columns(columns):
-                    kern.append({src_keys[t]: c for t, c in combo.items()})
+                    kern.append({src_keys[t]: c for t, c in integral(combo)[0].items()})
             kernels[d] = kern
             if not kern:
                 continue
+            # Variable multiples of lower kernels lie in this kernel (it is an
+            # R-submodule), so once they span it nothing here is a new generator.
             src_index = {key: t for t, key in enumerate(src_keys)}
-            span = TrackedSpan()
-            for t_var in range(ring.n):
-                a = ring.weights[t_var]
-                for w in kernels.get(d - a, []):
-                    moved: Vec = {}
-                    for (j, m), c in w.items():
-                        lifted = tuple(
-                            e + (1 if p == t_var else 0) for p, e in enumerate(m))
-                        for v, cc in qb.nf_monomial(lifted).items():
-                            idx = src_index[(j, v)]
-                            acc = moved.get(idx, Fraction(0)) + c * cc
-                            if acc:
-                                moved[idx] = acc
-                            elif idx in moved:
-                                del moved[idx]
-                    span.add(moved)
+            span = Span()
+            lower = ((t_var, w) for t_var in range(ring.n)
+                     for w in kernels.get(d - ring.weights[t_var], []))
+            for t_var, w in lower:
+                if span.dim == len(kern):
+                    break
+                moved: Vec = {}
+                for (j, m), c in w.items():
+                    lifted = tuple(
+                        e + (1 if p == t_var else 0) for p, e in enumerate(m))
+                    for v, cc in nf(lifted).items():
+                        idx = src_index[(j, v)]
+                        acc = moved.get(idx, 0) + c * cc
+                        if acc:
+                            moved[idx] = acc
+                        elif idx in moved:
+                            del moved[idx]
+                span.add(moved)
             for w in kern:
+                if span.dim == len(kern):
+                    break
                 as_vec = {src_index[key]: c for key, c in w.items()}
-                if span.add(as_vec) is not None:
+                if not span.add(as_vec):
                     continue
-                for (_, m) in w:
-                    assert any(m), "unit entry would make the resolution non-minimal"
+                if not all(any(m) for (_, m) in w):
+                    raise AlgebraError("unit entry would make the resolution non-minimal")
                 coeffs[(i, d)] = coeffs.get((i, d), 0) + 1
                 new_shifts.append(d)
                 new_images.append(dict(w))
@@ -253,9 +278,10 @@ def golod_verdict(I: Ideal, i_max: int = 4, d_max: int | None = None) -> GolodVe
     decisive even under truncation, since the window values are exact and
     truncation only ever under-counts the bound.
     """
+    top = _top_shift(I)
     if d_max is None:
-        d_max = _default_d_max(I, i_max)
-    bound = serre_bound_series(I, i_max, d_max)
+        d_max = _default_d_max(I, i_max, top)
+    bound = _serre_bound(I, i_max, d_max, top)
     actual = actual_poincare(I, i_max, d_max)
     for i in range(i_max + 1):
         for d in range(d_max + 1):

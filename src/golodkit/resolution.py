@@ -11,9 +11,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import HomogeneityError, ImproperIdealError
+from .errors import AlgebraError, HomogeneityError, ImproperIdealError
 from .groebner import Ideal, MonomialOrder, module_syzygies
-from .ring import GradingSpec, Polynomial
+from .linalg import Span, Vec
+from .ring import Exps, GradingSpec, Polynomial, mono_mul, monomials_of_degree
 
 Matrix = list[list[Polynomial]]
 
@@ -105,18 +106,35 @@ def _column_degree(ring, col, row_shifts) -> int:
 
 
 def _trim_generators(I: Ideal) -> list[Polynomial]:
-    """Minimal generating subset, scanned in (degree, leading term) order."""
+    """Minimal generating subset of a homogeneous ideal, scanned in (degree, leading term) order.
+
+    By graded Nakayama a generator of degree d is redundant exactly when it
+    lies in the span of the degree-d monomial multiples of the kept ones.
+    """
     order = MonomialOrder.grevlex(I.ring)
     gens = sorted(
         I.generators,
         key=lambda g: (g.homogeneity().degree, order.key(g.terms[0][0])),
     )
     kept: list[Polynomial] = []
+    one = (0,) * I.ring.n
+    span_degree = None
     for g in gens:
-        if kept and Ideal(I.ring, kept).contains_poly(g):
-            continue
-        kept.append(g)
+        d = g.homogeneity().degree
+        if d != span_degree:
+            span, index, span_degree = Span(), {}, d
+            for k in kept:
+                for m in monomials_of_degree(I.ring.weights, d - k.homogeneity().degree):
+                    span.add(_coordinates(k, m, index))
+        # a kept g is its own only degree-d multiple, so the span stays current
+        if span.add(_coordinates(g, one, index)):
+            kept.append(g)
     return kept
+
+
+def _coordinates(p: Polynomial, m: Exps, index: dict[Exps, int]) -> Vec:
+    """x^m * p over the monomials numbered in index (extended on demand)."""
+    return {index.setdefault(mono_mul(m, e), len(index)): c for e, c in p.terms}
 
 
 def _compose_is_zero(A: Matrix, B: Matrix, ring) -> bool:
@@ -179,12 +197,10 @@ def _minimize(mats: list[Matrix], shifts: list[list[int]], ring):
                     for w in range(len(prv)):
                         if not prv[w][r2].is_zero():
                             prv[w][r] = prv[w][r] + q * prv[w][r2]
-            if prv is not None and prv:
-                assert all(prv[w][r].is_zero() for w in range(len(prv))), (
-                    "exactness should clear the freed column")
-            if nxt is not None and nxt:
-                assert all(e.is_zero() for e in nxt[c]), (
-                    "exactness should clear the freed row")
+            if prv and not all(prv[w][r].is_zero() for w in range(len(prv))):
+                raise AlgebraError("exactness should clear the freed column")
+            if nxt and not all(e.is_zero() for e in nxt[c]):
+                raise AlgebraError("exactness should clear the freed row")
             # delete basis element r of F_i and c of F_{i+1}
             for row in M:
                 del row[c]
@@ -230,10 +246,13 @@ def minimal_free_resolution(I: Ideal) -> Resolution:
         mats.pop()
 
     for i in range(len(mats) - 1):
-        assert _compose_is_zero(mats[i], mats[i + 1], ring), "composition must vanish"
+        if not _compose_is_zero(mats[i], mats[i + 1], ring):
+            raise AlgebraError("composition must vanish")
     for M in mats:
-        assert not any(_is_unit(e) for row in M for e in row), "resolution not minimal"
-    assert len(mats) <= ring.n, "length exceeds the number of variables"
+        if any(_is_unit(e) for row in M for e in row):
+            raise AlgebraError("resolution not minimal")
+    if len(mats) > ring.n:
+        raise AlgebraError("length exceeds the number of variables")
 
     steps = tuple(tuple(tuple(row) for row in M) for M in mats)
     return Resolution(ring, steps, tuple(tuple(s) for s in shifts[: len(mats) + 1]))

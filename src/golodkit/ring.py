@@ -98,6 +98,23 @@ def mono_gcd(a: Exps, b: Exps) -> Exps:
     return tuple(min(x, y) for x, y in zip(a, b))
 
 
+def monomials_of_degree(weights: tuple[int, ...], d: int) -> list[Exps]:
+    """All exponent vectors of weighted degree d, sorted; none for d < 0."""
+    out: list[Exps] = []
+
+    def rec(pos: int, left: int, acc: list[int]):
+        if pos == len(weights) - 1:
+            if left % weights[pos] == 0:
+                out.append(tuple(acc + [left // weights[pos]]))
+            return
+        for e in range(left // weights[pos] + 1):
+            rec(pos + 1, left - e * weights[pos], acc + [e])
+
+    if d >= 0:
+        rec(0, d, [])
+    return sorted(out)
+
+
 @dataclass(frozen=True)
 class HomogeneityReport:
     """Whether a polynomial is homogeneous for the ring's weights.

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from random import Random
 
-from golodkit.linalg import TrackedSpan, kernel_of_columns, rank_of_columns
+from golodkit.linalg import Span, TrackedSpan, kernel_of_columns, rank_of_columns
 
 from conftest import _row_reduce
 
@@ -61,3 +61,104 @@ def test_rank_agrees_with_dense_elimination():
         cols = [{i: c for i, c in col.items() if c} for col in cols]
         rows = [_dense(c, nrows) for c in cols]
         assert rank_of_columns(cols) == len(_row_reduce(rows))
+
+
+def _rational_columns(rng, ncols, nrows):
+    cols = []
+    for _ in range(ncols):
+        col = {i: Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for i in range(nrows)
+               if rng.random() < 0.6}
+        cols.append({i: c for i, c in col.items() if c})
+    if ncols >= 3:
+        # a rational combination of two earlier columns, so kernels are common
+        a, b = rng.sample(range(ncols - 1), 2)
+        f = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+        comb = dict(cols[a])
+        for i, c in cols[b].items():
+            comb[i] = comb.get(i, Fraction(0)) + f * c
+        cols[-1] = {i: c for i, c in comb.items() if c}
+    return cols
+
+
+def _solve(basis_cols, target, nrows):
+    """Gauss-Jordan over Fraction: x with sum x_k * basis_cols[k] == target, or None."""
+    width = len(basis_cols)
+    rows = [[col.get(i, Fraction(0)) for col in basis_cols] + [target.get(i, Fraction(0))]
+            for i in range(nrows)]
+    pivots = []
+    r = 0
+    for c in range(width):
+        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    if any(rows[i][width] != 0 for i in range(r, nrows)):
+        return None
+    x = [Fraction(0)] * width
+    for i, c in enumerate(pivots):
+        x[c] = rows[i][width]
+    return x
+
+
+def _reference_kernel(cols, nrows):
+    """For each column dependent on the earlier independent ones: e_j - its combination."""
+    independent: list[int] = []
+    out = []
+    for j, col in enumerate(cols):
+        x = _solve([cols[k] for k in independent], col, nrows)
+        if x is None:
+            independent.append(j)
+            continue
+        vec = {j: Fraction(1)}
+        for k, c in zip(independent, x):
+            if c:
+                vec[k] = -c
+        out.append(vec)
+    return out
+
+
+def test_kernel_of_rational_columns_matches_gauss_jordan():
+    rng = Random(23)
+    seen_dependent = 0
+    for trial in range(60):
+        ncols = rng.randint(1, 9)
+        nrows = rng.randint(1, 7)
+        cols = _rational_columns(rng, ncols, nrows)
+        ref = _reference_kernel(cols, nrows)
+        assert kernel_of_columns(cols) == ref
+        seen_dependent += len(ref)
+    assert seen_dependent > 60
+
+
+def test_span_and_rank_on_rational_columns_match_row_reduction():
+    rng = Random(29)
+    for trial in range(60):
+        ncols = rng.randint(1, 9)
+        nrows = rng.randint(1, 7)
+        cols = _rational_columns(rng, ncols, nrows)
+        span = Span()
+        for j, col in enumerate(cols):
+            before = len(_row_reduce([_dense(c, nrows) for c in cols[:j]]))
+            after = len(_row_reduce([_dense(c, nrows) for c in cols[: j + 1]]))
+            assert span.contains(col) == (after == before)
+            assert span.add(col) == (after > before)
+            assert span.contains(col)
+            assert span.dim == after
+        assert rank_of_columns(cols) == span.dim
+
+
+def test_span_copy_is_independent():
+    span = Span()
+    span.add({0: Fraction(1, 2), 1: Fraction(1, 3)})
+    other = span.copy()
+    assert other.add({1: Fraction(2, 7)})
+    assert span.dim == 1 and other.dim == 2
+    assert not span.contains({1: Fraction(1)})

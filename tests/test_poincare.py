@@ -1,10 +1,15 @@
 """Serre-type bound, actual Poincare series, and the final verdict."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from golodkit import (
+    AlgebraError,
     GradingSpec,
     Ideal,
     ImproperIdealError,
@@ -13,7 +18,8 @@ from golodkit import (
     golod_verdict,
     serre_bound_series,
 )
-from golodkit.poincare import GOLOD, INCONCLUSIVE, NOT_GOLOD
+from golodkit import resolution
+from golodkit.poincare import GOLOD, INCONCLUSIVE, NOT_GOLOD, _geometric_inverse
 
 
 def test_flagship_square_of_maximal(r2):
@@ -111,3 +117,47 @@ def test_truncated_bounds_yield_inconclusive_on_golod_ring(r2):
     v = golod_verdict(I, i_max=4, d_max=3)
     assert v.status in (GOLOD, INCONCLUSIVE)
     assert v.status == INCONCLUSIVE or not v.bound.truncated
+
+
+def test_actual_poincare_on_a_rational_ideal_is_pinned():
+    # seeded-poly-2 has the coefficient -1/2, so its strands need denominator clearing
+    entry = next(e for e in builtin_corpus() if e.name == "seeded-poly-2")
+    s = actual_poincare(entry.ideal, 3)
+    assert s.d_max == 12 and not s.truncated
+    assert s.coefficients == {(0, 0): 1, (1, 1): 4, (2, 2): 8, (3, 3): 12}
+
+
+def test_verdict_resolves_once(r2, monkeypatch):
+    calls = []
+    real = resolution.minimal_free_resolution
+
+    def counted(I):
+        calls.append(I)
+        return real(I)
+
+    monkeypatch.setattr(resolution, "minimal_free_resolution", counted)
+    assert golod_verdict(Ideal.from_strings(r2, ["x^2", "x*y", "y^2"])).status == GOLOD
+    assert len(calls) == 1
+
+
+def test_geometric_inverse_rejects_t_order_zero():
+    with pytest.raises(AlgebraError, match="positive t-order"):
+        _geometric_inverse({(0, 1): 1}, 3, 3)
+    assert _geometric_inverse({(1, 1): 1}, 2, 2) == {(0, 0): 1, (1, 1): 1, (2, 2): 1}
+
+
+def test_geometric_inverse_check_survives_python_O():
+    code = (
+        "from golodkit.errors import AlgebraError\n"
+        "from golodkit.poincare import _geometric_inverse\n"
+        "try:\n"
+        "    _geometric_inverse({(0, 1): 1}, 3, 3)\n"
+        "except AlgebraError:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"

@@ -8,11 +8,15 @@ import pytest
 
 from golodkit import (
     Ideal,
+    MonomialOrder,
     Polynomial,
     betti_table,
+    builtin_corpus,
     minimal_free_resolution,
     parse_polynomial,
+    power,
 )
+from golodkit.resolution import _trim_generators
 
 from conftest import _row_reduce, monomials_of_degree, random_homogeneous
 
@@ -180,3 +184,36 @@ def test_table_rendering_and_json(r2):
     assert "total:" in s and "." in s
     obj = json.loads(t.to_json())
     assert {"i": 1, "d": 2, "rank": 3} in obj
+
+
+def _trim_by_membership(I):
+    """Reference: keep g unless an Ideal of the kept ones contains it (one Buchberger run each)."""
+    order = MonomialOrder.grevlex(I.ring)
+    gens = sorted(
+        I.generators,
+        key=lambda g: (g.homogeneity().degree, order.key(g.terms[0][0])),
+    )
+    kept = []
+    for g in gens:
+        if kept and Ideal(I.ring, kept).contains_poly(g):
+            continue
+        kept.append(g)
+    return kept
+
+
+def test_trim_generators_matches_membership_scan(r3):
+    rng = Random(37)
+    cases = []
+    for _ in range(8):
+        base = [random_homogeneous(r3, d, rng) for d in (2, 2, 3)]
+        x, y, z = r3.variables()
+        # redundant generators: multiples and rational combinations of earlier ones
+        extra = [x * base[0], base[0] * Fraction(1, 3) - base[1] * Fraction(2, 5),
+                 (y + z) * base[1], random_homogeneous(r3, 4, rng)]
+        cases.append(Ideal(r3, base + extra))
+    squares = [power(e.ideal, 2) for e in builtin_corpus()
+               if e.ideal.ring == r3 and not e.ideal.is_zero()]
+    for A, B in zip(squares, squares[1:]):
+        cases.append(Ideal(r3, [p * q for p in A.generators for q in B.generators]))
+    for I in cases:
+        assert _trim_generators(I) == _trim_by_membership(I)
