@@ -15,9 +15,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from random import Random
 
-from .errors import ContainmentError, HomogeneityError, ImproperIdealError
-from .groebner import Ideal, _dp_axpy, colon, contains, saturate
-from .ring import Exps, GradingSpec, Polynomial, mono_mul
+from .errors import AlgebraError, ContainmentError, HomogeneityError, ImproperIdealError
+from .groebner import Ideal, colon, contains, saturate
+from .ring import Exps, GradingSpec, Polynomial, axpy, mono_mul
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,8 @@ def strongly_golod(I: Ideal) -> StronglyGolodReport:
                 if multiple is None:
                     multiple = multiples[e2] = {}
                     for e1, c1 in dgens[a].terms:
-                        _dp_axpy(multiple, c1, None, I.nf_monomial(mono_mul(e1, e2)))
-                _dp_axpy(rem, c2, None, multiple)
+                        axpy(multiple, c1, I.nf_monomial(mono_mul(e1, e2)))
+                axpy(rem, c2, multiple)
             if rem:
                 witness = DerivativePairWitness(dgens[a], dgens[b], Polynomial(I.ring, rem))
                 return StronglyGolodReport(False, witness)
@@ -241,14 +241,14 @@ def sandwich_check(I: Ideal, J: Ideal, k: int, sym_k: Ideal, sym_km1: Ideal) -> 
 
     The caller supplies the k-th and (k-1)-st symbolic powers.  When the
     hypothesis (I^(k-1))^2 <= I^k holds and J really is sandwiched, the
-    verdict is forced to be true; that implication is asserted.
+    verdict is forced to be true; a false verdict there raises AlgebraError.
     """
     Ik = power(I, k)
     hypothesis = contains(Ik, power(sym_km1, 2))
     sandwiched = contains(J, Ik) and contains(sym_k, J)
     verdict = sandwiched and strongly_golod(J).verdict
-    if hypothesis and sandwiched:
-        assert verdict, "sandwiched ideal failed the predicate despite the hypothesis"
+    if hypothesis and sandwiched and not verdict:
+        raise AlgebraError("sandwiched ideal failed the predicate despite the hypothesis")
     return SandwichReport(verdict, hypothesis)
 
 

@@ -3,9 +3,18 @@
 One engine handles both ideals and submodules of free modules: an internal
 "vector" is a list of ((component, exponents), coefficient) pairs sorted in
 descending term order.  Scalar polynomials are the one-component case.
-Syzygies come from Schreyer's theorem: S-pair division syzygies of a reduced
-basis, translated back to the caller's generators through the tracked
-representation matrix.
+
+The engine has one reduction loop, ``_Engine.nf``, which returns the
+remainder together with its reduction steps (basis index, shift,
+coefficient): the division quotients.  ``_Engine.fold`` applies steps to
+representations over the inputs; tracked Buchberger, exact division and
+syzygies all read what they need off the steps.  Syzygies come from
+Schreyer's theorem: S-pair division syzygies of a reduced basis, translated
+back to the caller's generators through the tracked representation matrix.
+
+An ``Ideal`` caches its reduced grevlex basis, and from it the normal form
+of every monomial it meets and its standard monomials per degree; the
+predicate and the Koszul and Poincare strands all read these memos.
 """
 
 from __future__ import annotations
@@ -26,10 +35,12 @@ from .ring import (
     Exps,
     GradingSpec,
     Polynomial,
+    axpy,
     mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
+    monomials_of_degree,
 )
 
 
@@ -133,16 +144,10 @@ def _sub_scaled(a: ModVec, b: ModVec, shift: Exps, coeff: Fraction, order: Monom
     return out
 
 
-# quotient-polynomial dicts (Exps -> Fraction), used for representations
-
-def _dp_axpy(target: dict, factor: Fraction, shift: Exps | None, src: dict) -> None:
-    for e, c in src.items():
-        key = mono_mul(e, shift) if shift is not None else e
-        acc = target.get(key, 0) + factor * c
-        if acc:
-            target[key] = acc
-        elif key in target:
-            del target[key]
+# A reduction step (basis index, shift, c) records that c * x^shift * polys[hit]
+# was subtracted; the same steps applied to the tracked representations
+# (``_Engine.fold``) keep each vector's coefficients over the inputs.
+Step = tuple[int, Exps, Fraction]
 
 
 class _Engine:
@@ -157,48 +162,43 @@ class _Engine:
         self.polys: list[ModVec] = []
         self.reps: list[list[dict]] = []  # rep[i] = coefficients over input vectors
 
-    def nf(self, vec: ModVec, rep: list[dict] | None = None) -> tuple[ModVec, list[dict] | None]:
-        """Full normal form against the current basis; mutates rep in place."""
-        rem: ModVec = []
-        work = vec
-        while work:
-            (comp, exps), c = work[0]
-            hit = -1
-            for bi, (lcomp, lexps) in enumerate(self.leads):
-                if lcomp == comp and mono_divides(lexps, exps):
-                    hit = bi
-                    break
-            if hit < 0:
-                rem.append(work[0])
-                work = work[1:]
-                continue
-            shift = mono_div(exps, self.leads[hit][1])
-            work = _sub_scaled(work, self.polys[hit], shift, c, self.order)
-            if rep is not None:
-                for k in range(self.ninputs):
-                    _dp_axpy(rep[k], -c, shift, self.reps[hit][k])
-        return rem, rep
+    def nf(self, vec: ModVec) -> tuple[ModVec, list[Step]]:
+        """Full normal form against the current basis, and its reduction steps.
 
-    def nf_quotients(self, vec: ModVec) -> tuple[ModVec, list[dict]]:
-        """Normal form recording the quotient on each basis element."""
-        quots: list[dict] = [dict() for _ in self.polys]
+        vec equals the sum of c * x^shift * polys[hit] over the steps plus the
+        remainder.  Each step removes a term strictly smaller than the one
+        before, so a (hit, shift) pair occurs at most once: the steps are the
+        division quotients.
+        """
         rem: ModVec = []
+        steps: list[Step] = []
         work = vec
         while work:
             (comp, exps), c = work[0]
-            hit = -1
-            for bi, (lcomp, lexps) in enumerate(self.leads):
+            for hit, (lcomp, lexps) in enumerate(self.leads):
                 if lcomp == comp and mono_divides(lexps, exps):
-                    hit = bi
                     break
-            if hit < 0:
+            else:
                 rem.append(work[0])
                 work = work[1:]
                 continue
-            shift = mono_div(exps, self.leads[hit][1])
+            shift = mono_div(exps, lexps)
             work = _sub_scaled(work, self.polys[hit], shift, c, self.order)
-            quots[hit][shift] = quots[hit].get(shift, Fraction(0)) + c
-        return rem, quots
+            steps.append((hit, shift, c))
+        return rem, steps
+
+    def fold(self, rep: list[dict], steps: list[Step]) -> list[dict]:
+        """rep minus c * x^shift * reps[hit] for each step, in place; returns rep."""
+        for hit, shift, c in steps:
+            for target, src in zip(rep, self.reps[hit]):
+                for e, v in src.items():
+                    key = mono_mul(e, shift)
+                    acc = target.get(key, 0) - c * v
+                    if acc:
+                        target[key] = acc
+                    elif key in target:
+                        del target[key]
+        return rep
 
     def _push_pairs(self, heap, pending, new_idx: int):
         lc, le = self.leads[new_idx]
@@ -213,46 +213,40 @@ class _Engine:
             heapq.heappush(heap, (self.order.key(lcm), lc, i, new_idx, lcm))
             pending.add((i, new_idx))
 
-    def add_input(self, vec: ModVec, rep: list[dict], heap, pending):
-        rem, rep = self.nf(vec, rep if self.track else None)
+    def _add(self, vec: ModVec, pre: list[Step], heap, pending, unit: int | None = None):
+        """Reduce vec; a nonzero remainder becomes a monic basis element.
+
+        vec is input ``unit``, or else built from the basis by the steps
+        ``pre``.  Its representation is folded from those and the reduction
+        steps, and only computed when the remainder is kept.
+        """
+        rem, steps = self.nf(vec)
         if not rem:
             return
-        lead_c = rem[0][1]
-        rem = _scale(rem, Fraction(1) / lead_c)
-        if self.track:
-            inv = Fraction(1) / lead_c
-            rep = [{e: inv * c for e, c in d.items()} for d in rep]
+        inv = Fraction(1) / rem[0][1]
         self.leads.append(rem[0][0])
-        self.polys.append(rem)
-        self.reps.append(rep if self.track else [])
+        self.polys.append(_scale(rem, inv))
+        rep: list[dict] = []
+        if self.track:
+            rep = [dict() for _ in range(self.ninputs)]
+            if unit is not None:
+                rep[unit][tuple(0 for _ in range(self.order.grading.n))] = Fraction(1)
+            rep = [{e: inv * c for e, c in d.items()} for d in self.fold(rep, pre + steps)]
+        self.reps.append(rep)
         self._push_pairs(heap, pending, len(self.polys) - 1)
 
     def run(self, inputs: list[ModVec]):
         heap: list = []
         pending: set[tuple[int, int]] = set()
         for idx, vec in enumerate(inputs):
-            rep = [dict() for _ in range(self.ninputs)]
-            if self.track:
-                rep[idx][tuple(0 for _ in range(self.order.grading.n))] = Fraction(1)
-            self.add_input(vec, rep, heap, pending)
+            self._add(vec, [], heap, pending, unit=idx)
         while heap:
             _, comp, i, j, lcm = heapq.heappop(heap)
             pending.discard((i, j))
             if self._chain_skip(i, j, comp, lcm, pending):
                 continue
-            svec, srep = self._spair(i, j, lcm)
-            rem, srep = self.nf(svec, srep if self.track else None)
-            if not rem:
-                continue
-            lead_c = rem[0][1]
-            rem = _scale(rem, Fraction(1) / lead_c)
-            if self.track:
-                inv = Fraction(1) / lead_c
-                srep = [{e: inv * c for e, c in d.items()} for d in srep]
-            self.leads.append(rem[0][0])
-            self.polys.append(rem)
-            self.reps.append(srep if self.track else [])
-            self._push_pairs(heap, pending, len(self.polys) - 1)
+            svec, pre = self._spair(i, j, lcm)
+            self._add(svec, pre, heap, pending)
         self._reduce_basis()
 
     def _chain_skip(self, i: int, j: int, comp: int, lcm: Exps, pending) -> bool:
@@ -267,18 +261,14 @@ class _Engine:
                 return True
         return False
 
-    def _spair(self, i: int, j: int, lcm: Exps):
+    def _spair(self, i: int, j: int, lcm: Exps) -> tuple[ModVec, list[Step]]:
+        """x^si * polys[i] - x^sj * polys[j], and the steps that fold a
+        representation of zero into one of it."""
         si = mono_div(lcm, self.leads[i][1])
         sj = mono_div(lcm, self.leads[j][1])
         shifted = [((c, mono_mul(e, si)), v) for (c, e), v in self.polys[i]]
         svec = _sub_scaled(shifted, self.polys[j], sj, Fraction(1), self.order)
-        srep = None
-        if self.track:
-            srep = [dict() for _ in range(self.ninputs)]
-            for k in range(self.ninputs):
-                _dp_axpy(srep[k], Fraction(1), si, self.reps[i][k])
-                _dp_axpy(srep[k], Fraction(-1), sj, self.reps[j][k])
-        return svec, srep
+        return svec, [(i, si, Fraction(-1)), (j, sj, Fraction(1))]
 
     def _reduce_basis(self):
         # drop elements whose lead is divisible by another surviving lead
@@ -297,13 +287,12 @@ class _Engine:
             self.leads = leads[:i] + leads[i + 1:]
             self.polys = polys[:i] + polys[i + 1:]
             self.reps = reps[:i] + reps[i + 1:]
-            rep_i = [dict(d) for d in reps[i]] if self.track else None
-            rem, rep_i = self.nf(polys[i], rep_i)
+            rem, steps = self.nf(polys[i])
             if not rem:
                 raise AlgebraError("basis element reduced to zero during interreduction")
             polys[i] = rem
             if self.track:
-                reps[i] = rep_i
+                self.fold(reps[i], steps)
         self.leads, self.polys, self.reps = leads, polys, reps
 
 
@@ -330,7 +319,7 @@ class SaturationResult:
 class Ideal:
     """Finitely generated ideal of a weighted polynomial ring over Q."""
 
-    __slots__ = ("ring", "generators", "_gb", "_reducers", "_nf")
+    __slots__ = ("ring", "generators", "_gb", "_reducers", "_nf", "_std")
 
     def __init__(self, ring: GradingSpec, generators: Sequence[Polynomial]):
         gens = []
@@ -342,10 +331,12 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._gb: tuple[Polynomial, ...] | None = None
-        # (lead, [(tail exps, -c / lc)]) per basis element, and the monomial
-        # normal-form memo; both are built lazily from the cached basis
+        # (lead, [(tail exps, -c / lc)]) per basis element, the monomial
+        # normal-form memo and the standard monomials per degree; all are
+        # built lazily from the cached basis
         self._reducers: list[tuple[Exps, list[tuple[Exps, Fraction]]]] | None = None
         self._nf: dict[Exps, dict[Exps, Fraction]] = {}
+        self._std: dict[int, list[Exps]] = {}
 
     @classmethod
     def from_strings(cls, ring: GradingSpec, texts: Sequence[str]) -> "Ideal":
@@ -377,6 +368,30 @@ class Ideal:
     def _set_gb_cache(self, gb: tuple[Polynomial, ...]):
         self._gb = gb
 
+    def _reducer_list(self) -> list[tuple[Exps, list[tuple[Exps, Fraction]]]]:
+        if self._reducers is None:
+            self._reducers = [
+                (g.terms[0][0], [(t, -c / g.terms[0][1]) for t, c in g.terms[1:]])
+                for g in self.groebner_basis()
+            ]
+        return self._reducers
+
+    def standard_monomials(self, d: int) -> list[Exps]:
+        """Monomials of degree d outside the leading-term ideal, sorted; memoized.
+
+        They are a basis of the degree-d part of S/I, and the normal forms of
+        ``nf_monomial`` are expansions over them.  The returned list is shared
+        with the memo and must not be mutated.
+        """
+        std = self._std.get(d)
+        if std is None:
+            leads = [lead for lead, _ in self._reducer_list()]
+            std = self._std[d] = [
+                u for u in monomials_of_degree(self.ring.weights, d)
+                if not any(mono_divides(lead, u) for lead in leads)
+            ]
+        return std
+
     def nf_monomial(self, e: Exps) -> dict[Exps, Fraction]:
         """Normal form of x^e modulo the reduced grevlex basis, memoized.
 
@@ -389,12 +404,7 @@ class Ideal:
         hit = memo.get(e)
         if hit is not None:
             return hit
-        if self._reducers is None:
-            self._reducers = [
-                (g.terms[0][0], [(t, -c / g.terms[0][1]) for t, c in g.terms[1:]])
-                for g in self.groebner_basis()
-            ]
-        reducers = self._reducers
+        reducers = self._reducer_list()
         pending: dict[Exps, list[tuple[Exps, Fraction]]] = {}
         stack = [e]
         while stack:
@@ -422,7 +432,7 @@ class Ideal:
             stack.pop()
             nf: dict[Exps, Fraction] = {}
             for v, c in expansion:
-                _dp_axpy(nf, c, None, memo[v])
+                axpy(nf, c, memo[v])
             memo[u] = nf
         return memo[e]
 
@@ -431,7 +441,7 @@ class Ideal:
             raise RingMismatchError("polynomial lives in a different ring")
         rem: dict[Exps, Fraction] = {}
         for e, c in p.terms:
-            _dp_axpy(rem, c, None, self.nf_monomial(e))
+            axpy(rem, c, self.nf_monomial(e))
         r = Polynomial(self.ring, rem)
         return NormalForm(r, r.is_zero())
 
@@ -528,12 +538,11 @@ def _exact_div(p: Polynomial, f: Polynomial) -> Polynomial:
     mv = _to_internal([f * (Fraction(1) / lc)], order)
     eng.leads.append(mv[0][0])
     eng.polys.append(mv)
-    eng.reps.append([])
-    rem, quots = eng.nf_quotients(_to_internal([p], order))
+    rem, steps = eng.nf(_to_internal([p], order))
     if rem:
         raise AlgebraError(f"{f} does not divide {p}")
-    q = Polynomial(p.ring, quots[0])
-    return q * (Fraction(1) / lc)
+    # one basis element, so the shifts are distinct: they are the quotient's terms
+    return Polynomial(p.ring, {shift: c / lc for _, shift, c in steps})
 
 
 def colon(I: Ideal, J: Ideal) -> Ideal:
@@ -601,69 +610,36 @@ def module_syzygies(columns: Sequence[Sequence[Polynomial]], ring: GradingSpec) 
     order = MonomialOrder.grevlex(ring)
     vecs = [_to_internal(col, order) for col in cols]
     eng = _run_engine(vecs, order, ncomp, track=True)
-    G = eng.polys
-    T = eng.reps  # T[g][i]: coefficient of input i in basis element g
     rows: list[tuple[Polynomial, ...]] = []
+    # eng.reps[g][i] is the coefficient of input i in basis element g, so
+    # folding a syzygy of the basis (its steps) into a row gives one of the inputs
 
-    nf_eng = _Engine(order, ncomp, 0, track=False)
-    nf_eng.leads = list(eng.leads)
-    nf_eng.polys = list(G)
-    nf_eng.reps = [[] for _ in G]
-
-    def emit(s_over_G: list[dict]):
-        # translate a syzygy of G into one of the input columns
-        row = [dict() for _ in cols]
-        for g_idx, coeff_poly in enumerate(s_over_G):
-            if not coeff_poly:
-                continue
-            for e, c in coeff_poly.items():
-                for i in range(len(cols)):
-                    _dp_axpy(row[i], c, e, T[g_idx][i])
-        polys = tuple(Polynomial(ring, d) for d in row)
-        if any(not p.is_zero() for p in polys):
-            rows.append(polys)
-
-    # Schreyer division syzygies over all same-component S-pairs of G
-    for a in range(len(G)):
-        for b in range(a + 1, len(G)):
+    # Schreyer division syzygies over all same-component S-pairs of the basis
+    for a in range(len(eng.polys)):
+        for b in range(a + 1, len(eng.polys)):
             ca, ea = eng.leads[a]
             cb, eb = eng.leads[b]
             if ca != cb:
                 continue
-            lcm = mono_lcm(ea, eb)
-            sa = mono_div(lcm, ea)
-            sb = mono_div(lcm, eb)
-            shifted = [((c, mono_mul(e, sa)), v) for (c, e), v in G[a]]
-            svec = _sub_scaled(shifted, G[b], sb, Fraction(1), order)
-            rem, quots = nf_eng.nf_quotients(svec)
+            svec, pre = eng._spair(a, b, mono_lcm(ea, eb))
+            rem, steps = eng.nf(svec)
             if rem:
                 raise AlgebraError("S-pair of a Groebner basis failed to reduce to zero")
-            s = [dict() for _ in G]
-            s[a][sa] = s[a].get(sa, Fraction(0)) + Fraction(1)
-            s[b][sb] = s[b].get(sb, Fraction(0)) - Fraction(1)
-            for g_idx, q in enumerate(quots):
-                for e, c in q.items():
-                    cur = s[g_idx].get(e, Fraction(0)) - c
-                    if cur:
-                        s[g_idx][e] = cur
-                    elif e in s[g_idx]:
-                        del s[g_idx][e]
-            emit(s)
+            row = eng.fold([dict() for _ in cols], pre + steps)
+            if any(row):
+                rows.append(tuple(Polynomial(ring, d) for d in row))
 
-    # rows of I - Q*T
+    # rows of I - Q*T, where Q divides the inputs by the basis and T = eng.reps
+    one = tuple(0 for _ in range(ring.n))
     for i, vec in enumerate(vecs):
-        rem, quots = nf_eng.nf_quotients(vec)
+        rem, steps = eng.nf(vec)
         if rem:
             raise AlgebraError("input column is not in the module it generates")
         row = [dict() for _ in cols]
-        row[i][tuple(0 for _ in range(ring.n))] = Fraction(1)
-        for g_idx, q in enumerate(quots):
-            for e, c in q.items():
-                for k in range(len(cols)):
-                    _dp_axpy(row[k], -c, e, T[g_idx][k])
-        polys = tuple(Polynomial(ring, d) for d in row)
-        if any(not p.is_zero() for p in polys):
-            rows.append(polys)
+        row[i][one] = Fraction(1)
+        row = eng.fold(row, steps)
+        if any(row):
+            rows.append(tuple(Polynomial(ring, d) for d in row))
     return rows
 
 

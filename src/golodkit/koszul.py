@@ -1,9 +1,11 @@
 """Koszul complex of R = S/I on the variables, one bigraded strand at a time.
 
 Strands are spanned by wedge basis elements paired with standard monomials
-(monomials outside the leading-term ideal).  Homology dimensions, cycle
-representatives, the trivial-multiplication test, and the derivative-cycle
-check all reduce to exact rational linear algebra on these strands.
+(monomials outside the leading-term ideal), which the ideal memoizes per
+degree together with the normal forms of all monomials.  Homology
+dimensions, cycle representatives, the trivial-multiplication test, and the
+derivative-cycle check all reduce to exact rational linear algebra on these
+strands.
 """
 
 from __future__ import annotations
@@ -16,38 +18,12 @@ from .calculus import derivative_ideal, strongly_golod
 from .errors import AlgebraError
 from .groebner import Ideal
 from .linalg import Span, Vec, kernel_of_columns
-from .ring import Exps, GradingSpec, Polynomial, mono_divides, monomials_of_degree
+from .ring import Exps, GradingSpec, Polynomial, axpy, mono_mul, monomials_of_degree
 
 Wedge = tuple[int, ...]
 StrandKey = tuple[Wedge, Exps]
-
-
-class QuotientBasis:
-    """Standard-monomial bases of R = S/I per degree; normal forms come from the ideal's memo."""
-
-    def __init__(self, I: Ideal):
-        self.I = I
-        self.ring = I.ring
-        self.leads = tuple(g.terms[0][0] for g in I.groebner_basis())
-        self._monos: dict[int, list[Exps]] = {}
-        self._std: dict[int, list[Exps]] = {}
-
-    def monomials(self, d: int) -> list[Exps]:
-        if d not in self._monos:
-            self._monos[d] = monomials_of_degree(self.ring.weights, d)
-        return self._monos[d]
-
-    def is_standard(self, u: Exps) -> bool:
-        return not any(mono_divides(g, u) for g in self.leads)
-
-    def std(self, d: int) -> list[Exps]:
-        if d not in self._std:
-            self._std[d] = [u for u in self.monomials(d) if self.is_standard(u)]
-        return self._std[d]
-
-    def nf_monomial(self, u: Exps) -> dict[Exps, Fraction]:
-        """Expansion of x^u over the standard basis of its degree (shared, read-only)."""
-        return self.I.nf_monomial(u)
+# strand coordinates: wedge -> standard monomial -> column index
+StrandIndex = dict[Wedge, dict[Exps, int]]
 
 
 def _wedge_weight(ring: GradingSpec, W: Wedge) -> int:
@@ -63,26 +39,29 @@ class _Complex:
     """Strand bases, differentials, and boundary spans for one ideal."""
 
     def __init__(self, I: Ideal):
-        self.qb = QuotientBasis(I)
+        self.I = I
         self.ring = I.ring
         self.n = I.ring.n
-        self._basis: dict[tuple[int, int], tuple[list[StrandKey], dict[StrandKey, int]]] = {}
+        self._basis: dict[tuple[int, int], tuple[list[StrandKey], StrandIndex]] = {}
         self._cols: dict[tuple[int, int], list[Vec]] = {}
         self._bspan: dict[tuple[int, int], Span] = {}
         self._kernel: dict[tuple[int, int], list[Vec]] = {}
 
-    def basis(self, l: int, d: int):
+    def basis(self, l: int, d: int) -> tuple[list[StrandKey], StrandIndex]:
         key = (l, d)
         if key not in self._basis:
             keys: list[StrandKey] = []
+            index: StrandIndex = {}
             if 0 <= l <= self.n and d >= 0:
                 for W in combinations(range(self.n), l):
                     wt = _wedge_weight(self.ring, W)
                     if wt > d:
                         continue
-                    for m in self.qb.std(d - wt):
+                    index[W] = {}
+                    for m in self.I.standard_monomials(d - wt):
+                        index[W][m] = len(keys)
                         keys.append((W, m))
-            self._basis[key] = (keys, {k: t for t, k in enumerate(keys)})
+            self._basis[key] = (keys, index)
         return self._basis[key]
 
     def differential_columns(self, l: int, d: int) -> list[Vec]:
@@ -95,17 +74,10 @@ class _Complex:
             for W, m in src:
                 img: Vec = {}
                 for k, i in enumerate(W):
-                    sign = 1 if k % 2 == 0 else -1
-                    sub = tuple(x for x in W if x != i)
                     shifted = tuple(
                         e + (1 if t == i else 0) for t, e in enumerate(m))
-                    for v, c in self.qb.nf_monomial(shifted).items():
-                        idx = tgt_index[(sub, v)]
-                        acc = img.get(idx, Fraction(0)) + sign * c
-                        if acc:
-                            img[idx] = acc
-                        elif idx in img:
-                            del img[idx]
+                    axpy(img, 1 if k % 2 == 0 else -1, self.I.nf_monomial(shifted),
+                         tgt_index[W[:k] + W[k + 1:]])
                 cols.append(img)
             self._cols[key] = cols
         return self._cols[key]
@@ -136,13 +108,22 @@ class _Complex:
         return len(reps), reps
 
 
-def default_bounds(I: Ideal) -> tuple[int, int]:
-    """l up to the variable count; d up to the top resolution shift plus a margin."""
-    from .resolution import minimal_free_resolution
+def _top_shift(I: Ideal) -> int:
+    """Largest generator degree in the minimal free resolution of S/I."""
+    from . import resolution
 
-    res = minimal_free_resolution(I)
-    maxshift = max((d for degs in res.shifts for d in degs), default=0)
-    return I.ring.n, maxshift + max(I.ring.weights)
+    res = resolution.minimal_free_resolution(I)
+    return max((d for degs in res.shifts for d in degs), default=0)
+
+
+def _window(I: Ideal, l_max: int | None, d_max: int | None) -> tuple[int, int]:
+    """Fill in missing bounds: l up to the variable count, d up to the top
+    resolution shift plus a margin."""
+    if l_max is None:
+        l_max = I.ring.n
+    if d_max is None:
+        d_max = _top_shift(I) + max(I.ring.weights)
+    return l_max, d_max
 
 
 @dataclass(frozen=True)
@@ -189,10 +170,7 @@ def _summarize(cx: _Complex, l_max: int, d_max: int) -> HomologySummary:
 
 def koszul_homology(I: Ideal, l_max: int | None = None, d_max: int | None = None) -> HomologySummary:
     """Bigraded Koszul homology dimensions and representatives within bounds."""
-    if l_max is None or d_max is None:
-        dl, dd = default_bounds(I)
-        l_max = dl if l_max is None else l_max
-        d_max = dd if d_max is None else d_max
+    l_max, d_max = _window(I, l_max, d_max)
     if l_max < 0 or d_max < 0:
         raise ValueError("bounds must be non-negative")
     return _summarize(_Complex(I), l_max, d_max)
@@ -212,16 +190,9 @@ def _product_vector(cx: _Complex, z1, z2, l: int, d: int) -> Vec:
         for (W2, m2), c2 in z2.items():
             if set(W1) & set(W2):
                 continue
-            sign = _merge_sign(W1, W2)
             W = tuple(sorted(W1 + W2))
-            prod = tuple(a + b for a, b in zip(m1, m2))
-            for v, c in cx.qb.nf_monomial(prod).items():
-                idx = index[(W, v)]
-                acc = out.get(idx, Fraction(0)) + sign * c1 * c2 * c
-                if acc:
-                    out[idx] = acc
-                elif idx in out:
-                    del out[idx]
+            axpy(out, _merge_sign(W1, W2) * c1 * c2, cx.I.nf_monomial(mono_mul(m1, m2)),
+                 index[W])
     return out
 
 
@@ -229,10 +200,7 @@ def trivial_multiplication_check(
     I: Ideal, l_max: int | None = None, d_max: int | None = None
 ) -> TrivialMultiplicationReport:
     """Whether every product of positive-degree homology classes is a boundary."""
-    if l_max is None or d_max is None:
-        dl, dd = default_bounds(I)
-        l_max = dl if l_max is None else l_max
-        d_max = dd if d_max is None else d_max
+    l_max, d_max = _window(I, l_max, d_max)
     cx = _Complex(I)
     summary = _summarize(cx, l_max, d_max)
     spots = sorted(k for k in summary.dims if k[0] >= 1)
@@ -262,36 +230,27 @@ def derivative_cycle_check(
     """
     if not strongly_golod(I).verdict:
         raise AlgebraError("derivative cycle check needs a strongly Golod ideal")
-    if l_max is None or d_max is None:
-        dl, dd = default_bounds(I)
-        l_max = dl if l_max is None else l_max
-        d_max = dd if d_max is None else d_max
+    l_max, d_max = _window(I, l_max, d_max)
     cx = _Complex(I)
     summary = _summarize(cx, l_max, d_max)
     dgens = derivative_ideal(I).generators
-    qb = cx.qb
     dbasis: dict[int, list[dict[Exps, Fraction]]] = {}
 
     def derivative_image_basis(e: int) -> list[dict[Exps, Fraction]]:
         # basis of the degree-e slice of d(I)*R, over standard monomials
         if e not in dbasis:
-            std_index = {u: t for t, u in enumerate(qb.std(e))}
+            std = I.standard_monomials(e)
+            std_index = {u: t for t, u in enumerate(std)}
             span = Span()
             basis = []
             for f in dgens:
                 fdeg = f.homogeneity().degree
-                for m in qb.monomials(e - fdeg):
+                for m in monomials_of_degree(I.ring.weights, e - fdeg):
                     vec: Vec = {}
-                    for u, c in (Polynomial.monomial(qb.ring, m) * f).terms:
-                        for v, cc in qb.nf_monomial(u).items():
-                            idx = std_index[v]
-                            acc = vec.get(idx, Fraction(0)) + c * cc
-                            if acc:
-                                vec[idx] = acc
-                            elif idx in vec:
-                                del vec[idx]
+                    for u, c in (Polynomial.monomial(I.ring, m) * f).terms:
+                        axpy(vec, c, I.nf_monomial(u), std_index)
                     if vec and span.add(vec):
-                        basis.append({qb.std(e)[i]: c for i, c in vec.items()})
+                        basis.append({std[i]: c for i, c in vec.items()})
             dbasis[e] = basis
         return dbasis[e]
 
@@ -305,7 +264,7 @@ def derivative_cycle_check(
             if wt > d:
                 continue
             for bv in derivative_image_basis(d - wt):
-                sub_vectors.append({index[(W, u)]: c for u, c in bv.items()})
+                sub_vectors.append({index[W][u]: c for u, c in bv.items()})
         if not sub_vectors:
             return False
         cols = []
@@ -313,24 +272,14 @@ def derivative_cycle_check(
         for sv in sub_vectors:
             img: Vec = {}
             for idx, c in sv.items():
-                for tgt, cc in diff[idx].items():
-                    acc = img.get(tgt, Fraction(0)) + c * cc
-                    if acc:
-                        img[tgt] = acc
-                    elif tgt in img:
-                        del img[tgt]
+                axpy(img, c, diff[idx])
             cols.append(img)
         captured = cx.boundary_span(l, d).copy()
         base_dim = captured.dim
         for combo in kernel_of_columns(cols):
             z: Vec = {}
             for j, c in combo.items():
-                for idx, cc in sub_vectors[j].items():
-                    acc = z.get(idx, Fraction(0)) + c * cc
-                    if acc:
-                        z[idx] = acc
-                    elif idx in z:
-                        del z[idx]
+                axpy(z, c, sub_vectors[j])
             captured.add(z)
         if captured.dim - base_dim < dim:
             return False

@@ -25,18 +25,6 @@ IntVec = dict[int, int]
 Pivots = dict[int, tuple[IntVec, IntVec | None]]
 
 
-def vec_axpy(target: Vec, factor: Fraction, src: Vec) -> None:
-    """target += factor * src, dropping entries that cancel to zero."""
-    if not factor:
-        return
-    for k, v in src.items():
-        acc = target.get(k, Fraction(0)) + factor * v
-        if acc:
-            target[k] = acc
-        elif k in target:
-            del target[k]
-
-
 def integral(vec: Vec) -> tuple[IntVec, int]:
     """(den * vec, den) for den the least common denominator of the entries."""
     den = lcm(*[c.denominator for c in vec.values()])

@@ -566,11 +566,13 @@ def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
         if r > INTEGRAL_WITNESS_CAP:
             raise AlgebraError(f"integral closure witness exponent {r} exceeds the cap")
         counts = [f * r for f in lam]
-        assert all(c.denominator == 1 for c in counts) and sum(counts) == r
+        if not (all(c.denominator == 1 for c in counts) and sum(counts) == r):
+            raise AlgebraError("integral closure witness is not an integral combination")
         total = [0] * I.ring.n
         for c, g in zip(counts, gens):
             for i, e in enumerate(g):
                 total[i] += int(c) * e
-        assert all(total[i] <= r * u[i] for i in range(I.ring.n)), "witness check failed"
+        if not all(total[i] <= r * u[i] for i in range(I.ring.n)):
+            raise AlgebraError("witness check failed")
         accepted.append(u)
     return MonomialIdeal(I.ring, accepted)

@@ -14,9 +14,9 @@ from fractions import Fraction
 
 from .errors import AlgebraError, ImproperIdealError
 from .groebner import Ideal
-from .koszul import QuotientBasis, koszul_homology
+from .koszul import _top_shift, koszul_homology
 from .linalg import Span, Vec, integral, kernel_of_columns
-from .ring import Exps
+from .ring import Exps, axpy, mono_mul
 
 Coeffs = dict[tuple[int, int], int]
 
@@ -95,12 +95,17 @@ def _geometric_inverse(D: Coeffs, i_max: int, d_max: int) -> Coeffs:
             inv[k] = inv.get(k, 0) + c
 
 
-def _top_shift(I: Ideal) -> int:
-    """Largest generator degree in the minimal free resolution of S/I."""
-    from .resolution import minimal_free_resolution
-
-    res = minimal_free_resolution(I)
-    return max((d for degs in res.shifts for d in degs), default=0)
+def _block_index(I: Ideal, shifts: list[int], d: int) -> dict[int, dict[Exps, int]]:
+    """Coordinates of the degree-d part of a free R-module with generators of
+    the given shifts: generator -> standard monomial -> index."""
+    index: dict[int, dict[Exps, int]] = {}
+    size = 0
+    for j, s in enumerate(shifts):
+        if s <= d:
+            std = I.standard_monomials(d - s)
+            index[j] = {m: size + t for t, m in enumerate(std)}
+            size += len(std)
+    return index
 
 
 def _default_d_max(I: Ideal, i_max: int, top: int) -> int:
@@ -144,7 +149,6 @@ def actual_poincare(I: Ideal, i_max: int = 4, d_max: int | None = None) -> Bigra
     if i_max < 0 or d_max < 0:
         raise ValueError("bounds must be non-negative")
     ring = I.ring
-    qb = QuotientBasis(I)
     # Only spans and their dimensions are read below, so every vector may be
     # rescaled: kernel vectors are kept as integer multiples, and normal-form
     # coefficients that are integers as ints, which keeps most sums integer.
@@ -154,7 +158,7 @@ def actual_poincare(I: Ideal, i_max: int = 4, d_max: int | None = None) -> Bigra
         out = nf_memo.get(u)
         if out is None:
             out = nf_memo[u] = {v: c.numerator if c.denominator == 1 else c
-                                for v, c in qb.nf_monomial(u).items()}
+                                for v, c in I.nf_monomial(u).items()}
         return out
 
     coeffs: Coeffs = {(0, 0): 1}
@@ -170,35 +174,20 @@ def actual_poincare(I: Ideal, i_max: int = 4, d_max: int | None = None) -> Bigra
         new_shifts: list[int] = []
         new_images: list[dict[tuple[int, Exps], Fraction]] = []
         for d in range(0, d_max + 1):
-            src_keys = [
-                (j, m)
-                for j, sj in enumerate(shifts_prev)
-                if sj <= d
-                for m in qb.std(d - sj)
-            ]
+            src_index = _block_index(I, shifts_prev, d)
+            src_keys = [(j, m) for j, block in src_index.items() for m in block]
             if not src_keys:
                 kernels[d] = []
                 continue
             if i == 1:
                 kern = [{key: 1} for key in src_keys] if d >= 1 else []
             else:
-                tgt_index: dict[tuple[int, Exps], int] = {}
-                for r, sr in enumerate(shifts_prev2):
-                    if sr <= d:
-                        for m2 in qb.std(d - sr):
-                            tgt_index[(r, m2)] = len(tgt_index)
+                tgt_index = _block_index(I, shifts_prev2, d)
                 columns: list[Vec] = []
                 for j, m in src_keys:
                     img: Vec = {}
                     for (r, u), c in images_prev[j].items():
-                        prod = tuple(a + b for a, b in zip(m, u))
-                        for v, cc in nf(prod).items():
-                            idx = tgt_index[(r, v)]
-                            acc = img.get(idx, 0) + c * cc
-                            if acc:
-                                img[idx] = acc
-                            elif idx in img:
-                                del img[idx]
+                        axpy(img, c, nf(mono_mul(m, u)), tgt_index[r])
                     columns.append(img)
                 kern = []
                 for combo in kernel_of_columns(columns):
@@ -208,7 +197,6 @@ def actual_poincare(I: Ideal, i_max: int = 4, d_max: int | None = None) -> Bigra
                 continue
             # Variable multiples of lower kernels lie in this kernel (it is an
             # R-submodule), so once they span it nothing here is a new generator.
-            src_index = {key: t for t, key in enumerate(src_keys)}
             span = Span()
             lower = ((t_var, w) for t_var in range(ring.n)
                      for w in kernels.get(d - ring.weights[t_var], []))
@@ -219,18 +207,12 @@ def actual_poincare(I: Ideal, i_max: int = 4, d_max: int | None = None) -> Bigra
                 for (j, m), c in w.items():
                     lifted = tuple(
                         e + (1 if p == t_var else 0) for p, e in enumerate(m))
-                    for v, cc in nf(lifted).items():
-                        idx = src_index[(j, v)]
-                        acc = moved.get(idx, 0) + c * cc
-                        if acc:
-                            moved[idx] = acc
-                        elif idx in moved:
-                            del moved[idx]
+                    axpy(moved, c, nf(lifted), src_index[j])
                 span.add(moved)
             for w in kern:
                 if span.dim == len(kern):
                     break
-                as_vec = {src_index[key]: c for key, c in w.items()}
+                as_vec = {src_index[j][m]: c for (j, m), c in w.items()}
                 if not span.add(as_vec):
                     continue
                 if not all(any(m) for (_, m) in w):

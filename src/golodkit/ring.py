@@ -98,6 +98,21 @@ def mono_gcd(a: Exps, b: Exps) -> Exps:
     return tuple(min(x, y) for x, y in zip(a, b))
 
 
+def axpy(target: dict, factor, src: Mapping, index: Mapping | None = None) -> None:
+    """target += factor * src over sparse dicts, deleting entries that cancel.
+
+    With ``index``, the entry of src at key k lands at key index[k].
+    """
+    for k, v in src.items():
+        if index is not None:
+            k = index[k]
+        acc = target.get(k, 0) + factor * v
+        if acc:
+            target[k] = acc
+        elif k in target:
+            del target[k]
+
+
 def monomials_of_degree(weights: tuple[int, ...], d: int) -> list[Exps]:
     """All exponent vectors of weighted degree d, sorted; none for d < 0."""
     out: list[Exps] = []

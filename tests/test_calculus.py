@@ -3,6 +3,7 @@
 import pytest
 
 from golodkit import (
+    AlgebraError,
     ContainmentError,
     HomogeneityError,
     Ideal,
@@ -25,6 +26,8 @@ from golodkit import (
     symbolic_power,
     zariski_nagata_membership,
 )
+from golodkit import calculus
+from golodkit.calculus import StronglyGolodReport
 from golodkit.monomial import (
     cycle_graph,
     squarefree_symbolic_power,
@@ -224,6 +227,15 @@ def test_sandwich_check_on_pentagon_cover():
     big = Ideal(I.ring, list(I.generators))
     rep3 = sandwich_check(I, big, 2, sym2, sym1)
     assert not rep3.verdict
+
+
+def test_sandwich_check_raises_when_the_forced_verdict_fails(r2, monkeypatch):
+    I = Ideal.from_strings(r2, ["x"])
+    J = Ideal.from_strings(r2, ["x^2"])
+    assert sandwich_check(I, J, 2, J, I) == calculus.SandwichReport(True, True)
+    monkeypatch.setattr(calculus, "strongly_golod", lambda K: StronglyGolodReport(False))
+    with pytest.raises(AlgebraError, match="despite the hypothesis"):
+        sandwich_check(I, J, 2, J, I)
 
 
 def test_corpus_shape_and_determinism():

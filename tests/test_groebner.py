@@ -19,10 +19,17 @@ from golodkit import (
     saturate,
     syzygies,
 )
-from golodkit.groebner import MonomialOrder, _Engine, _exact_div, _from_internal, _to_internal
+from golodkit.groebner import (
+    MonomialOrder,
+    _Engine,
+    _exact_div,
+    _from_internal,
+    _run_engine,
+    _to_internal,
+)
 from golodkit.ring import grevlex_key, mono_div, mono_divides, mono_lcm
 
-from conftest import oracle_member, random_homogeneous
+from conftest import _row_reduce, monomials_of_degree, oracle_member, random_homogeneous
 
 
 def _lead(p: Polynomial):
@@ -253,3 +260,78 @@ def test_groebner_cache_consistency(r2):
     assert gb1 is gb2
     f = parse_polynomial(r2, "x^2*y^5")
     assert I.contains_poly(f)
+
+
+def _check_division(eng: _Engine, vec: tuple[Polynomial, ...]):
+    """vec == sum of c * x^shift * g_hit over nf's steps, plus a fully reduced remainder."""
+    ring = vec[0].ring
+    ncomp = len(vec)
+    rem, steps = eng.nf(_to_internal(vec, eng.order))
+    assert len({(hit, shift) for hit, shift, _ in steps}) == len(steps)
+    total = list(_from_internal(rem, ring, ncomp))
+    for hit, shift, c in steps:
+        g = _from_internal(eng.polys[hit], ring, ncomp)
+        for k in range(ncomp):
+            total[k] = total[k] + Polynomial.monomial(ring, shift, c) * g[k]
+    assert tuple(total) == vec
+    for (comp, e), _ in rem:
+        assert not any(lc == comp and mono_divides(le, e) for lc, le in eng.leads)
+    return steps
+
+
+def test_engine_steps_satisfy_the_division_identity(r3, rw):
+    rng = Random(61)
+    for ring in (r3, rw):
+        order = MonomialOrder.grevlex(ring)
+        for trial in range(4):
+            gens = [random_homogeneous(ring, rng.randint(2, 3), rng) for _ in range(3)]
+            eng = _run_engine([_to_internal([g], order) for g in gens], order, 1, track=False)
+            for d in (3, 4, 5):
+                _check_division(eng, (random_homogeneous(ring, d, rng),))
+
+
+def test_engine_steps_on_a_two_component_module(r3):
+    rng = Random(67)
+    order = MonomialOrder.grevlex(r3)
+    for trial in range(3):
+        cols = [(random_homogeneous(r3, 2, rng), random_homogeneous(r3, 3, rng))
+                for _ in range(3)]
+        eng = _run_engine([_to_internal(col, order) for col in cols], order, 2, track=True)
+        for d in (3, 4):
+            vec = (random_homogeneous(r3, d, rng), random_homogeneous(r3, d + 1, rng))
+            _check_division(eng, vec)
+        # a member of the module reduces to zero, and folding its steps into a
+        # zero representation gives minus its coefficients over the inputs
+        a, b = (random_homogeneous(r3, 1, rng) for _ in range(2))
+        member = tuple(a * cols[0][k] + b * cols[1][k] for k in range(2))
+        steps = _check_division(eng, member)
+        rep = eng.fold([dict() for _ in cols], steps)
+        got = tuple(Polynomial(r3, d) for d in rep)
+        combo = [Polynomial.zero(r3)] * 2
+        for k in range(2):
+            for coeff, col in zip(got, cols):
+                combo[k] = combo[k] + coeff * col[k]
+        assert tuple(-p for p in combo) == member
+
+
+def test_standard_monomials_count_the_hilbert_function(r3, rw):
+    rng = Random(71)
+    for ring in (r3, rw):
+        for trial in range(3):
+            gens = [random_homogeneous(ring, rng.randint(2, 3), rng) for _ in range(2)]
+            I = Ideal(ring, gens)
+            for d in range(6):
+                monos = monomials_of_degree(ring, d)
+                index = {m: t for t, m in enumerate(monos)}
+                rows = []
+                for g in gens:
+                    for m in monomials_of_degree(ring, d - g.degree()):
+                        row = [Fraction(0)] * len(monos)
+                        for e, c in (g * Polynomial.monomial(ring, m)).terms:
+                            row[index[e]] = c
+                        rows.append(row)
+                rank = len(_row_reduce(rows))
+                std = I.standard_monomials(d)
+                assert len(std) == len(monos) - rank, (ring, d)
+                assert std == sorted(std)
+                assert I.standard_monomials(d) is std

@@ -14,18 +14,18 @@ from golodkit import (
     strongly_golod,
     trivial_multiplication_check,
 )
-from golodkit.koszul import QuotientBasis, _Complex
-from golodkit.linalg import TrackedSpan, vec_axpy
+from golodkit.koszul import _Complex
+from golodkit.linalg import TrackedSpan
+from golodkit.ring import axpy
 
 
 def test_quotient_basis_counts(r2):
     I = Ideal.from_strings(r2, ["x^2", "x*y", "y^2"])
-    qb = QuotientBasis(I)
-    assert len(qb.std(0)) == 1
-    assert len(qb.std(1)) == 2
-    assert len(qb.std(2)) == 0
+    assert len(I.standard_monomials(0)) == 1
+    assert len(I.standard_monomials(1)) == 2
+    assert len(I.standard_monomials(2)) == 0
     # normal forms of standard monomials are themselves
-    assert qb.nf_monomial((1, 0)) == {(1, 0): Fraction(1)}
+    assert I.nf_monomial((1, 0)) == {(1, 0): Fraction(1)}
 
 
 def test_differential_squares_to_zero(r3):
@@ -38,7 +38,7 @@ def test_differential_squares_to_zero(r3):
             for col in cols:
                 acc = {}
                 for j, c in col.items():
-                    vec_axpy(acc, c, mid_cols[j])
+                    axpy(acc, c, mid_cols[j])
                 assert not acc, (l, d)
 
 
@@ -67,12 +67,12 @@ def test_cycle_representatives_are_honest(r3):
             continue
         _, index = cx.basis(l, d)
         cols = cx.differential_columns(l, d)
-        vecs = [{index[key]: c for key, c in rep.items()} for rep in reps]
+        vecs = [{index[W][m]: c for (W, m), c in rep.items()} for rep in reps]
         for v in vecs:
             # a representative is a cycle: apply the strand differential
             acc = {}
             for j, c in v.items():
-                vec_axpy(acc, c, cols[j])
+                axpy(acc, c, cols[j])
             assert not acc
         # and is independent from the boundary space
         span = TrackedSpan()

@@ -1,6 +1,11 @@
 """Monomial ideal combinatorics: covers, decompositions, closures."""
 
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from itertools import product as iproduct
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -27,6 +32,8 @@ from golodkit import (
     strongly_golod_monomial,
     vertex_cover_ideal,
 )
+
+from golodkit import monomial
 
 from conftest import oracle_ideal_powers, oracle_monomial_member
 
@@ -204,6 +211,42 @@ def test_integral_closure_examples(r2, r3):
     cl = integral_closure(mixed)
     assert cl.contains_exponents((1, 1, 0))
     assert not cl.contains_exponents((1, 0, 0))
+
+
+def test_integral_closure_rejects_a_non_convex_combination(r2, monkeypatch):
+    # weights summing to 2 are not a convex combination
+    monkeypatch.setattr(monomial, "_feasible_combination",
+                        lambda gens, u: [Fraction(1)] * len(gens))
+    with pytest.raises(AlgebraError, match="not an integral combination"):
+        integral_closure(MonomialIdeal(r2, [(3, 0), (0, 3)]))
+
+
+def test_integral_closure_rejects_a_witness_above_the_monomial(r2, monkeypatch):
+    # all weight on x^3 does not bound the first candidate, 1 = x^0 y^0
+    monkeypatch.setattr(monomial, "_feasible_combination",
+                        lambda gens, u: [Fraction(1)] + [Fraction(0)] * (len(gens) - 1))
+    with pytest.raises(AlgebraError, match="witness check failed"):
+        integral_closure(MonomialIdeal(r2, [(3, 0), (0, 3)]))
+
+
+def test_integral_closure_check_survives_python_O():
+    code = (
+        "from fractions import Fraction\n"
+        "from golodkit import GradingSpec, MonomialIdeal, integral_closure, monomial\n"
+        "from golodkit.errors import AlgebraError\n"
+        "monomial._feasible_combination = lambda gens, u: [Fraction(1), Fraction(0)]\n"
+        "ring = GradingSpec(('x', 'y'), (1, 1))\n"
+        "try:\n"
+        "    integral_closure(MonomialIdeal(ring, [(3, 0), (0, 3)]))\n"
+        "except AlgebraError:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
 
 
 def test_integral_closure_certificates(r2):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from golodkit import GradingSpec, ParseError, Polynomial, parse_polynomial
+from golodkit.ring import axpy
 
 
 def test_grading_spec_validation():
@@ -78,3 +79,30 @@ def test_string_form_is_canonical(r3):
     a = parse_polynomial(r3, "z*y + x^2")
     b = parse_polynomial(r3, "x^2 + y*z")
     assert str(a) == str(b)
+
+
+def test_axpy_deletes_cancelled_entries():
+    target = {"a": Fraction(1), "b": Fraction(2)}
+    axpy(target, Fraction(-1, 2), {"b": 4, "c": 2})
+    assert target == {"a": 1, "c": -1}
+    assert "b" not in target
+    # a zero result for a key that was absent leaves no entry either
+    axpy(target, 0, {"d": 5})
+    assert "d" not in target
+
+
+def test_axpy_maps_keys_through_index():
+    target = {0: Fraction(1)}
+    axpy(target, 3, {("w", 1): Fraction(1, 3), ("w", 2): 1}, {("w", 1): 0, ("w", 2): 5})
+    assert target == {0: 2, 5: 3}
+    axpy(target, -1, {"p": 2}, {"p": 0})
+    assert target == {5: 3}
+
+
+def test_axpy_mixes_int_and_fraction_values():
+    target = {1: 2}
+    axpy(target, Fraction(1, 2), {1: 1, 2: Fraction(2, 3)})
+    assert target == {1: Fraction(5, 2), 2: Fraction(1, 3)}
+    axpy(target, 2, {1: Fraction(-5, 4), 2: 1})
+    assert target == {2: Fraction(7, 3)}
+    assert isinstance(target[2], Fraction)
