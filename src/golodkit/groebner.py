@@ -14,7 +14,9 @@ back to the caller's generators through the tracked representation matrix.
 
 An ``Ideal`` caches its reduced grevlex basis, and from it the normal form
 of every monomial it meets and its standard monomials per degree; the
-predicate and the Koszul and Poincare strands all read these memos.
+predicate and the Koszul and Tor strands all read these memos.  Integral
+coefficients of the basis tails and of standard monomials are kept as
+``int``, so strand sums stay integer where they can.
 """
 
 from __future__ import annotations
@@ -316,6 +318,14 @@ class SaturationResult:
     exponent: int  # least t with I : J^t equal to the saturation
 
 
+Coeff = int | Fraction
+
+
+def _as_int(c: Coeff) -> Coeff:
+    """c as an int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
 class Ideal:
     """Finitely generated ideal of a weighted polynomial ring over Q."""
 
@@ -334,8 +344,8 @@ class Ideal:
         # (lead, [(tail exps, -c / lc)]) per basis element, the monomial
         # normal-form memo and the standard monomials per degree; all are
         # built lazily from the cached basis
-        self._reducers: list[tuple[Exps, list[tuple[Exps, Fraction]]]] | None = None
-        self._nf: dict[Exps, dict[Exps, Fraction]] = {}
+        self._reducers: list[tuple[Exps, list[tuple[Exps, Coeff]]]] | None = None
+        self._nf: dict[Exps, dict[Exps, Coeff]] = {}
         self._std: dict[int, list[Exps]] = {}
 
     @classmethod
@@ -368,10 +378,10 @@ class Ideal:
     def _set_gb_cache(self, gb: tuple[Polynomial, ...]):
         self._gb = gb
 
-    def _reducer_list(self) -> list[tuple[Exps, list[tuple[Exps, Fraction]]]]:
+    def _reducer_list(self) -> list[tuple[Exps, list[tuple[Exps, Coeff]]]]:
         if self._reducers is None:
             self._reducers = [
-                (g.terms[0][0], [(t, -c / g.terms[0][1]) for t, c in g.terms[1:]])
+                (g.terms[0][0], [(t, _as_int(-c / g.terms[0][1])) for t, c in g.terms[1:]])
                 for g in self.groebner_basis()
             ]
         return self._reducers
@@ -392,10 +402,13 @@ class Ideal:
             ]
         return std
 
-    def nf_monomial(self, e: Exps) -> dict[Exps, Fraction]:
+    def nf_monomial(self, e: Exps) -> dict[Exps, Coeff]:
         """Normal form of x^e modulo the reduced grevlex basis, memoized.
 
-        The returned dict is shared with the memo and must not be mutated.
+        A standard monomial maps to {x^e: 1}, and the basis's integral tail
+        coefficients are ints, so over an ideal with an integral reduced basis
+        every coefficient is an int.  The returned dict is shared with the
+        memo and must not be mutated.
         A reducible x^e = x^s * lead(g) equals -x^s * tail(g) / lc(g) modulo
         the ideal, and every monomial of that tail is smaller than x^e, so
         the memo fills bottom-up from an explicit stack.
@@ -405,7 +418,7 @@ class Ideal:
         if hit is not None:
             return hit
         reducers = self._reducer_list()
-        pending: dict[Exps, list[tuple[Exps, Fraction]]] = {}
+        pending: dict[Exps, list[tuple[Exps, Coeff]]] = {}
         stack = [e]
         while stack:
             u = stack[-1]
@@ -420,7 +433,7 @@ class Ideal:
                         expansion = [(mono_mul(s, t), c) for t, c in tail]
                         break
                 else:
-                    memo[u] = {u: Fraction(1)}
+                    memo[u] = {u: 1}
                     stack.pop()
                     continue
                 missing = [v for v, _ in expansion if v not in memo]
@@ -430,7 +443,7 @@ class Ideal:
                     stack.extend(missing)
                     continue
             stack.pop()
-            nf: dict[Exps, Fraction] = {}
+            nf: dict[Exps, Coeff] = {}
             for v, c in expansion:
                 axpy(nf, c, memo[v])
             memo[u] = nf

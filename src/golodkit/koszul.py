@@ -1,29 +1,56 @@
 """Koszul complex of R = S/I on the variables, one bigraded strand at a time.
 
-Strands are spanned by wedge basis elements paired with standard monomials
-(monomials outside the leading-term ideal), which the ideal memoizes per
-degree together with the normal forms of all monomials.  Homology
-dimensions, cycle representatives, the trivial-multiplication test, and the
-derivative-cycle check all reduce to exact rational linear algebra on these
-strands.
+A strand is the degree-d part of a free R-module, over the standard
+monomials of each generator's complementary degree.  ``_strand_index``
+numbers these coordinates and ``_coordinates`` writes module elements in
+them from the ideal's monomial normal-form memo; the Tor strands of
+``poincare.actual_poincare`` use the same two routines.  Homology, cycle
+representatives and the multiplication checks are exact linear algebra on
+the strands.  Homology dimensions are the graded Betti numbers of S/I, so
+``_top_shift`` reads the resolution's top shift off them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce, wraps
 from itertools import combinations
+from typing import Hashable, Mapping
 
 from .calculus import derivative_ideal, strongly_golod
-from .errors import AlgebraError
-from .groebner import Ideal
+from .errors import AlgebraError, HomogeneityError, ImproperIdealError
+from .groebner import Coeff, Ideal
 from .linalg import Span, Vec, kernel_of_columns
-from .ring import Exps, GradingSpec, Polynomial, axpy, mono_mul, monomials_of_degree
+from .ring import Exps, GradingSpec, axpy, mono_lcm, mono_mul, monomials_of_degree
 
 Wedge = tuple[int, ...]
 StrandKey = tuple[Wedge, Exps]
-# strand coordinates: wedge -> standard monomial -> column index
-StrandIndex = dict[Wedge, dict[Exps, int]]
+# strand coordinates: generator -> standard monomial -> column index
+StrandIndex = dict[Hashable, dict[Exps, int]]
+# an element of a free R-module: (generator, monomial) -> coefficient
+Element = Mapping[tuple[Hashable, Exps], Coeff]
+
+
+def _strand_index(I: Ideal, shifts: Mapping[Hashable, int], d: int) -> StrandIndex:
+    """Coordinates of the degree-d part of a free R-module whose generators
+    have the given shifts: generator -> standard monomial -> column."""
+    index: StrandIndex = {}
+    size = 0
+    for g, s in shifts.items():
+        if s <= d:
+            std = I.standard_monomials(d - s)
+            index[g] = {m: size + t for t, m in enumerate(std)}
+            size += len(std)
+    return index
+
+
+def _coordinates(I: Ideal, element: Element, index: StrandIndex, shift: Exps) -> Vec:
+    """x^shift * element in the coordinates of index, reduced modulo I."""
+    out: Vec = {}
+    for (g, m), c in element.items():
+        axpy(out, c, I.nf_monomial(mono_mul(m, shift)), index[g])
+    return out
 
 
 def _wedge_weight(ring: GradingSpec, W: Wedge) -> int:
@@ -35,72 +62,65 @@ def _merge_sign(W1: Wedge, W2: Wedge) -> int:
     return -1 if inversions % 2 else 1
 
 
+def _cached(method):
+    """Memoize a _Complex method per instance and arguments."""
+    @wraps(method)
+    def wrapper(self, *args):
+        cache = self._caches.setdefault(method.__name__, {})
+        if args not in cache:
+            cache[args] = method(self, *args)
+        return cache[args]
+    return wrapper
+
+
 class _Complex:
-    """Strand bases, differentials, and boundary spans for one ideal."""
+    """Strands, differentials, boundary spans and homology of one ideal, each
+    built on first use.  Homological degree l has the wedges of length l as
+    generators, and e_W maps to sum_k (-1)^k x_{W[k]} e_{W without W[k]}."""
 
     def __init__(self, I: Ideal):
         self.I = I
         self.ring = I.ring
         self.n = I.ring.n
-        self._basis: dict[tuple[int, int], tuple[list[StrandKey], StrandIndex]] = {}
-        self._cols: dict[tuple[int, int], list[Vec]] = {}
-        self._bspan: dict[tuple[int, int], Span] = {}
-        self._kernel: dict[tuple[int, int], list[Vec]] = {}
+        self._caches: dict[str, dict] = {}
 
+    @_cached
+    def shifts(self, l: int) -> dict[Wedge, int]:
+        wedges = combinations(range(self.n), l) if 0 <= l <= self.n else ()
+        return {W: _wedge_weight(self.ring, W) for W in wedges}
+
+    @_cached
+    def images(self, l: int) -> dict[Wedge, Element]:
+        unit = [tuple(int(t == i) for t in range(self.n)) for i in range(self.n)]
+        return {W: {(W[:k] + W[k + 1:], unit[i]): (-1) ** k for k, i in enumerate(W)}
+                for W in self.shifts(l)}
+
+    @_cached
     def basis(self, l: int, d: int) -> tuple[list[StrandKey], StrandIndex]:
-        key = (l, d)
-        if key not in self._basis:
-            keys: list[StrandKey] = []
-            index: StrandIndex = {}
-            if 0 <= l <= self.n and d >= 0:
-                for W in combinations(range(self.n), l):
-                    wt = _wedge_weight(self.ring, W)
-                    if wt > d:
-                        continue
-                    index[W] = {}
-                    for m in self.I.standard_monomials(d - wt):
-                        index[W][m] = len(keys)
-                        keys.append((W, m))
-            self._basis[key] = (keys, index)
-        return self._basis[key]
+        index = _strand_index(self.I, self.shifts(l), d)
+        return [(W, m) for W, block in index.items() for m in block], index
 
+    @_cached
     def differential_columns(self, l: int, d: int) -> list[Vec]:
         """Images of the (l, d) basis in (l-1, d) coordinates."""
-        key = (l, d)
-        if key not in self._cols:
-            src, _ = self.basis(l, d)
-            _, tgt_index = self.basis(l - 1, d)
-            cols: list[Vec] = []
-            for W, m in src:
-                img: Vec = {}
-                for k, i in enumerate(W):
-                    shifted = tuple(
-                        e + (1 if t == i else 0) for t, e in enumerate(m))
-                    axpy(img, 1 if k % 2 == 0 else -1, self.I.nf_monomial(shifted),
-                         tgt_index[W[:k] + W[k + 1:]])
-                cols.append(img)
-            self._cols[key] = cols
-        return self._cols[key]
+        images = self.images(l)
+        _, tgt_index = self.basis(l - 1, d)
+        return [_coordinates(self.I, images[W], tgt_index, m) for W, m in self.basis(l, d)[0]]
 
+    @_cached
     def kernel(self, l: int, d: int) -> list[Vec]:
-        key = (l, d)
-        if key not in self._kernel:
-            keys, _ = self.basis(l, d)
-            if l == 0:
-                self._kernel[key] = [{t: Fraction(1)} for t in range(len(keys))]
-            else:
-                self._kernel[key] = kernel_of_columns(self.differential_columns(l, d))
-        return self._kernel[key]
+        if l == 0:
+            return [{t: Fraction(1)} for t in range(len(self.basis(l, d)[0]))]
+        return kernel_of_columns(self.differential_columns(l, d))
 
+    @_cached
     def boundary_span(self, l: int, d: int) -> Span:
-        key = (l, d)
-        if key not in self._bspan:
-            span = Span()
-            for col in self.differential_columns(l + 1, d):
-                span.add(col)
-            self._bspan[key] = span
-        return self._bspan[key]
+        span = Span()
+        for col in self.differential_columns(l + 1, d):
+            span.add(col)
+        return span
 
+    @_cached
     def homology(self, l: int, d: int) -> tuple[int, list[Vec]]:
         """Dimension and cycle representatives extending the boundary span."""
         probe = self.boundary_span(l, d).copy()
@@ -108,21 +128,32 @@ class _Complex:
         return len(reps), reps
 
 
-def _top_shift(I: Ideal) -> int:
-    """Largest generator degree in the minimal free resolution of S/I."""
-    from . import resolution
+def _top_shift(cx: _Complex) -> int:
+    """Largest generator degree in the minimal free resolution of S/I.
 
-    res = resolution.minimal_free_resolution(I)
-    return max((d for degs in res.shifts for d in degs), default=0)
+    No shift exceeds the degree of the lcm of the reduced basis's leading
+    terms (upper semicontinuity bounds S/I by S/in(I), and the Taylor
+    resolution bounds S/in(I)), so the strands up to it see every shift.
+    """
+    I = cx.I
+    if not I.is_homogeneous:
+        raise HomogeneityError("resolutions need a homogeneous ideal")
+    if not I.is_proper():
+        raise ImproperIdealError("S/I vanishes for the unit ideal")
+    lead_lcm = reduce(mono_lcm, (g.terms[0][0] for g in I.groebner_basis()), (0,) * cx.n)
+    dims = _summarize(cx, cx.n, cx.ring.weighted_degree(lead_lcm)).dims
+    return max(d for _, d in dims)
 
 
-def _window(I: Ideal, l_max: int | None, d_max: int | None) -> tuple[int, int]:
-    """Fill in missing bounds: l up to the variable count, d up to the top
-    resolution shift plus a margin."""
+def _window(cx: _Complex, l_max: int | None, d_max: int | None) -> tuple[int, int]:
+    """Fill in missing bounds (l up to the variable count, d up to the top
+    resolution shift plus a margin) and reject negative ones."""
     if l_max is None:
-        l_max = I.ring.n
+        l_max = cx.n
     if d_max is None:
-        d_max = _top_shift(I) + max(I.ring.weights)
+        d_max = _top_shift(cx) + max(cx.ring.weights)
+    if l_max < 0 or d_max < 0:
+        raise ValueError("bounds must be non-negative")
     return l_max, d_max
 
 
@@ -170,10 +201,9 @@ def _summarize(cx: _Complex, l_max: int, d_max: int) -> HomologySummary:
 
 def koszul_homology(I: Ideal, l_max: int | None = None, d_max: int | None = None) -> HomologySummary:
     """Bigraded Koszul homology dimensions and representatives within bounds."""
-    l_max, d_max = _window(I, l_max, d_max)
-    if l_max < 0 or d_max < 0:
-        raise ValueError("bounds must be non-negative")
-    return _summarize(_Complex(I), l_max, d_max)
+    cx = _Complex(I)
+    l_max, d_max = _window(cx, l_max, d_max)
+    return _summarize(cx, l_max, d_max)
 
 
 @dataclass(frozen=True)
@@ -200,8 +230,8 @@ def trivial_multiplication_check(
     I: Ideal, l_max: int | None = None, d_max: int | None = None
 ) -> TrivialMultiplicationReport:
     """Whether every product of positive-degree homology classes is a boundary."""
-    l_max, d_max = _window(I, l_max, d_max)
     cx = _Complex(I)
+    l_max, d_max = _window(cx, l_max, d_max)
     summary = _summarize(cx, l_max, d_max)
     spots = sorted(k for k in summary.dims if k[0] >= 1)
     for a, (l1, d1) in enumerate(spots):
@@ -230,25 +260,23 @@ def derivative_cycle_check(
     """
     if not strongly_golod(I).verdict:
         raise AlgebraError("derivative cycle check needs a strongly Golod ideal")
-    l_max, d_max = _window(I, l_max, d_max)
     cx = _Complex(I)
+    l_max, d_max = _window(cx, l_max, d_max)
     summary = _summarize(cx, l_max, d_max)
-    dgens = derivative_ideal(I).generators
-    dbasis: dict[int, list[dict[Exps, Fraction]]] = {}
+    dgens = [({(0, u): c for u, c in f.terms}, f.homogeneity().degree)
+             for f in derivative_ideal(I).generators]
+    dbasis: dict[int, list[dict[Exps, Coeff]]] = {}
 
-    def derivative_image_basis(e: int) -> list[dict[Exps, Fraction]]:
+    def derivative_image_basis(e: int) -> list[dict[Exps, Coeff]]:
         # basis of the degree-e slice of d(I)*R, over standard monomials
         if e not in dbasis:
+            index = _strand_index(I, {0: 0}, e)
             std = I.standard_monomials(e)
-            std_index = {u: t for t, u in enumerate(std)}
             span = Span()
             basis = []
-            for f in dgens:
-                fdeg = f.homogeneity().degree
+            for f, fdeg in dgens:
                 for m in monomials_of_degree(I.ring.weights, e - fdeg):
-                    vec: Vec = {}
-                    for u, c in (Polynomial.monomial(I.ring, m) * f).terms:
-                        axpy(vec, c, I.nf_monomial(u), std_index)
+                    vec = _coordinates(I, f, index, m)
                     if vec and span.add(vec):
                         basis.append({std[i]: c for i, c in vec.items()})
             dbasis[e] = basis
@@ -258,13 +286,9 @@ def derivative_cycle_check(
         if l == 0:
             continue
         _, index = cx.basis(l, d)
-        sub_vectors: list[Vec] = []
-        for W in combinations(range(cx.n), l):
-            wt = _wedge_weight(cx.ring, W)
-            if wt > d:
-                continue
-            for bv in derivative_image_basis(d - wt):
-                sub_vectors.append({index[W][u]: c for u, c in bv.items()})
+        shifts = cx.shifts(l)
+        sub_vectors = [{index[W][u]: c for u, c in bv.items()}
+                       for W in index for bv in derivative_image_basis(d - shifts[W])]
         if not sub_vectors:
             return False
         cols = []

@@ -5,18 +5,20 @@ The bound is the rational function prod(1 + t*u^a_i) / (1 - sum dim
 H_l(R)_d t^(l+1) u^d) expanded exactly; the actual series counts minimal
 generators in a degreewise minimal free resolution of the residue field
 over R, which is exact for every bidegree inside the window.
+
+The bound's denominator and the default window's top shift are both read
+off one ``koszul._Complex``; no resolution of S/I is computed.  The Tor
+strands use the Koszul strand layer, and so the ideal's normal-form memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import AlgebraError, ImproperIdealError
 from .groebner import Ideal
-from .koszul import _top_shift, koszul_homology
-from .linalg import Span, Vec, integral, kernel_of_columns
-from .ring import Exps, axpy, mono_mul
+from .koszul import Element, _Complex, _coordinates, _strand_index, _summarize, _top_shift
+from .linalg import Span, integral, kernel_of_columns
 
 Coeffs = dict[tuple[int, int], int]
 
@@ -95,43 +97,30 @@ def _geometric_inverse(D: Coeffs, i_max: int, d_max: int) -> Coeffs:
             inv[k] = inv.get(k, 0) + c
 
 
-def _block_index(I: Ideal, shifts: list[int], d: int) -> dict[int, dict[Exps, int]]:
-    """Coordinates of the degree-d part of a free R-module with generators of
-    the given shifts: generator -> standard monomial -> index."""
-    index: dict[int, dict[Exps, int]] = {}
-    size = 0
-    for j, s in enumerate(shifts):
-        if s <= d:
-            std = I.standard_monomials(d - s)
-            index[j] = {m: size + t for t, m in enumerate(std)}
-            size += len(std)
-    return index
-
-
 def _default_d_max(I: Ideal, i_max: int, top: int) -> int:
     return i_max * max(top, max(I.ring.weights))
 
 
 def serre_bound_series(I: Ideal, i_max: int = 4, d_max: int | None = None) -> BigradedSeries:
-    """Golod upper bound for the Poincare series of R = S/I, expanded exactly."""
-    top = _top_shift(I)
+    """Golod upper bound for the Poincare series of R = S/I, expanded exactly.
+
+    Homological degree i_max first shows at internal degree i_max * min
+    weight, so a smaller d_max truncates the bound.
+    """
+    cx = _Complex(I)
+    top = _top_shift(cx)
     if d_max is None:
         d_max = _default_d_max(I, i_max, top)
-    return _serre_bound(I, i_max, d_max, top)
-
-
-def _serre_bound(I: Ideal, i_max: int, d_max: int, top: int) -> BigradedSeries:
-    """serre_bound_series with the resolution's top shift already known."""
-    hom = koszul_homology(I, I.ring.n, top + max(I.ring.weights))
+    weights = I.ring.weights
     num: Coeffs = {(0, 0): 1}
-    for a in I.ring.weights:
+    for a in weights:
         num = _mul(num, {(0, 0): 1, (1, a): 1}, i_max, d_max)
     den: Coeffs = {}
-    for (l, d), dim in hom.dims.items():
+    for (l, d), dim in _summarize(cx, cx.n, top).dims.items():
         if l >= 1:
             den[(l + 1, d)] = den.get((l + 1, d), 0) + dim
     coeffs = _mul(num, _geometric_inverse(den, i_max, d_max), i_max, d_max)
-    return BigradedSeries(coeffs, i_max, d_max, truncated=hom.truncated)
+    return BigradedSeries(coeffs, i_max, d_max, truncated=d_max < i_max * min(weights))
 
 
 def actual_poincare(I: Ideal, i_max: int = 4, d_max: int | None = None) -> BigradedSeries:
@@ -145,53 +134,34 @@ def actual_poincare(I: Ideal, i_max: int = 4, d_max: int | None = None) -> Bigra
     if not I.is_proper():
         raise ImproperIdealError("the residue field of the zero ring has no resolution")
     if d_max is None:
-        d_max = _default_d_max(I, i_max, _top_shift(I))
+        d_max = _default_d_max(I, i_max, _top_shift(_Complex(I)))
     if i_max < 0 or d_max < 0:
         raise ValueError("bounds must be non-negative")
     ring = I.ring
-    # Only spans and their dimensions are read below, so every vector may be
-    # rescaled: kernel vectors are kept as integer multiples, and normal-form
-    # coefficients that are integers as ints, which keeps most sums integer.
-    nf_memo: dict[Exps, dict[Exps, int | Fraction]] = {}
-
-    def nf(u: Exps) -> dict[Exps, int | Fraction]:
-        out = nf_memo.get(u)
-        if out is None:
-            out = nf_memo[u] = {v: c.numerator if c.denominator == 1 else c
-                                for v, c in I.nf_monomial(u).items()}
-        return out
-
+    # Only spans and their dimensions are read below, so kernel vectors may
+    # be kept as integer multiples, which keeps most sums integer.
+    unit = [tuple(int(p == t) for p in range(ring.n)) for t in range(ring.n)]
     coeffs: Coeffs = {(0, 0): 1}
-    truncated = False
 
     # F_{i-1} data: generator shifts and images over the F_{i-2} degree basis
-    shifts_prev: list[int] = [0]
-    images_prev: list[dict[tuple[int, Exps], Fraction] | None] = [None]
-    shifts_prev2: list[int] = []
+    shifts_prev: dict[int, int] = {0: 0}
+    images_prev: list[Element | None] = [None]
+    shifts_prev2: dict[int, int] = {}
 
     for i in range(1, i_max + 1):
-        kernels: dict[int, list[dict[tuple[int, Exps], Fraction]]] = {}
-        new_shifts: list[int] = []
-        new_images: list[dict[tuple[int, Exps], Fraction]] = []
+        kernels: dict[int, list[Element]] = {}
+        new_shifts: dict[int, int] = {}
+        new_images: list[Element] = []
         for d in range(0, d_max + 1):
-            src_index = _block_index(I, shifts_prev, d)
+            src_index = _strand_index(I, shifts_prev, d)
             src_keys = [(j, m) for j, block in src_index.items() for m in block]
-            if not src_keys:
-                kernels[d] = []
-                continue
             if i == 1:
                 kern = [{key: 1} for key in src_keys] if d >= 1 else []
             else:
-                tgt_index = _block_index(I, shifts_prev2, d)
-                columns: list[Vec] = []
-                for j, m in src_keys:
-                    img: Vec = {}
-                    for (r, u), c in images_prev[j].items():
-                        axpy(img, c, nf(mono_mul(m, u)), tgt_index[r])
-                    columns.append(img)
-                kern = []
-                for combo in kernel_of_columns(columns):
-                    kern.append({src_keys[t]: c for t, c in integral(combo)[0].items()})
+                tgt_index = _strand_index(I, shifts_prev2, d)
+                columns = [_coordinates(I, images_prev[j], tgt_index, m) for j, m in src_keys]
+                kern = [{src_keys[t]: c for t, c in integral(combo)[0].items()}
+                        for combo in kernel_of_columns(columns)]
             kernels[d] = kern
             if not kern:
                 continue
@@ -203,12 +173,7 @@ def actual_poincare(I: Ideal, i_max: int = 4, d_max: int | None = None) -> Bigra
             for t_var, w in lower:
                 if span.dim == len(kern):
                     break
-                moved: Vec = {}
-                for (j, m), c in w.items():
-                    lifted = tuple(
-                        e + (1 if p == t_var else 0) for p, e in enumerate(m))
-                    axpy(moved, c, nf(lifted), src_index[j])
-                span.add(moved)
+                span.add(_coordinates(I, w, src_index, unit[t_var]))
             for w in kern:
                 if span.dim == len(kern):
                     break
@@ -218,16 +183,15 @@ def actual_poincare(I: Ideal, i_max: int = 4, d_max: int | None = None) -> Bigra
                 if not all(any(m) for (_, m) in w):
                     raise AlgebraError("unit entry would make the resolution non-minimal")
                 coeffs[(i, d)] = coeffs.get((i, d), 0) + 1
-                new_shifts.append(d)
-                new_images.append(dict(w))
-            if coeffs.get((i, d_max), 0):
-                truncated = True
+                new_shifts[len(new_shifts)] = d
+                new_images.append(w)
         if not new_shifts:
             break
         shifts_prev2 = shifts_prev
         shifts_prev = new_shifts
-        images_prev = list(new_images)
+        images_prev = new_images
 
+    truncated = any(d == d_max for i, d in coeffs if i)
     return BigradedSeries(coeffs, i_max, d_max, truncated=truncated)
 
 
@@ -260,10 +224,8 @@ def golod_verdict(I: Ideal, i_max: int = 4, d_max: int | None = None) -> GolodVe
     decisive even under truncation, since the window values are exact and
     truncation only ever under-counts the bound.
     """
-    top = _top_shift(I)
-    if d_max is None:
-        d_max = _default_d_max(I, i_max, top)
-    bound = _serre_bound(I, i_max, d_max, top)
+    bound = serre_bound_series(I, i_max, d_max)
+    d_max = bound.d_max
     actual = actual_poincare(I, i_max, d_max)
     for i in range(i_max + 1):
         for d in range(d_max + 1):

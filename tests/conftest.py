@@ -118,6 +118,19 @@ def oracle_ideal_powers(gens, k):
 
 
 @pytest.fixture
+def no_resolution(monkeypatch):
+    """Fail the test if it builds a minimal free resolution or runs module Buchberger."""
+    from golodkit import groebner, resolution
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a resolution or a syzygy module was computed")
+
+    monkeypatch.setattr(resolution, "minimal_free_resolution", forbidden)
+    monkeypatch.setattr(resolution, "module_syzygies", forbidden)
+    monkeypatch.setattr(groebner, "module_syzygies", forbidden)
+
+
+@pytest.fixture
 def r2():
     return GradingSpec(("x", "y"), (1, 1))
 

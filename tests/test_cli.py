@@ -167,6 +167,21 @@ def test_golod_verdict_exit_one_on_negative(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_golod_verdict_window_too_small_for_i_max_is_inconclusive(session_file, capsys):
+    # internal degree 1 cannot see homological degree 2
+    assert main(["golod-verdict", "M2", "--session", session_file,
+                 "--homological", "2", "--internal", "1"]) == 0
+    assert "status: INCONCLUSIVE" in capsys.readouterr().out.splitlines()
+
+
+def test_negative_koszul_bound_exits_two(session_file, capsys):
+    assert main(["trivial-multiplication", "M2", "--session", session_file,
+                 "--internal", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bounds must be non-negative\n"
+
+
 def test_add_prime_power_command(tmp_path, capsys):
     f = tmp_path / "s.golod"
     f.write_text("ring x,y,z weights 1,1,1\n"

@@ -335,3 +335,25 @@ def test_standard_monomials_count_the_hilbert_function(r3, rw):
                 assert len(std) == len(monos) - rank, (ring, d)
                 assert std == sorted(std)
                 assert I.standard_monomials(d) is std
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_reduced_basis_matches_sympy(nvars):
+    # differential test against an independent Buchberger (grevlex over QQ)
+    sympy = pytest.importorskip("sympy")
+    names = ("x", "y", "z")[:nvars]
+    ring = GradingSpec(names, (1,) * nvars)
+    gens = sympy.symbols(names)
+    rng = Random(500 + nvars)
+    for _ in range(8):
+        polys = [random_homogeneous(ring, rng.randint(2, 3), rng)
+                 for _ in range(rng.randint(2, 3))]
+        ours = {p.terms for p in Ideal(ring, polys).groebner_basis()}
+        theirs = set()
+        inputs = [sympy.Poly.from_dict({e: sympy.Rational(str(c)) for e, c in p.terms},
+                                       *gens, domain="QQ") for p in polys]
+        for poly in sympy.groebner(inputs, *gens, order="grevlex", domain="QQ").polys:
+            # monic for grevlex: Poly.monic() would divide by the lex lead
+            monic = poly.quo_ground(poly.LC(order="grevlex"))
+            theirs.add(Polynomial(ring, {e: Fraction(str(c)) for e, c in monic.terms()}).terms)
+        assert ours == theirs, polys

@@ -1,11 +1,18 @@
 """Koszul strand homology, products of classes, and the cycle criterion."""
 
+import ast
+import inspect
 from fractions import Fraction
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_homogeneous
 from golodkit import (
     AlgebraError,
+    GradingSpec,
     Ideal,
     betti_table,
     derivative_cycle_check,
@@ -14,9 +21,10 @@ from golodkit import (
     strongly_golod,
     trivial_multiplication_check,
 )
-from golodkit.koszul import _Complex
+from golodkit import koszul, poincare
+from golodkit.koszul import _Complex, _top_shift
 from golodkit.linalg import TrackedSpan
-from golodkit.ring import axpy
+from golodkit.ring import axpy, mono_lcm
 
 
 def test_quotient_basis_counts(r2):
@@ -122,3 +130,58 @@ def test_bounds_default_to_full_range(r2):
     assert hs.l_max == 2
     assert (2, 4) in hs.dims and hs.dims[(2, 4)] == 1
     assert not hs.truncated
+
+
+def test_negative_bounds_are_rejected_by_every_entry_point(r2):
+    I = Ideal.from_strings(r2, ["x^2", "x*y", "y^2"])
+    for call in (lambda: koszul_homology(I, -1, None),
+                 lambda: koszul_homology(I, None, -3),
+                 lambda: trivial_multiplication_check(I, d_max=-3),
+                 lambda: trivial_multiplication_check(I, l_max=-1),
+                 lambda: derivative_cycle_check(I, d_max=-3)):
+        with pytest.raises(ValueError, match="bounds must be non-negative"):
+            call()
+
+
+def test_top_shift_is_read_below_a_loose_lcm_bound(r2):
+    # in((x^2, xy, y^2)) has lcm x^2*y^2 of degree 4, the Taylor bound, but
+    # the resolution 0 <- S <- S(-2)^3 <- S(-3)^2 tops out at degree 3
+    I = Ideal.from_strings(r2, ["x^2", "x*y", "y^2"])
+    lead_lcm = (0, 0)
+    for g in I.groebner_basis():
+        lead_lcm = mono_lcm(lead_lcm, g.terms[0][0])
+    assert lead_lcm == (2, 2)
+    assert _top_shift(_Complex(I)) == 3
+    assert koszul_homology(I).d_max == 3 + 1
+
+
+def test_default_koszul_window_runs_no_resolution(r3, no_resolution):
+    hs = koszul_homology(Ideal.from_strings(r3, ["x*z", "y*z"]))
+    assert hs.dims == {(0, 0): 1, (1, 2): 2, (2, 3): 1}
+
+
+def test_koszul_and_poincare_do_not_import_resolution():
+    for module in (koszul, poincare):
+        imports = [node for node in ast.walk(ast.parse(inspect.getsource(module)))
+                   if isinstance(node, (ast.Import, ast.ImportFrom))]
+        names = [getattr(node, "module", None) or "" for node in imports]
+        names += [alias.name for node in imports for alias in node.names]
+        assert not any("resolution" in name for name in names), module.__name__
+
+
+_RINGS = {
+    "r3": (GradingSpec(("x", "y", "z"), (1, 1, 1)), (1, 3)),
+    "rw": (GradingSpec(("x", "y"), (1, 2)), (2, 4)),
+}
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(_RINGS)), data=st.data())
+def test_koszul_dims_equal_betti_numbers_on_random_ideals(name, data):
+    # the lcm window must see every shift: compare with an actual resolution
+    ring, (lo, hi) = _RINGS[name]
+    degrees = data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=3))
+    rng = Random(data.draw(st.integers(0, 2 ** 32)))
+    I = Ideal(ring, [random_homogeneous(ring, d, rng) for d in degrees])
+    bt = betti_table(minimal_free_resolution(I))
+    assert koszul_homology(I).dims == bt.entries
