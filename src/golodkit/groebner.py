@@ -479,10 +479,6 @@ class Ideal:
         return f"Ideal({gens})"
 
 
-def normal_form(p: Polynomial, I: Ideal) -> NormalForm:
-    return I.normal_form(p)
-
-
 def contains(big: Ideal, small: Ideal) -> bool:
     """Whether every generator of ``small`` lies in ``big``."""
     if big.ring != small.ring:
@@ -612,14 +608,6 @@ def module_syzygies(columns: Sequence[Sequence[Polynomial]], ring: GradingSpec) 
         for p in col:
             if p.ring != ring:
                 raise RingMismatchError("column entry lives in a different ring")
-    if all(p.is_zero() for col in cols for p in col):
-        # zero columns are killed by the standard basis rows
-        out = []
-        for i in range(len(cols)):
-            row = [Polynomial.zero(ring) for _ in cols]
-            row[i] = Polynomial.constant(ring, 1)
-            out.append(tuple(row))
-        return out
     order = MonomialOrder.grevlex(ring)
     vecs = [_to_internal(col, order) for col in cols]
     eng = _run_engine(vecs, order, ncomp, track=True)

@@ -6,7 +6,10 @@ numbers these coordinates and ``_coordinates`` writes module elements in
 them from the ideal's monomial normal-form memo; the Tor strands of
 ``poincare.actual_poincare`` use the same two routines.  Homology, cycle
 representatives and the multiplication checks are exact linear algebra on
-the strands.  Homology dimensions are the graded Betti numbers of S/I, so
+the strands: each differential strand is eliminated once, by
+``linalg.kernel_of_columns``, which gives the boundary span one step down
+and the cycles as primitive integer rows.  Only ``cycle_reps`` holds
+Fractions.  Homology dimensions are the graded Betti numbers of S/I, so
 ``_top_shift`` reads the resolution's top shift off them.
 """
 
@@ -21,7 +24,7 @@ from typing import Hashable, Mapping
 from .calculus import derivative_ideal, strongly_golod
 from .errors import AlgebraError, HomogeneityError, ImproperIdealError
 from .groebner import Coeff, Ideal
-from .linalg import Span, Vec, kernel_of_columns
+from .linalg import IntVec, Span, Vec, kernel_of_columns
 from .ring import Exps, GradingSpec, axpy, mono_lcm, mono_mul, monomials_of_degree
 
 Wedge = tuple[int, ...]
@@ -74,11 +77,14 @@ def _cached(method):
 
 
 class _Complex:
-    """Strands, differentials, boundary spans and homology of one ideal, each
-    built on first use.  Homological degree l has the wedges of length l as
-    generators, and e_W maps to sum_k (-1)^k x_{W[k]} e_{W without W[k]}."""
+    """Strands, differentials, their echelons and homology of one homogeneous
+    ideal, each built on first use.  Homological degree l has the wedges of
+    length l as generators, and e_W maps to
+    sum_k (-1)^k x_{W[k]} e_{W without W[k]}."""
 
     def __init__(self, I: Ideal):
+        if not I.is_homogeneous:
+            raise HomogeneityError("resolutions need a homogeneous ideal")
         self.I = I
         self.ring = I.ring
         self.n = I.ring.n
@@ -108,20 +114,21 @@ class _Complex:
         return [_coordinates(self.I, images[W], tgt_index, m) for W, m in self.basis(l, d)[0]]
 
     @_cached
-    def kernel(self, l: int, d: int) -> list[Vec]:
-        if l == 0:
-            return [{t: Fraction(1)} for t in range(len(self.basis(l, d)[0]))]
+    def echelon(self, l: int, d: int) -> tuple[Span, list[IntVec]]:
+        """Image in (l-1, d) and kernel rows of the (l, d) differential, from
+        one elimination of its columns."""
         return kernel_of_columns(self.differential_columns(l, d))
 
-    @_cached
+    def kernel(self, l: int, d: int) -> list[IntVec]:
+        if l == 0:
+            return [{t: 1} for t in range(len(self.basis(l, d)[0]))]
+        return self.echelon(l, d)[1]
+
     def boundary_span(self, l: int, d: int) -> Span:
-        span = Span()
-        for col in self.differential_columns(l + 1, d):
-            span.add(col)
-        return span
+        return self.echelon(l + 1, d)[0]
 
     @_cached
-    def homology(self, l: int, d: int) -> tuple[int, list[Vec]]:
+    def homology(self, l: int, d: int) -> tuple[int, list[IntVec]]:
         """Dimension and cycle representatives extending the boundary span."""
         probe = self.boundary_span(l, d).copy()
         reps = [z for z in self.kernel(l, d) if probe.add(z)]
@@ -136,8 +143,6 @@ def _top_shift(cx: _Complex) -> int:
     resolution bounds S/in(I)), so the strands up to it see every shift.
     """
     I = cx.I
-    if not I.is_homogeneous:
-        raise HomogeneityError("resolutions need a homogeneous ideal")
     if not I.is_proper():
         raise ImproperIdealError("S/I vanishes for the unit ideal")
     lead_lcm = reduce(mono_lcm, (g.terms[0][0] for g in I.groebner_basis()), (0,) * cx.n)
@@ -190,9 +195,11 @@ def _summarize(cx: _Complex, l_max: int, d_max: int) -> HomologySummary:
             dim, vecs = cx.homology(l, d)
             if dim:
                 dims[(l, d)] = dim
-                reps[(l, d)] = [
-                    {keys[idx]: c for idx, c in sorted(v.items())} for v in vecs
-                ]
+                reps[(l, d)] = []
+                for v in vecs:
+                    top = v[max(v)]  # a kernel row ends at its own column
+                    reps[(l, d)].append(
+                        {keys[idx]: Fraction(c, top) for idx, c in sorted(v.items())})
     truncated = any(d == d_max for (_, d) in dims)
     if l_max < cx.n:
         truncated = truncated or any(l == l_max and l > 0 for (l, _) in dims)
@@ -300,7 +307,7 @@ def derivative_cycle_check(
             cols.append(img)
         captured = cx.boundary_span(l, d).copy()
         base_dim = captured.dim
-        for combo in kernel_of_columns(cols):
+        for combo in kernel_of_columns(cols)[1]:
             z: Vec = {}
             for j, c in combo.items():
                 axpy(z, c, sub_vectors[j])

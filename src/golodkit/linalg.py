@@ -1,17 +1,16 @@
 """Sparse exact linear algebra over Q, by fraction-free elimination.
 
-Vectors are dicts mapping column index -> nonzero Fraction (ints are taken
-too).  Inside this module every row is an integer dict instead: ``integral``
-clears a vector's denominators when it enters, elimination cross-multiplies
-integer rows (Bareiss, Math. Comp. 1968, with the exact division replaced by
-dividing out a row's content when it is stored), and no Fraction is formed
-until a kernel vector leaves.
+Vectors are dicts mapping column index -> nonzero Fraction or int.  Inside
+this module every row is an integer dict: ``integral`` clears a vector's
+denominators when it enters, and elimination cross-multiplies integer rows
+(Bareiss, Math. Comp. 1968, with the exact division replaced by dividing out
+a row's content when it is stored).  No Fraction is ever formed.
 
 ``_reduce`` is the one elimination routine.  ``Span`` uses it for rank and
-membership only.  ``TrackedSpan`` also carries, beside each row, integer tag
-coordinates saying which added vectors the row is made of, so it can report
-for a dependent vector the exact combination of earlier vectors it equals:
-a kernel vector of the column matrix.
+membership.  ``kernel_of_columns`` eliminates a column matrix once, carrying
+beside each row integer tag coordinates that say which columns it is made
+of; from that one pass it returns both the image, as a ``Span``, and the
+kernel, as primitive integer rows.
 """
 
 from __future__ import annotations
@@ -84,6 +83,14 @@ def _store(pivots: Pivots, res: IntVec, tag: IntVec | None) -> None:
     pivots[col] = (res, tag)
 
 
+def _primitive(vec: IntVec, key: int) -> IntVec:
+    """vec divided by its content, signed so that its entry at key is positive."""
+    g = gcd(*vec.values())
+    if vec[key] < 0:
+        g = -g
+    return {k: v // g for k, v in vec.items()} if g != 1 else vec
+
+
 class Span:
     """Incremental span of sparse rational vectors: rank and membership only."""
 
@@ -112,56 +119,30 @@ class Span:
         return out
 
 
-class TrackedSpan:
-    """Incremental span of sparse rational vectors with combination tracking.
+def kernel_of_columns(columns: list[Vec]) -> tuple[Span, list[IntVec]]:
+    """One tracked elimination of the columns: their span and a kernel basis.
 
-    add() reduces the vector against the current echelon basis.  Independent
-    vectors extend the basis; for a dependent one it returns the combination
-    (over the indices of all vectors added so far) that reproduces it, which
-    is exactly a kernel vector of the column matrix.  That vector is unique:
-    coefficient 1 at its own index, the rest over earlier independent vectors.
+    Column t enters as dens[t] * column t with tag {t: 1}.  A column that
+    reduces to zero gives the null combination {s: tag[s] * dens[s]} of the
+    columns up to t; made primitive with a positive entry at t, its largest
+    index, it is one kernel row.  The stored rows, untagged and divided by
+    their content, are the pivot rows a plain Span builds from the same
+    columns: residuals differ only by positive factors.
     """
-
-    def __init__(self):
-        self.pivots: Pivots = {}
-        self.count = 0
-        self._dens: list[int] = []  # added vector t entered as _dens[t] * vec_t
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-    def add(self, vec: Vec) -> Vec | None:
-        """Insert a vector; return its combination over prior adds if dependent."""
-        idx = self.count
-        self.count += 1
-        ints, den = integral(vec)
-        self._dens.append(den)
-        res, tag = _reduce(self.pivots, ints, {idx: 1})
+    pivots: Pivots = {}
+    dens: list[int] = []
+    kernel: list[IntVec] = []
+    for t, col in enumerate(columns):
+        ints, den = integral(col)
+        dens.append(den)
+        res, tag = _reduce(pivots, ints, {t: 1})
         if res:
-            _store(self.pivots, res, tag)
-            return None
-        # 0 == sum tag[t] * _dens[t] * vec_t; scale the coefficient of vec_idx to 1
-        dens = self._dens
-        lead = tag.pop(idx) * den
-        kernel = {idx: Fraction(1)}
-        for t, c in tag.items():
-            kernel[t] = Fraction(c * dens[t], lead)
-        return kernel
-
-    def contains(self, vec: Vec) -> bool:
-        return not _reduce(self.pivots, integral(vec)[0], None)[0]
-
-
-def kernel_of_columns(columns: list[Vec]) -> list[Vec]:
-    """Basis of null combinations of the given columns (coefficients over column index)."""
-    span = TrackedSpan()
-    out = []
-    for col in columns:
-        combo = span.add(col)
-        if combo is not None:
-            out.append(combo)
-    return out
+            _store(pivots, res, tag)
+            continue
+        kernel.append(_primitive({s: c * dens[s] for s, c in tag.items()}, t))
+    image = Span()
+    image.pivots = {col: (_primitive(row, col), None) for col, (row, _) in pivots.items()}
+    return image, kernel
 
 
 def rank_of_columns(columns: list[Vec]) -> int:

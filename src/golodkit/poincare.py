@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import AlgebraError, ImproperIdealError
 from .groebner import Ideal
 from .koszul import Element, _Complex, _coordinates, _strand_index, _summarize, _top_shift
-from .linalg import Span, integral, kernel_of_columns
+from .linalg import Span, kernel_of_columns
 
 Coeffs = dict[tuple[int, int], int]
 
@@ -111,6 +111,8 @@ def serre_bound_series(I: Ideal, i_max: int = 4, d_max: int | None = None) -> Bi
     top = _top_shift(cx)
     if d_max is None:
         d_max = _default_d_max(I, i_max, top)
+    if i_max < 0 or d_max < 0:
+        raise ValueError("bounds must be non-negative")
     weights = I.ring.weights
     num: Coeffs = {(0, 0): 1}
     for a in weights:
@@ -133,13 +135,12 @@ def actual_poincare(I: Ideal, i_max: int = 4, d_max: int | None = None) -> Bigra
     """
     if not I.is_proper():
         raise ImproperIdealError("the residue field of the zero ring has no resolution")
+    cx = _Complex(I)  # rejects an inhomogeneous ideal
     if d_max is None:
-        d_max = _default_d_max(I, i_max, _top_shift(_Complex(I)))
+        d_max = _default_d_max(I, i_max, _top_shift(cx))
     if i_max < 0 or d_max < 0:
         raise ValueError("bounds must be non-negative")
     ring = I.ring
-    # Only spans and their dimensions are read below, so kernel vectors may
-    # be kept as integer multiples, which keeps most sums integer.
     unit = [tuple(int(p == t) for p in range(ring.n)) for t in range(ring.n)]
     coeffs: Coeffs = {(0, 0): 1}
 
@@ -160,8 +161,8 @@ def actual_poincare(I: Ideal, i_max: int = 4, d_max: int | None = None) -> Bigra
             else:
                 tgt_index = _strand_index(I, shifts_prev2, d)
                 columns = [_coordinates(I, images_prev[j], tgt_index, m) for j, m in src_keys]
-                kern = [{src_keys[t]: c for t, c in integral(combo)[0].items()}
-                        for combo in kernel_of_columns(columns)]
+                kern = [{src_keys[t]: c for t, c in combo.items()}
+                        for combo in kernel_of_columns(columns)[1]]
             kernels[d] = kern
             if not kern:
                 continue

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import HomogeneityError, ParseError, RingMismatchError
+from .errors import ParseError, RingMismatchError
 
 Exps = tuple[int, ...]
 
@@ -92,10 +92,6 @@ def mono_div(a: Exps, b: Exps) -> Exps:
 
 def mono_lcm(a: Exps, b: Exps) -> Exps:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_gcd(a: Exps, b: Exps) -> Exps:
-    return tuple(min(x, y) for x, y in zip(a, b))
 
 
 def axpy(target: dict, factor, src: Mapping, index: Mapping | None = None) -> None:
@@ -330,20 +326,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
-
-
-def euler_identity_holds(p: Polynomial) -> bool:
-    """Check sum_i w_i * x_i * dp/dx_i == deg(p) * p for homogeneous p."""
-    report = p.homogeneity()
-    if not report.is_homogeneous:
-        raise HomogeneityError(f"euler check needs a homogeneous polynomial, got {p}")
-    if p.is_zero():
-        return True
-    ring = p.ring
-    total = Polynomial.zero(ring)
-    for i in range(ring.n):
-        total = total + ring.variable(i) * p.partial(i) * ring.weights[i]
-    return total == p * report.degree
 
 
 # -- text grammar -----------------------------------------------------------

@@ -182,6 +182,14 @@ def test_negative_koszul_bound_exits_two(session_file, capsys):
     assert captured.err == "error: bounds must be non-negative\n"
 
 
+def test_negative_homological_bound_exits_two(session_file, capsys):
+    for command in ("poincare", "golod-verdict"):
+        assert main([command, "M2", "--session", session_file, "--homological", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bounds must be non-negative\n"
+
+
 def test_add_prime_power_command(tmp_path, capsys):
     f = tmp_path / "s.golod"
     f.write_text("ring x,y,z weights 1,1,1\n"

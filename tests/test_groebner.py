@@ -243,6 +243,14 @@ def test_module_syzygies_on_koszul_pair(r2):
         assert s[0] * (-x) == s[1] * y
 
 
+def test_module_syzygies_of_zero_columns_are_unit_rows(r2):
+    zero = Polynomial.zero(r2)
+    one = Polynomial.constant(r2, 1)
+    assert module_syzygies([[zero, zero]] * 3, r2) == [
+        (one, zero, zero), (zero, one, zero), (zero, zero, one)]
+    assert module_syzygies([[zero]], r2) == [(one,)]
+
+
 def test_unit_ideal_detection(r2):
     I = Ideal.from_strings(r2, ["x^2 + y^2", "x^2 - y^2", "x*y"])
     # contains all of (x,y)^2, hence proper

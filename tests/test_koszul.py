@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -13,6 +14,7 @@ from conftest import random_homogeneous
 from golodkit import (
     AlgebraError,
     GradingSpec,
+    HomogeneityError,
     Ideal,
     betti_table,
     derivative_cycle_check,
@@ -21,9 +23,9 @@ from golodkit import (
     strongly_golod,
     trivial_multiplication_check,
 )
-from golodkit import koszul, poincare
+from golodkit import koszul, linalg, poincare
 from golodkit.koszul import _Complex, _top_shift
-from golodkit.linalg import TrackedSpan
+from golodkit.linalg import Span
 from golodkit.ring import axpy, mono_lcm
 
 
@@ -83,12 +85,12 @@ def test_cycle_representatives_are_honest(r3):
                 axpy(acc, c, cols[j])
             assert not acc
         # and is independent from the boundary space
-        span = TrackedSpan()
+        span = Span()
         for col in cx.differential_columns(l + 1, d):
             span.add(col)
         before = span.dim
         for v in vecs:
-            assert span.add(v) is None
+            assert span.add(v)
         assert span.dim == before + len(vecs)
 
 
@@ -141,6 +143,51 @@ def test_negative_bounds_are_rejected_by_every_entry_point(r2):
                  lambda: derivative_cycle_check(I, d_max=-3)):
         with pytest.raises(ValueError, match="bounds must be non-negative"):
             call()
+
+
+def test_inhomogeneous_ideals_are_rejected_with_explicit_bounds(r2):
+    I = Ideal.from_strings(r2, ["x^2 + y"])
+    for call in (lambda: koszul_homology(I),
+                 lambda: koszul_homology(I, 2, 3),
+                 lambda: trivial_multiplication_check(I, 2, 3),
+                 lambda: poincare.actual_poincare(I, 2, 3),
+                 # the homogeneity check comes before the bounds check
+                 lambda: koszul_homology(I, -1, 3)):
+        with pytest.raises(HomogeneityError, match="resolutions need a homogeneous ideal"):
+            call()
+
+
+def test_each_koszul_strand_is_eliminated_once(r3, monkeypatch):
+    strand_of = {}  # id of a strand's column list -> its (l, d)
+    column_ids = set()
+    entries = Counter()  # id of a differential column -> times it entered an elimination
+    calls = []
+    differential_columns = _Complex.differential_columns
+    kernel_of_columns = koszul.kernel_of_columns
+    integral = linalg.integral
+
+    def spy_columns(self, l, d):
+        cols = differential_columns(self, l, d)
+        strand_of[id(cols)] = (l, d)
+        column_ids.update(map(id, cols))
+        return cols
+
+    def spy_kernel(columns):
+        calls.append(strand_of[id(columns)])
+        return kernel_of_columns(columns)
+
+    def spy_integral(vec):
+        if id(vec) in column_ids:
+            entries[id(vec)] += 1
+        return integral(vec)
+
+    monkeypatch.setattr(_Complex, "differential_columns", spy_columns)
+    monkeypatch.setattr(koszul, "kernel_of_columns", spy_kernel)
+    monkeypatch.setattr(linalg, "integral", spy_integral)
+    hs = koszul_homology(Ideal.from_strings(r3, ["x^2", "x*y", "y^2"]))
+    assert hs.dims[(1, 2)] == 3
+    assert calls and len(calls) == len(set(calls))
+    assert entries and set(entries.values()) == {1}
 
 
 def test_top_shift_is_read_below_a_loose_lcm_bound(r2):

@@ -1,9 +1,14 @@
 """Exact sparse linear algebra over Q."""
 
 from fractions import Fraction
+from math import gcd
 from random import Random
 
-from golodkit.linalg import Span, TrackedSpan, kernel_of_columns, rank_of_columns
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from golodkit.linalg import Span, kernel_of_columns, rank_of_columns
+from golodkit.ring import axpy
 
 from conftest import _row_reduce
 
@@ -16,13 +21,11 @@ def _dense(vec, n):
 
 
 def test_tracked_span_detects_dependence():
-    span = TrackedSpan()
-    assert span.add({0: Fraction(1)}) is None
-    assert span.add({1: Fraction(2)}) is None
-    combo = span.add({0: Fraction(3), 1: Fraction(4)})
-    # the third vector is dependent: combo is a null combination including it
-    assert combo == {2: Fraction(1), 0: Fraction(-3), 1: Fraction(-2)}
-    assert span.dim == 2
+    image, kernel = kernel_of_columns([{0: Fraction(1)}, {1: Fraction(2)},
+                                       {0: Fraction(3), 1: Fraction(4)}])
+    # the third vector is dependent: the kernel row is a null combination including it
+    assert kernel == [{2: 1, 0: -3, 1: -2}]
+    assert image.dim == 2
 
 
 def test_kernel_matches_rank_nullity_random():
@@ -35,7 +38,7 @@ def test_kernel_matches_rank_nullity_random():
             col = {i: Fraction(rng.randint(-3, 3)) for i in range(nrows)
                    if rng.random() < 0.5}
             cols.append({i: c for i, c in col.items() if c})
-        kern = kernel_of_columns(cols)
+        _, kern = kernel_of_columns(cols)
         rank = rank_of_columns(cols)
         assert rank + len(kern) == ncols
         # every kernel vector really kills the columns
@@ -133,7 +136,8 @@ def test_kernel_of_rational_columns_matches_gauss_jordan():
         nrows = rng.randint(1, 7)
         cols = _rational_columns(rng, ncols, nrows)
         ref = _reference_kernel(cols, nrows)
-        assert kernel_of_columns(cols) == ref
+        kern = kernel_of_columns(cols)[1]
+        assert [{j: Fraction(c, v[max(v)]) for j, c in v.items()} for v in kern] == ref
         seen_dependent += len(ref)
     assert seen_dependent > 60
 
@@ -162,3 +166,32 @@ def test_span_copy_is_independent():
     assert other.add({1: Fraction(2, 7)})
     assert span.dim == 1 and other.dim == 2
     assert not span.contains({1: Fraction(1)})
+
+
+_entries = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def _column_lists(draw):
+    nrows = draw(st.integers(1, 5))
+    cols = draw(st.lists(st.dictionaries(st.integers(0, nrows - 1), _entries), max_size=8))
+    return [{i: c for i, c in col.items() if c} for col in cols]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(cols=_column_lists())
+def test_one_echelon_gives_the_plain_image_and_primitive_kernel_rows(cols):
+    image, kernel = kernel_of_columns(cols)
+    plain = Span()
+    for col in cols:
+        plain.add(col)
+    assert image.pivots == plain.pivots
+    for row in kernel:
+        top = max(row)
+        assert row[top] > 0
+        assert gcd(*row.values()) == 1
+        acc = {}
+        for j, c in row.items():
+            axpy(acc, c, cols[j])
+        assert not acc
+    assert image.dim + len(kernel) == len(cols)

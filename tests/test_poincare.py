@@ -79,6 +79,19 @@ def test_actual_poincare_rejects_unit_ideal(r2):
         actual_poincare(Ideal.from_strings(r2, ["x - x + 1"]))
 
 
+def test_serre_bound_rejects_negative_bounds(r2):
+    I = Ideal.from_strings(r2, ["x^2", "x*y", "y^2"])
+    for call in (lambda: serre_bound_series(I, -1),
+                 lambda: serre_bound_series(I, 2, -1),
+                 lambda: golod_verdict(I, -1),
+                 lambda: golod_verdict(I, 2, -1)):
+        with pytest.raises(ValueError, match="bounds must be non-negative"):
+            call()
+    # a unit ideal keeps its own error
+    with pytest.raises(ImproperIdealError):
+        serre_bound_series(Ideal.from_strings(r2, ["x", "y", "1"]), -1)
+
+
 def test_serre_inequality_spot_checks():
     for e in builtin_corpus()[:6]:
         if e.ideal.is_zero() or not e.ideal.is_proper():
