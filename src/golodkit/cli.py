@@ -469,6 +469,8 @@ def _cmd_paper_examples(args, session):
 
 
 def _cmd_search_product_golod(args, session):
+    if args.count < 0:
+        raise ValueError("--count must be non-negative")
     rng = Random(args.seed)
     entries = [e for e in calculus.builtin_corpus() if not e.ideal.is_zero()]
     by_ring: dict = {}
@@ -512,6 +514,10 @@ def _has_odd_cycle(G: monomial.Graph) -> bool:
 
 
 def _cmd_search_odd_cycle_containment(args, session):
+    if args.count < 0:
+        raise ValueError("--count must be non-negative")
+    if args.max_vertices < 3:
+        raise ValueError("--max-vertices must be at least 3, the smallest odd cycle")
     rng = Random(args.seed)
     lines = []
     recs = []

@@ -6,6 +6,12 @@ H_l(R)_d t^(l+1) u^d) expanded exactly; the actual series counts minimal
 generators in a degreewise minimal free resolution of the residue field
 over R, which is exact for every bidegree inside the window.
 
+Serre's inequality holds coefficient by coefficient, so the resolution has
+no generator where the bound is 0.  Homological step i therefore visits
+internal degrees only up to the last nonzero bound coefficient in t^i; the
+strands above it are never built, and the series is the same as on the
+full window.
+
 The bound's denominator and the default window's top shift are both read
 off one ``koszul._Complex``; no resolution of S/I is computed.  The Tor
 strands use the Koszul strand layer, and so the ideal's normal-form memo.
@@ -125,21 +131,25 @@ def serre_bound_series(I: Ideal, i_max: int = 4, d_max: int | None = None) -> Bi
     return BigradedSeries(coeffs, i_max, d_max, truncated=d_max < i_max * min(weights))
 
 
-def actual_poincare(I: Ideal, i_max: int = 4, d_max: int | None = None) -> BigradedSeries:
-    """dim Tor_i(K, K) over R = S/I, by a degreewise minimal resolution of K.
+def _support_caps(bound: BigradedSeries) -> dict[int, int]:
+    """Per homological degree i, the largest d <= d_max with bound(i, d) != 0."""
+    caps: dict[int, int] = {}
+    for i, d in bound.coefficients:
+        caps[i] = max(caps.get(i, d), d)
+    return caps
+
+
+def _tor_series(I: Ideal, i_max: int, d_max: int, caps: dict[int, int]) -> BigradedSeries:
+    """Degreewise minimal resolution of K over R = S/I, step i visiting the
+    internal degrees 0..caps[i] (none when i is missing from caps).
 
     Each homological step keeps, per internal degree, a kernel basis of the
     previous differential; new generators are kernel vectors independent of
-    the span of variable multiples of lower-degree kernel elements.  All
-    numbers inside the window are exact.
+    the span of variable multiples of lower-degree kernel elements.  A step
+    reads only its own lower degrees and the previous step's generators, so
+    the numbers at every visited bidegree are the same as on the full window
+    (caps[i] = d_max for every i).
     """
-    if not I.is_proper():
-        raise ImproperIdealError("the residue field of the zero ring has no resolution")
-    cx = _Complex(I)  # rejects an inhomogeneous ideal
-    if d_max is None:
-        d_max = _default_d_max(I, i_max, _top_shift(cx))
-    if i_max < 0 or d_max < 0:
-        raise ValueError("bounds must be non-negative")
     ring = I.ring
     unit = [tuple(int(p == t) for p in range(ring.n)) for t in range(ring.n)]
     coeffs: Coeffs = {(0, 0): 1}
@@ -153,7 +163,7 @@ def actual_poincare(I: Ideal, i_max: int = 4, d_max: int | None = None) -> Bigra
         kernels: dict[int, list[Element]] = {}
         new_shifts: dict[int, int] = {}
         new_images: list[Element] = []
-        for d in range(0, d_max + 1):
+        for d in range(0, caps.get(i, -1) + 1):
             src_index = _strand_index(I, shifts_prev, d)
             src_keys = [(j, m) for j, block in src_index.items() for m in block]
             if i == 1:
@@ -196,6 +206,23 @@ def actual_poincare(I: Ideal, i_max: int = 4, d_max: int | None = None) -> Bigra
     return BigradedSeries(coeffs, i_max, d_max, truncated=truncated)
 
 
+def actual_poincare(I: Ideal, i_max: int = 4, d_max: int | None = None) -> BigradedSeries:
+    """dim Tor_i(K, K) over R = S/I, by a degreewise minimal resolution of K.
+
+    Serre's inequality holds bidegree by bidegree, so F_i has no generator
+    where ``serre_bound_series`` is 0: step i visits internal degrees only up
+    to D_i, the largest d <= d_max with a nonzero bound at (i, d).  Step i
+    needs kernels only up to D_i (its new generators and the variable
+    multiples feeding higher degrees of the same step) and step i + 1 needs
+    only F_i's generators, so the series is the full window's.  All numbers
+    inside the window are exact.
+    """
+    if not I.is_proper():
+        raise ImproperIdealError("the residue field of the zero ring has no resolution")
+    bound = serre_bound_series(I, i_max, d_max)  # rejects inhomogeneity, negative bounds
+    return _tor_series(I, bound.i_max, bound.d_max, _support_caps(bound))
+
+
 @dataclass(frozen=True)
 class GolodVerdict:
     status: str
@@ -227,7 +254,7 @@ def golod_verdict(I: Ideal, i_max: int = 4, d_max: int | None = None) -> GolodVe
     """
     bound = serre_bound_series(I, i_max, d_max)
     d_max = bound.d_max
-    actual = actual_poincare(I, i_max, d_max)
+    actual = _tor_series(I, i_max, d_max, _support_caps(bound))
     for i in range(i_max + 1):
         for d in range(d_max + 1):
             b = bound.coefficient(i, d)

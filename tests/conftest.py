@@ -15,6 +15,7 @@ from random import Random
 import pytest
 
 from golodkit import GradingSpec, Ideal, Polynomial
+from golodkit.poincare import _tor_series
 
 
 def monomials_of_degree(ring: GradingSpec, d: int) -> list[tuple[int, ...]]:
@@ -115,6 +116,12 @@ def oracle_ideal_powers(gens, k):
     for combo in combinations_with_replacement(gens, k):
         out.append(tuple(sum(col) for col in zip(*combo)))
     return out
+
+
+def full_window_series(I: Ideal, i_max: int, d_max: int):
+    """The Tor series from the resolution loop run on every internal degree
+    0..d_max at every step, without the cap read off Serre's bound."""
+    return _tor_series(I, i_max, d_max, {i: d_max for i in range(1, i_max + 1)})
 
 
 @pytest.fixture

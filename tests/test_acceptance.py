@@ -8,6 +8,7 @@ import time
 from itertools import combinations
 from random import Random
 
+from conftest import full_window_series
 from golodkit import (
     GradingSpec,
     Ideal,
@@ -206,11 +207,15 @@ def test_10_complete_intersection_control(r2):
 
 
 def test_11_series_inequality_every_bidegree():
+    # the verdict's series skips bidegrees where the bound is 0, so the
+    # inequality is checked on the series resolved over the whole window
     for e in builtin_corpus():
         if e.ideal.is_zero() or not e.ideal.is_proper():
             continue
         v = golod_verdict(e.ideal, 3)
-        for key, a in v.actual.coefficients.items():
+        full = full_window_series(e.ideal, 3, v.d_max)
+        assert full.coefficients == v.actual.coefficients, e.name
+        for key, a in full.coefficients.items():
             assert a <= v.bound.coefficient(*key), (e.name, key)
 
 
@@ -250,3 +255,12 @@ def test_14_minimal_primary_components_are_strongly_golod():
         for Q in dec.components:
             acc = Q if acc is None else acc.intersect(Q)
         assert acc == mi, e.name
+
+
+def test_15_strongly_golod_squares_are_not_refuted_by_the_verdict():
+    # the paper's theorem: strongly Golod implies Golod in characteristic 0,
+    # so no square that test_02 proves strongly Golod may come out NOT-GOLOD
+    squares = _sg_squares()
+    assert sum(I.ring.n == 4 for _, _, I in squares) == 5
+    for name, _, I in squares:
+        assert golod_verdict(I, 3).status != NOT_GOLOD, name

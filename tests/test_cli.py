@@ -220,6 +220,53 @@ def test_search_commands_are_seeded(capsys):
     assert [rec["holds"] for rec in records] == [True, False]
 
 
+# stdout of `search-product-golod --seed 1 --count 10 --json`; two of the
+# products (with seeded-poly-2) live in 4 variables
+_SEARCH_SEED_1 = (
+    '{"command": "search-product-golod", "results": ['
+    '{"left": "triangle-cover", "right": "seeded-monomial-1", '
+    '"status": "GOLOD-up-to-truncation"}, '
+    '{"left": "seeded-poly-7", "right": "seeded-poly-4", '
+    '"status": "GOLOD-up-to-truncation"}, '
+    '{"left": "seeded-poly-3", "right": "seeded-poly-0", '
+    '"status": "GOLOD-up-to-truncation"}, '
+    '{"left": "triangle-cover", "right": "seeded-monomial-4", '
+    '"status": "GOLOD-up-to-truncation"}, '
+    '{"left": "seeded-poly-4", "right": "seeded-monomial-4", '
+    '"status": "GOLOD-up-to-truncation"}, '
+    '{"left": "squarefree-4-3", "right": "seeded-poly-2", '
+    '"status": "GOLOD-up-to-truncation"}, '
+    '{"left": "seeded-monomial-0", "right": "ci-control", '
+    '"status": "GOLOD-up-to-truncation"}, '
+    '{"left": "square-of-maximal", "right": "seeded-poly-6", '
+    '"status": "GOLOD-up-to-truncation"}, '
+    '{"left": "product-counterexample", "right": "seeded-monomial-4", '
+    '"status": "GOLOD-up-to-truncation"}, '
+    '{"left": "seeded-monomial-2", "right": "seeded-poly-2", '
+    '"status": "GOLOD-up-to-truncation"}]'
+    ', "seed": 1}\n'
+)
+
+
+def test_search_product_golod_seed_1_is_pinned(capsys):
+    assert main(["search-product-golod", "--seed", "1", "--count", "10", "--json"]) == 0
+    assert capsys.readouterr().out == _SEARCH_SEED_1
+
+
+def test_search_commands_reject_invalid_arguments(capsys):
+    cases = [
+        (["search-odd-cycle-containment", "--max-vertices", "2"], "--max-vertices"),
+        (["search-odd-cycle-containment", "--count", "-1"], "--count"),
+        (["search-product-golod", "--count", "-1"], "--count"),
+    ]
+    for argv, needle in cases:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and needle in captured.err, argv
+        assert "randrange" not in captured.err
+
+
 def test_order_flag_rejects_unknown(session_file):
     with pytest.raises(SystemExit):
         main(["betti", "M2", "--session", session_file, "--order", "lex"])

@@ -5,9 +5,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import full_window_series, random_homogeneous
 from golodkit import (
     AlgebraError,
     GradingSpec,
@@ -18,8 +22,14 @@ from golodkit import (
     golod_verdict,
     serre_bound_series,
 )
-from golodkit import resolution
-from golodkit.poincare import GOLOD, INCONCLUSIVE, NOT_GOLOD, _geometric_inverse
+from golodkit import poincare, resolution
+from golodkit.poincare import (
+    GOLOD,
+    INCONCLUSIVE,
+    NOT_GOLOD,
+    BigradedSeries,
+    _geometric_inverse,
+)
 
 
 def test_flagship_square_of_maximal(r2):
@@ -200,3 +210,73 @@ def test_geometric_inverse_check_survives_python_O():
         env={**os.environ, "PYTHONPATH": src})
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "raised"
+
+
+def test_serre_inequality_violation_raises(r2, monkeypatch):
+    # a resolution that overshoots the bound inside its support is a bug, not a verdict
+    I = Ideal.from_strings(r2, ["x^2", "x*y", "y^2"])
+    real = poincare._tor_series
+
+    def overshoot(*args):
+        s = real(*args)
+        coeffs = dict(s.coefficients)
+        coeffs[(2, 2)] += 1
+        return BigradedSeries(coeffs, s.i_max, s.d_max, s.truncated)
+
+    monkeypatch.setattr(poincare, "_tor_series", overshoot)
+    with pytest.raises(AlgebraError,
+                       match=r"Serre inequality violated at \(2, 2\): actual 5 > bound 4"):
+        golod_verdict(I)
+
+
+def _steps(degrees):
+    """Split the internal degrees of successive strand calls into steps: a
+    step visits d = 0, 1, ... in order, so a drop starts the next one."""
+    steps = []
+    for d in degrees:
+        if not steps or d < steps[-1][-1]:
+            steps.append([])
+        steps[-1].append(d)
+    return steps
+
+
+def test_tor_strands_stop_at_the_bound_support(r3, monkeypatch):
+    I = Ideal.from_strings(r3, ["x^2", "x*y", "y^2"])
+    bound = serre_bound_series(I)
+    caps = {}
+    for i, d in bound.coefficients:
+        caps[i] = max(caps.get(i, d), d)
+    seen = []
+    real = poincare._strand_index
+
+    def recording(I, shifts, d):
+        seen.append(d)
+        return real(I, shifts, d)
+
+    monkeypatch.setattr(poincare, "_strand_index", recording)
+    v = golod_verdict(I)
+    assert v.status == GOLOD
+    assert [max(step) for step in _steps(seen)] == [caps[i] for i in range(1, 5)]
+    # the reference loop does build the strands above the support
+    seen.clear()
+    assert full_window_series(I, 4, bound.d_max) == v.actual
+    assert [max(step) for step in _steps(seen)] == [bound.d_max] * 4
+    assert all(caps[i] < bound.d_max for i in range(1, 5))
+
+
+_RINGS = {
+    "r3": (GradingSpec(("x", "y", "z"), (1, 1, 1)), (1, 3)),
+    "rw": (GradingSpec(("x", "y"), (1, 2)), (2, 4)),
+}
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(_RINGS)), data=st.data())
+def test_capped_series_equals_full_window_on_random_ideals(name, data):
+    ring, (lo, hi) = _RINGS[name]
+    degrees = data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=3))
+    rng = Random(data.draw(st.integers(0, 2 ** 32)))
+    I = Ideal(ring, [random_homogeneous(ring, d, rng) for d in degrees])
+    for i_max in (3, 4):
+        v = golod_verdict(I, i_max)
+        assert v.actual == full_window_series(I, i_max, v.d_max), i_max
