@@ -12,12 +12,13 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache, partial
 from pathlib import Path
 from random import Random
 
 from . import calculus, koszul, monomial, poincare, resolution
 from .errors import AlgebraError, ParseError
-from .groebner import Ideal, colon, contains, intersect
+from .groebner import Ideal, colon, intersect
 from .ring import GradingSpec, Polynomial, parse_polynomial
 
 
@@ -120,25 +121,16 @@ def _ideal_strings(I: Ideal) -> list[str]:
     return [str(g) for g in I.groebner_basis()]
 
 
-def _emit(args, text_lines: list[str], payload: dict, code: int) -> int:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-    return code
+def _lookup(kind: str, session: Session | None, name: str):
+    """The session's ideal or graph of that name; without a session there is none."""
+    objects = getattr(session, kind + "s", {})
+    if name not in objects:
+        raise AlgebraError(f"unknown {kind} {name!r}")
+    return objects[name]
 
 
-def _get_ideal(session: Session, name: str) -> Ideal:
-    if session is None or name not in session.ideals:
-        raise AlgebraError(f"unknown ideal {name!r}")
-    return session.ideals[name]
-
-
-def _get_graph(session: Session, name: str) -> monomial.Graph:
-    if session is None or name not in session.graphs:
-        raise AlgebraError(f"unknown graph {name!r}")
-    return session.graphs[name]
+_get_ideal = partial(_lookup, "ideal")
+_get_graph = partial(_lookup, "graph")
 
 
 def _to_monomial(I: Ideal, what: str) -> monomial.MonomialIdeal:
@@ -148,18 +140,20 @@ def _to_monomial(I: Ideal, what: str) -> monomial.MonomialIdeal:
         raise AlgebraError(f"{what} needs a monomial ideal") from None
 
 
-def _var_names(ring: GradingSpec, idxs) -> list[str]:
-    return [ring.names[i] for i in idxs]
+def _generators(label: str, R: Ideal, payload: dict, *more: str):
+    """The line `label: g1, g2, ...` then `more`, and payload with the same basis."""
+    gens = _ideal_strings(R)
+    return [f"{label}: {', '.join(gens)}", *more], {**payload, "generators": gens}, 0
 
 
 # -- individual commands -----------------------------------------------------------
+# Each returns (text lines, JSON payload, exit code); main adds the command name
+# to the payload.
 
 
 def _cmd_check_strongly_golod(args, session):
-    I = _get_ideal(session, args.ideal)
-    rep = calculus.strongly_golod(I)
-    payload = {"command": "check-strongly-golod", "ideal": args.ideal,
-               "verdict": rep.verdict}
+    rep = calculus.strongly_golod(_get_ideal(session, args.ideal))
+    payload = {"ideal": args.ideal, "verdict": rep.verdict}
     lines = [f"strongly Golod: {rep.verdict}"]
     if not rep.verdict:
         w = rep.witness
@@ -170,46 +164,31 @@ def _cmd_check_strongly_golod(args, session):
 
 
 def _cmd_derivative_ideal(args, session):
-    I = _get_ideal(session, args.ideal)
-    D = calculus.derivative_ideal(I)
-    gens = _ideal_strings(D)
-    return ([f"derivative ideal: {', '.join(gens)}"],
-            {"command": "derivative-ideal", "ideal": args.ideal, "generators": gens}, 0)
+    D = calculus.derivative_ideal(_get_ideal(session, args.ideal))
+    return _generators("derivative ideal", D, {"ideal": args.ideal})
 
 
 def _cmd_power(args, session):
-    I = _get_ideal(session, args.ideal)
-    R = calculus.power(I, args.k)
-    gens = _ideal_strings(R)
-    return ([f"power {args.k}: {', '.join(gens)}"],
-            {"command": "power", "ideal": args.ideal, "k": args.k, "generators": gens}, 0)
+    R = calculus.power(_get_ideal(session, args.ideal), args.k)
+    return _generators(f"power {args.k}", R, {"ideal": args.ideal, "k": args.k})
 
 
 def _cmd_symbolic_power(args, session):
     I = _get_ideal(session, args.ideal)
-    if args.L is not None:
-        L = _get_ideal(session, args.L)
-        res = calculus.symbolic_power(I, calculus.SymbolicPowerSpec(args.k, "user", L))
-        mode = "user"
-    else:
-        res = calculus.symbolic_power(I, calculus.SymbolicPowerSpec(args.k, "saturated"))
-        mode = "saturated"
-    gens = _ideal_strings(res.ideal)
-    lines = [f"symbolic power (mode {mode}, k={args.k}): {', '.join(gens)}"]
-    if res.exponent is not None:
-        lines.append(f"saturation exponent: {res.exponent}")
-    return (lines, {"command": "symbolic-power", "ideal": args.ideal, "k": args.k,
-                    "mode": mode, "generators": gens, "exponent": res.exponent}, 0)
+    mode = "saturated" if args.L is None else "user"
+    L = None if args.L is None else _get_ideal(session, args.L)
+    res = calculus.symbolic_power(I, calculus.SymbolicPowerSpec(args.k, mode, L))
+    more = [] if res.exponent is None else [f"saturation exponent: {res.exponent}"]
+    return _generators(f"symbolic power (mode {mode}, k={args.k})", res.ideal,
+                       {"ideal": args.ideal, "k": args.k, "mode": mode,
+                        "exponent": res.exponent}, *more)
 
 
 def _cmd_saturated_power(args, session):
-    I = _get_ideal(session, args.ideal)
-    res = calculus.saturated_power(I, args.k)
-    gens = _ideal_strings(res.ideal)
-    return ([f"saturated power k={args.k}: {', '.join(gens)}",
-             f"saturation exponent: {res.exponent}"],
-            {"command": "saturated-power", "ideal": args.ideal, "k": args.k,
-             "generators": gens, "exponent": res.exponent}, 0)
+    res = calculus.saturated_power(_get_ideal(session, args.ideal), args.k)
+    return _generators(f"saturated power k={args.k}", res.ideal,
+                       {"ideal": args.ideal, "k": args.k, "exponent": res.exponent},
+                       f"saturation exponent: {res.exponent}")
 
 
 def _cmd_binary(args, session):
@@ -224,28 +203,22 @@ def _cmd_binary(args, session):
     else:
         R = Ideal(I.ring, [a * b for a in I.generators for b in J.generators])
     gens = _ideal_strings(R)
-    return ([f"{args.command}: {', '.join(gens) if gens else '0'}"],
-            {"command": args.command, "left": args.left, "right": args.right,
-             "generators": gens}, 0)
+    return ([f"{args.command}: {', '.join(gens) or '0'}"],
+            {"left": args.left, "right": args.right, "generators": gens}, 0)
 
 
 def _cmd_add_prime_power(args, session):
     I = _get_ideal(session, args.ideal)
-    P = _get_ideal(session, args.prime)
-    R = calculus.add_prime_power(I, P, args.k)
-    gens = _ideal_strings(R)
-    return ([f"sum with prime power k={args.k}: {', '.join(gens)}"],
-            {"command": "add-prime-power", "ideal": args.ideal, "prime": args.prime,
-             "k": args.k, "generators": gens}, 0)
+    R = calculus.add_prime_power(I, _get_ideal(session, args.prime), args.k)
+    return _generators(f"sum with prime power k={args.k}", R,
+                       {"ideal": args.ideal, "prime": args.prime, "k": args.k})
 
 
 def _cmd_vertex_cover_ideal(args, session):
     G = _get_graph(session, args.graph)
-    I = monomial.vertex_cover_ideal(G)
-    gens = _ideal_strings(I.to_ideal())
-    return ([f"vertex cover ideal on {G.n} vertices: {', '.join(gens)}"],
-            {"command": "vertex-cover-ideal", "graph": args.graph, "n": G.n,
-             "generators": gens}, 0)
+    return _generators(f"vertex cover ideal on {G.n} vertices",
+                       monomial.vertex_cover_ideal(G).to_ideal(),
+                       {"graph": args.graph, "n": G.n})
 
 
 def _cmd_odd_cycle_suite(args, session):
@@ -256,52 +229,44 @@ def _cmd_odd_cycle_suite(args, session):
     }
     for k, ok in rep.higher_squares_contained.items():
         checks[f"previous-symbolic-squared-in-power-{k}"] = ok
-    ok_all = all(checks.values())
     lines = [f"odd cycle n={rep.n}: {rep.minimal_cover_count} minimal covers"]
     lines += [f"{'PASS' if v else 'FAIL'} {k}" for k, v in checks.items()]
-    return (lines, {"command": "odd-cycle-suite", "n": rep.n,
-                    "minimal_cover_count": rep.minimal_cover_count,
-                    "checks": checks}, 0 if ok_all else 1)
+    return (lines, {"n": rep.n, "minimal_cover_count": rep.minimal_cover_count,
+                    "checks": checks}, 0 if all(checks.values()) else 1)
 
 
 def _cmd_squarefree_symbolic(args, session):
     I = _to_monomial(_get_ideal(session, args.ideal), "squarefree symbolic power")
-    R = monomial.squarefree_symbolic_power(I, args.k)
-    gens = _ideal_strings(R.to_ideal())
-    return ([f"symbolic power via minimal primes, k={args.k}: {', '.join(gens)}"],
-            {"command": "squarefree-symbolic", "ideal": args.ideal, "k": args.k,
-             "generators": gens}, 0)
+    return _generators(f"symbolic power via minimal primes, k={args.k}",
+                       monomial.squarefree_symbolic_power(I, args.k).to_ideal(),
+                       {"ideal": args.ideal, "k": args.k})
 
 
 def _cmd_integral_closure(args, session):
     I = _to_monomial(_get_ideal(session, args.ideal), "integral closure")
-    R = monomial.integral_closure(I)
-    gens = _ideal_strings(R.to_ideal())
-    return ([f"integral closure: {', '.join(gens)}"],
-            {"command": "integral-closure", "ideal": args.ideal, "generators": gens}, 0)
+    return _generators("integral closure", monomial.integral_closure(I).to_ideal(),
+                       {"ideal": args.ideal})
 
 
 def _cmd_primary_components(args, session):
     I = _to_monomial(_get_ideal(session, args.ideal), "primary components")
-    comps = monomial.minimal_primary_components(I)
     lines = []
     recs = []
-    for P, Q in comps:
-        names = _var_names(I.ring, P)
+    for P, Q in monomial.minimal_primary_components(I):
+        names = [I.ring.names[i] for i in P]
         gens = _ideal_strings(Q.to_ideal())
         sg = monomial.strongly_golod_monomial(Q).verdict if Q.is_proper() else None
         lines.append(f"prime ({', '.join(names)}): {', '.join(gens)}"
                      + (f" [strongly Golod: {sg}]" if sg is not None else ""))
         recs.append({"prime": names, "generators": gens, "strongly_golod": sg})
-    return (lines, {"command": "primary-components", "ideal": args.ideal,
-                    "components": recs}, 0)
+    return lines, {"ideal": args.ideal, "components": recs}, 0
 
 
 def _cmd_betti(args, session):
+    # Koszul homology dimensions are the graded Betti numbers of S/I
     I = _get_ideal(session, args.ideal)
-    table = resolution.betti_table(resolution.minimal_free_resolution(I))
-    return ([str(table)],
-            {"command": "betti", "ideal": args.ideal, "entries": table.to_json_obj()}, 0)
+    table = resolution.BettiTable(koszul.koszul_homology(I).dims)
+    return [str(table)], {"ideal": args.ideal, "entries": table.to_json_obj()}, 0
 
 
 def _cmd_koszul_homology(args, session):
@@ -310,16 +275,14 @@ def _cmd_koszul_homology(args, session):
     lines = [f"H_{l} at internal degree {d}: dim {s.dims[(l, d)]}"
              for l, d in sorted(s.dims)]
     lines.append(f"truncated: {s.truncated}")
-    return (lines, {"command": "koszul-homology", "ideal": args.ideal,
-                    **s.to_json_obj()}, 0)
+    return lines, {"ideal": args.ideal, **s.to_json_obj()}, 0
 
 
 def _cmd_trivial_multiplication(args, session):
     I = _get_ideal(session, args.ideal)
     rep = koszul.trivial_multiplication_check(I, args.homological, args.internal)
     lines = [f"trivial multiplication: {rep.verdict}"]
-    payload = {"command": "trivial-multiplication", "ideal": args.ideal,
-               "verdict": rep.verdict, "truncated": rep.truncated,
+    payload = {"ideal": args.ideal, "verdict": rep.verdict, "truncated": rep.truncated,
                "failing_pair": list(rep.failing_pair) if rep.failing_pair else None}
     if rep.failing_pair:
         l1, d1, i1, l2, d2, i2 = rep.failing_pair
@@ -328,30 +291,21 @@ def _cmd_trivial_multiplication(args, session):
     return lines, payload, 0 if rep.verdict else 1
 
 
-def _cmd_poincare(args, session):
-    I = _get_ideal(session, args.ideal)
-    i_max = args.homological if args.homological is not None else 4
-    d_max = args.internal
-    v = poincare.golod_verdict(I, i_max, d_max)
-    lines = [f"Serre bound: {v.bound}",
-             f"actual:      {v.actual}",
-             f"status: {v.status}"]
-    if v.first_discrepancy:
-        i, d, b, a = v.first_discrepancy
-        lines.append(f"first discrepancy at t^{i} u^{d}: bound {b}, actual {a}")
-    return (lines, {"command": "poincare", "ideal": args.ideal, **v.to_json_obj()}, 0)
-
-
-def _cmd_golod_verdict(args, session):
+def _cmd_verdict(args, session):
+    """`poincare` prints both series before the status and always exits 0;
+    `golod-verdict` prints the status and exits 1 on NOT-GOLOD."""
     I = _get_ideal(session, args.ideal)
     i_max = args.homological if args.homological is not None else 4
     v = poincare.golod_verdict(I, i_max, args.internal)
-    lines = [f"status: {v.status}"]
+    lines = []
+    if args.command == "poincare":
+        lines += [f"Serre bound: {v.bound}", f"actual:      {v.actual}"]
+    lines.append(f"status: {v.status}")
     if v.first_discrepancy:
         i, d, b, a = v.first_discrepancy
         lines.append(f"first discrepancy at t^{i} u^{d}: bound {b}, actual {a}")
-    code = 1 if v.status == poincare.NOT_GOLOD else 0
-    return lines, {"command": "golod-verdict", "ideal": args.ideal, **v.to_json_obj()}, code
+    code = 1 if args.command == "golod-verdict" and v.status == poincare.NOT_GOLOD else 0
+    return lines, {"ideal": args.ideal, **v.to_json_obj()}, code
 
 
 def _builtin_examples() -> list[tuple[str, bool, str]]:
@@ -463,8 +417,7 @@ def _cmd_paper_examples(args, session):
     lines = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in results]
     ok_all = all(ok for _, ok, _ in results)
     lines.append(f"{sum(ok for _, ok, _ in results)}/{len(results)} checks passed")
-    payload = {"command": "paper-examples",
-               "results": [{"name": n, "pass": ok, "detail": d} for n, ok, d in results]}
+    payload = {"results": [{"name": n, "pass": ok, "detail": d} for n, ok, d in results]}
     return lines, payload, 0 if ok_all else 1
 
 
@@ -487,8 +440,7 @@ def _cmd_search_product_golod(args, session):
         v = poincare.golod_verdict(prod, 3)
         lines.append(f"{a.name} * {b.name}: {v.status}")
         recs.append({"left": a.name, "right": b.name, "status": v.status})
-    return (lines, {"command": "search-product-golod", "seed": args.seed,
-                    "results": recs}, 0)
+    return lines, {"seed": args.seed, "results": recs}, 0
 
 
 def _has_odd_cycle(G: monomial.Graph) -> bool:
@@ -534,14 +486,51 @@ def _cmd_search_odd_cycle_containment(args, session):
         edges = sorted(G.edges)
         lines.append(f"n={n} edges={edges}: (J^(2))^2 in J^3: {holds}")
         recs.append({"n": n, "edges": [list(e) for e in edges], "holds": holds})
-    return (lines, {"command": "search-odd-cycle-containment", "seed": args.seed,
-                    "results": recs}, 0)
+    return lines, {"seed": args.seed, "results": recs}, 0
 
 
 # -- argument wiring ---------------------------------------------------------------
 
+_IDEAL = ("ideal", {})
+_K = ("--k", {"type": int, "default": 2})
+_WINDOW = [_IDEAL, ("--homological", {"type": int, "default": None}),
+           ("--internal", {"type": int, "default": None})]
 
+# (name, handler, arguments) in --help order
+_COMMANDS = [
+    ("check-strongly-golod", _cmd_check_strongly_golod, [_IDEAL]),
+    ("derivative-ideal", _cmd_derivative_ideal, [_IDEAL]),
+    ("power", _cmd_power, [_IDEAL, _K]),
+    ("symbolic-power", _cmd_symbolic_power,
+     [_IDEAL, _K,
+      ("--L", {"help": "saturate at this named ideal instead of the maximal one"})]),
+    ("saturated-power", _cmd_saturated_power, [_IDEAL, _K]),
+    *((name, _cmd_binary, [("left", {}), ("right", {})])
+      for name in ("colon", "intersect", "sum", "product")),
+    ("add-prime-power", _cmd_add_prime_power, [_IDEAL, ("prime", {}), _K]),
+    ("vertex-cover-ideal", _cmd_vertex_cover_ideal, [("graph", {})]),
+    ("odd-cycle-suite", _cmd_odd_cycle_suite,
+     [("n", {"type": int}), ("--k", {"type": int, "default": 3})]),
+    ("squarefree-symbolic", _cmd_squarefree_symbolic, [_IDEAL, _K]),
+    ("integral-closure", _cmd_integral_closure, [_IDEAL]),
+    ("primary-components", _cmd_primary_components, [_IDEAL]),
+    ("betti", _cmd_betti, [_IDEAL]),
+    ("koszul-homology", _cmd_koszul_homology, _WINDOW),
+    ("trivial-multiplication", _cmd_trivial_multiplication, _WINDOW),
+    ("poincare", _cmd_verdict, _WINDOW),
+    ("golod-verdict", _cmd_verdict, _WINDOW),
+    ("paper-examples", _cmd_paper_examples, []),
+    ("search-product-golod", _cmd_search_product_golod,
+     [("--count", {"type": int, "default": 3})]),
+    ("search-odd-cycle-containment", _cmd_search_odd_cycle_containment,
+     [("--count", {"type": int, "default": 5}),
+      ("--max-vertices", {"type": int, "default": 5})]),
+]
+
+
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole grammar, built on the first call and reused by every later one."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--session", help="session file declaring ring and ideals")
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
@@ -554,75 +543,25 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Ideal calculus, Koszul homology, and Golod verdicts over Q.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, func, **kw):
-        p = sub.add_parser(name, parents=[common], **kw)
+    for name, func, arguments in _COMMANDS:
+        p = sub.add_parser(name, parents=[common])
         p.set_defaults(func=func)
-        return p
-
-    p = cmd("check-strongly-golod", _cmd_check_strongly_golod)
-    p.add_argument("ideal")
-    p = cmd("derivative-ideal", _cmd_derivative_ideal)
-    p.add_argument("ideal")
-    p = cmd("power", _cmd_power)
-    p.add_argument("ideal")
-    p.add_argument("--k", type=int, default=2)
-    p = cmd("symbolic-power", _cmd_symbolic_power)
-    p.add_argument("ideal")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--L", help="saturate at this named ideal instead of the maximal one")
-    p = cmd("saturated-power", _cmd_saturated_power)
-    p.add_argument("ideal")
-    p.add_argument("--k", type=int, default=2)
-    for name in ("colon", "intersect", "sum", "product"):
-        p = cmd(name, _cmd_binary)
-        p.add_argument("left")
-        p.add_argument("right")
-    p = cmd("add-prime-power", _cmd_add_prime_power)
-    p.add_argument("ideal")
-    p.add_argument("prime")
-    p.add_argument("--k", type=int, default=2)
-    p = cmd("vertex-cover-ideal", _cmd_vertex_cover_ideal)
-    p.add_argument("graph")
-    p = cmd("odd-cycle-suite", _cmd_odd_cycle_suite)
-    p.add_argument("n", type=int)
-    p.add_argument("--k", type=int, default=3)
-    p = cmd("squarefree-symbolic", _cmd_squarefree_symbolic)
-    p.add_argument("ideal")
-    p.add_argument("--k", type=int, default=2)
-    p = cmd("integral-closure", _cmd_integral_closure)
-    p.add_argument("ideal")
-    p = cmd("primary-components", _cmd_primary_components)
-    p.add_argument("ideal")
-    p = cmd("betti", _cmd_betti)
-    p.add_argument("ideal")
-    for name, func in (("koszul-homology", _cmd_koszul_homology),
-                       ("trivial-multiplication", _cmd_trivial_multiplication),
-                       ("poincare", _cmd_poincare),
-                       ("golod-verdict", _cmd_golod_verdict)):
-        p = cmd(name, func)
-        p.add_argument("ideal")
-        p.add_argument("--homological", type=int, default=None)
-        p.add_argument("--internal", type=int, default=None)
-    cmd("paper-examples", _cmd_paper_examples)
-    p = cmd("search-product-golod", _cmd_search_product_golod)
-    p.add_argument("--count", type=int, default=3)
-    p = cmd("search-odd-cycle-containment", _cmd_search_odd_cycle_containment)
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument("--max-vertices", type=int, default=5)
+        for flag, kw in arguments:
+            p.add_argument(flag, **kw)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    session = None
+    args = _build_parser().parse_args(argv)
     try:
-        if args.session:
-            session = parse_session(args.session)
+        session = parse_session(args.session) if args.session else None
         lines, payload, code = args.func(args, session)
-        return _emit(args, lines, payload, code)
-    except (ParseError, AlgebraError, ValueError, OSError) as exc:
+        if args.json:
+            lines = [json.dumps({"command": args.command, **payload}, sort_keys=True)]
+        for line in lines:
+            print(line)
+        return code
+    except (AlgebraError, ValueError, OSError) as exc:  # ParseError is an AlgebraError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

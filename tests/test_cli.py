@@ -1,11 +1,19 @@
 """Session parsing, command output, JSON determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from golodkit import ParseError
+from golodkit import ParseError, betti_table, builtin_corpus, minimal_free_resolution, power
+from golodkit import cli
 from golodkit.cli import main, parse_session
+
+# --help texts as argparse formats them at 80 columns
+HELP_PINS = Path(__file__).parent / "data" / "help"
 
 
 @pytest.fixture
@@ -270,3 +278,59 @@ def test_search_commands_reject_invalid_arguments(capsys):
 def test_order_flag_rejects_unknown(session_file):
     with pytest.raises(SystemExit):
         main(["betti", "M2", "--session", session_file, "--order", "lex"])
+
+
+def _session_text(ring, ideals) -> str:
+    lines = [f"ring {', '.join(ring.names)} weights {', '.join(map(str, ring.weights))}"]
+    lines += [f"ideal {name} = {', '.join(str(g) for g in I.generators)}"
+              for name, I in ideals.items()]
+    return "\n".join(lines) + "\n"
+
+
+# the Schreyer pipeline takes minutes on this dense ideal
+_DENSE = ("-x*y - 3*y*z + z^2, 2*x*y + x*z + 1/2*y*z + 1/2*z^2, "
+          "1/2*x^3 + 1/2*y^3 - x^2*z + y^2*z + 1/2*x*z^2 + y*z^2 + 1/2*z^3")
+
+
+def test_betti_reads_koszul_homology_without_resolving(tmp_path, capsys, no_resolution):
+    f = tmp_path / "dense.golod"
+    f.write_text(f"ring x, y, z weights 1, 1, 1\nideal D = {_DENSE}\nideal U = 1\n")
+    assert main(["betti", "D", "--json", "--session", str(f)]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert {(e["i"], e["d"]): e["rank"] for e in entries} == {
+        (0, 0): 1, (1, 2): 2, (1, 3): 1, (2, 4): 1, (2, 5): 2, (3, 7): 1}
+    assert main(["betti", "U", "--session", str(f)]) == 2
+    assert capsys.readouterr().err == "error: S/I vanishes for the unit ideal\n"
+
+
+def test_betti_matches_the_resolution_api_on_the_corpus_and_its_squares(tmp_path, capsys):
+    for k, e in enumerate(builtin_corpus()):
+        path = tmp_path / f"{k}.golod"
+        path.write_text(_session_text(e.ideal.ring, {"I": e.ideal, "Q": power(e.ideal, 2)}))
+        session = parse_session(path)
+        for name, I in session.ideals.items():
+            assert main(["betti", name, "--json", "--session", str(path)]) == 0
+            got = json.loads(capsys.readouterr().out)["entries"]
+            want = betti_table(minimal_free_resolution(I)).to_json_obj()
+            assert got == want, (e.name, name)
+
+
+def test_parser_is_built_once_and_not_at_import():
+    assert cli._build_parser() is cli._build_parser()
+    probe = "import golodkit.cli as c; print(c._build_parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout == "0\n"
+
+
+@pytest.mark.parametrize("command", [None, "symbolic-power", "add-prime-power",
+                                     "odd-cycle-suite", "golod-verdict",
+                                     "search-odd-cycle-containment"])
+def test_help_text_is_pinned(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    with pytest.raises(SystemExit) as exc:
+        main(([command] if command else []) + ["--help"])
+    assert exc.value.code == 0
+    pin = HELP_PINS / f"{command or 'golodkit'}.txt"
+    assert capsys.readouterr().out == pin.read_text()
