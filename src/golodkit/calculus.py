@@ -180,8 +180,12 @@ def symbolic_power(I: Ideal, spec: SymbolicPowerSpec) -> SymbolicPowerResult:
 
 
 def check_colon_condition(I: Ideal, J: Ideal) -> bool:
-    """The stabilization I : J = I : J^2 that makes I : J inherit strong Golodness."""
-    return colon(I, J) == colon(I, power(J, 2))
+    """The stabilization I : J = I : J^2 that makes I : J inherit strong Golodness.
+
+    I : J^2 is (I : J) : J, so one colon by J replaces the colon by J^2.
+    """
+    Q = colon(I, J)
+    return Q == colon(Q, J)
 
 
 def add_prime_power(I: Ideal, P: Ideal, k: int) -> Ideal:

@@ -143,7 +143,7 @@ def _to_monomial(I: Ideal, what: str) -> monomial.MonomialIdeal:
 def _generators(label: str, R: Ideal, payload: dict, *more: str):
     """The line `label: g1, g2, ...` then `more`, and payload with the same basis."""
     gens = _ideal_strings(R)
-    return [f"{label}: {', '.join(gens)}", *more], {**payload, "generators": gens}, 0
+    return [f"{label}: {', '.join(gens) or '0'}", *more], {**payload, "generators": gens}, 0
 
 
 # -- individual commands -----------------------------------------------------------
@@ -202,9 +202,7 @@ def _cmd_binary(args, session):
         R = Ideal(I.ring, list(I.generators) + list(J.generators))
     else:
         R = Ideal(I.ring, [a * b for a in I.generators for b in J.generators])
-    gens = _ideal_strings(R)
-    return ([f"{args.command}: {', '.join(gens) or '0'}"],
-            {"left": args.left, "right": args.right, "generators": gens}, 0)
+    return _generators(args.command, R, {"left": args.left, "right": args.right})
 
 
 def _cmd_add_prime_power(args, session):
@@ -256,7 +254,7 @@ def _cmd_primary_components(args, session):
         names = [I.ring.names[i] for i in P]
         gens = _ideal_strings(Q.to_ideal())
         sg = monomial.strongly_golod_monomial(Q).verdict if Q.is_proper() else None
-        lines.append(f"prime ({', '.join(names)}): {', '.join(gens)}"
+        lines.append(f"prime ({', '.join(names)}): {', '.join(gens) or '0'}"
                      + (f" [strongly Golod: {sg}]" if sg is not None else ""))
         recs.append({"prime": names, "generators": gens, "strongly_golod": sg})
     return lines, {"ideal": args.ideal, "components": recs}, 0

@@ -38,6 +38,7 @@ from .ring import (
     GradingSpec,
     Polynomial,
     axpy,
+    grevlex_key,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -71,18 +72,9 @@ class MonomialOrder:
     def key(self, exps: Exps):
         w = self.grading.weights
         if self.kind == "grevlex":
-            return (
-                sum(wi * e for wi, e in zip(w, exps)),
-                tuple(-e for e in reversed(exps)),
-            )
+            return grevlex_key(w, exps)
         k = self.block
-        head, tail = exps[:k], exps[k:]
-        return (
-            sum(wi * e for wi, e in zip(w[:k], head)),
-            tuple(-e for e in reversed(head)),
-            sum(wi * e for wi, e in zip(w[k:], tail)),
-            tuple(-e for e in reversed(tail)),
-        )
+        return grevlex_key(w[:k], exps[:k]) + grevlex_key(w[k:], exps[k:])
 
 
 # -- internal vector representation ------------------------------------------
@@ -281,21 +273,17 @@ class _Engine:
             if any(self.leads[k][0] == ci and mono_divides(self.leads[k][1], ei) for k in keep):
                 continue
             keep.append(i)
-        leads = [self.leads[i] for i in keep]
-        polys = [self.polys[i] for i in keep]
-        reps = [self.reps[i] for i in keep]
-        # interreduce tails; leads are already pairwise irreducible
-        for i in range(len(polys)):
-            self.leads = leads[:i] + leads[i + 1:]
-            self.polys = polys[:i] + polys[i + 1:]
-            self.reps = reps[:i] + reps[i + 1:]
-            rem, steps = self.nf(polys[i])
-            if not rem:
-                raise AlgebraError("basis element reduced to zero during interreduction")
-            polys[i] = rem
+        self.leads = [self.leads[i] for i in keep]
+        self.polys = [self.polys[i] for i in keep]
+        self.reps = [self.reps[i] for i in keep]
+        # interreduce tails: a lead divides no smaller monomial, so no element
+        # reduces its own tail, and no lead moves, the kept leads being
+        # pairwise irreducible
+        for i, poly in enumerate(self.polys):
+            rem, steps = self.nf(poly[1:])
+            self.polys[i] = poly[:1] + rem
             if self.track:
-                self.fold(reps[i], steps)
-        self.leads, self.polys, self.reps = leads, polys, reps
+                self.fold(self.reps[i], steps)
 
 
 def _run_engine(vectors: list[ModVec], order: MonomialOrder, ncomp: int, track: bool) -> _Engine:

@@ -1,16 +1,20 @@
-"""Koszul complex of R = S/I on the variables, one bigraded strand at a time.
+"""Strand complexes of free R-modules over R = S/I, and the Koszul complex.
 
-A strand is the degree-d part of a free R-module, over the standard
-monomials of each generator's complementary degree.  ``_strand_index``
-numbers these coordinates and ``_coordinates`` writes module elements in
-them from the ideal's monomial normal-form memo; the Tor strands of
-``poincare.actual_poincare`` use the same two routines.  Homology, cycle
-representatives and the multiplication checks are exact linear algebra on
-the strands: each differential strand is eliminated once, by
-``linalg.kernel_of_columns``, which gives the boundary span one step down
-and the cycles as primitive integer rows.  Only ``cycle_reps`` holds
-Fractions.  Homology dimensions are the graded Betti numbers of S/I, so
-``_top_shift`` reads the resolution's top shift off them.
+``_Complex`` takes a complex as generator tables: per homological degree,
+each generator's degree and its image one degree down.  A strand is the
+degree-d part of one of its modules, over the standard monomials of each
+generator's complementary degree; ``_Complex.basis`` numbers these
+coordinates and ``_coordinates`` writes module elements in them from the
+ideal's monomial normal-form memo.  ``_koszul`` fills the tables with the
+wedges of the Koszul complex on the variables; the resolution of the
+residue field in ``poincare.actual_poincare`` is a ``_Complex`` whose tables
+grow one homological step at a time.  Homology, cycle representatives and
+the multiplication checks are exact linear algebra on the strands: each
+differential strand is eliminated once, by ``linalg.kernel_of_columns``,
+which gives the boundary span one step down and the cycles as primitive
+integer rows.  Only ``cycle_reps`` holds Fractions.  Koszul homology
+dimensions are the graded Betti numbers of S/I, so ``_top_shift`` reads the
+resolution's top shift off them.
 """
 
 from __future__ import annotations
@@ -25,27 +29,14 @@ from .calculus import derivative_ideal, strongly_golod
 from .errors import AlgebraError, HomogeneityError, ImproperIdealError
 from .groebner import Coeff, Ideal
 from .linalg import IntVec, Span, Vec, kernel_of_columns
-from .ring import Exps, GradingSpec, axpy, mono_lcm, mono_mul, monomials_of_degree
+from .ring import Exps, axpy, mono_lcm, mono_mul, monomials_of_degree
 
 Wedge = tuple[int, ...]
-StrandKey = tuple[Wedge, Exps]
+StrandKey = tuple[Hashable, Exps]
 # strand coordinates: generator -> standard monomial -> column index
 StrandIndex = dict[Hashable, dict[Exps, int]]
 # an element of a free R-module: (generator, monomial) -> coefficient
 Element = Mapping[tuple[Hashable, Exps], Coeff]
-
-
-def _strand_index(I: Ideal, shifts: Mapping[Hashable, int], d: int) -> StrandIndex:
-    """Coordinates of the degree-d part of a free R-module whose generators
-    have the given shifts: generator -> standard monomial -> column."""
-    index: StrandIndex = {}
-    size = 0
-    for g, s in shifts.items():
-        if s <= d:
-            std = I.standard_monomials(d - s)
-            index[g] = {m: size + t for t, m in enumerate(std)}
-            size += len(std)
-    return index
 
 
 def _coordinates(I: Ideal, element: Element, index: StrandIndex, shift: Exps) -> Vec:
@@ -54,10 +45,6 @@ def _coordinates(I: Ideal, element: Element, index: StrandIndex, shift: Exps) ->
     for (g, m), c in element.items():
         axpy(out, c, I.nf_monomial(mono_mul(m, shift)), index[g])
     return out
-
-
-def _wedge_weight(ring: GradingSpec, W: Wedge) -> int:
-    return sum(ring.weights[i] for i in W)
 
 
 def _merge_sign(W1: Wedge, W2: Wedge) -> int:
@@ -77,39 +64,42 @@ def _cached(method):
 
 
 class _Complex:
-    """Strands, differentials, their echelons and homology of one homogeneous
-    ideal, each built on first use.  Homological degree l has the wedges of
-    length l as generators, and e_W maps to
-    sum_k (-1)^k x_{W[k]} e_{W without W[k]}."""
+    """Strands, differentials, their echelons and homology of a complex of
+    free R-modules, each built on first use.  ``shifts[l]`` maps each
+    generator of homological degree l to its degree and ``images[l]`` maps it
+    to its image one degree down; a missing l is the zero module.  A caller
+    may extend the tables of degree l until the first strand of that degree
+    is built."""
 
-    def __init__(self, I: Ideal):
+    def __init__(self, I: Ideal, shifts: dict[int, dict[Hashable, int]],
+                 images: dict[int, dict[Hashable, Element]]):
         if not I.is_homogeneous:
             raise HomogeneityError("resolutions need a homogeneous ideal")
         self.I = I
         self.ring = I.ring
         self.n = I.ring.n
+        self.shifts = shifts
+        self.images = images
         self._caches: dict[str, dict] = {}
 
     @_cached
-    def shifts(self, l: int) -> dict[Wedge, int]:
-        wedges = combinations(range(self.n), l) if 0 <= l <= self.n else ()
-        return {W: _wedge_weight(self.ring, W) for W in wedges}
-
-    @_cached
-    def images(self, l: int) -> dict[Wedge, Element]:
-        unit = [tuple(int(t == i) for t in range(self.n)) for i in range(self.n)]
-        return {W: {(W[:k] + W[k + 1:], unit[i]): (-1) ** k for k, i in enumerate(W)}
-                for W in self.shifts(l)}
-
-    @_cached
     def basis(self, l: int, d: int) -> tuple[list[StrandKey], StrandIndex]:
-        index = _strand_index(self.I, self.shifts(l), d)
-        return [(W, m) for W, block in index.items() for m in block], index
+        """Coordinates of the degree-d strand in homological degree l: the
+        standard monomials of each generator's complementary degree."""
+        keys: list[StrandKey] = []
+        index: StrandIndex = {}
+        for g, s in self.shifts.get(l, {}).items():
+            if s <= d:
+                block = index[g] = {}
+                for m in self.I.standard_monomials(d - s):
+                    block[m] = len(keys)
+                    keys.append((g, m))
+        return keys, index
 
     @_cached
     def differential_columns(self, l: int, d: int) -> list[Vec]:
         """Images of the (l, d) basis in (l-1, d) coordinates."""
-        images = self.images(l)
+        images = self.images.get(l, {})
         _, tgt_index = self.basis(l - 1, d)
         return [_coordinates(self.I, images[W], tgt_index, m) for W, m in self.basis(l, d)[0]]
 
@@ -133,6 +123,20 @@ class _Complex:
         probe = self.boundary_span(l, d).copy()
         reps = [z for z in self.kernel(l, d) if probe.add(z)]
         return len(reps), reps
+
+
+def _koszul(I: Ideal) -> _Complex:
+    """The Koszul complex on the variables: homological degree l has the
+    wedges of length l as generators, and e_W maps to
+    sum_k (-1)^k x_{W[k]} e_{W without W[k]}."""
+    n, weights = I.ring.n, I.ring.weights
+    unit = [tuple(int(t == i) for t in range(n)) for i in range(n)]
+    shifts = {l: {W: sum(weights[i] for i in W) for W in combinations(range(n), l)}
+              for l in range(n + 1)}
+    images = {l: {W: {(W[:k] + W[k + 1:], unit[i]): (-1) ** k for k, i in enumerate(W)}
+                  for W in shifts[l]}
+              for l in range(1, n + 1)}
+    return _Complex(I, shifts, images)
 
 
 def _top_shift(cx: _Complex) -> int:
@@ -208,7 +212,7 @@ def _summarize(cx: _Complex, l_max: int, d_max: int) -> HomologySummary:
 
 def koszul_homology(I: Ideal, l_max: int | None = None, d_max: int | None = None) -> HomologySummary:
     """Bigraded Koszul homology dimensions and representatives within bounds."""
-    cx = _Complex(I)
+    cx = _koszul(I)
     l_max, d_max = _window(cx, l_max, d_max)
     return _summarize(cx, l_max, d_max)
 
@@ -237,7 +241,7 @@ def trivial_multiplication_check(
     I: Ideal, l_max: int | None = None, d_max: int | None = None
 ) -> TrivialMultiplicationReport:
     """Whether every product of positive-degree homology classes is a boundary."""
-    cx = _Complex(I)
+    cx = _koszul(I)
     l_max, d_max = _window(cx, l_max, d_max)
     summary = _summarize(cx, l_max, d_max)
     spots = sorted(k for k in summary.dims if k[0] >= 1)
@@ -267,25 +271,24 @@ def derivative_cycle_check(
     """
     if not strongly_golod(I).verdict:
         raise AlgebraError("derivative cycle check needs a strongly Golod ideal")
-    cx = _Complex(I)
+    cx = _koszul(I)
     l_max, d_max = _window(cx, l_max, d_max)
     summary = _summarize(cx, l_max, d_max)
-    dgens = [({(0, u): c for u, c in f.terms}, f.homogeneity().degree)
+    dgens = [({((), u): c for u, c in f.terms}, f.homogeneity().degree)
              for f in derivative_ideal(I).generators]
     dbasis: dict[int, list[dict[Exps, Coeff]]] = {}
 
     def derivative_image_basis(e: int) -> list[dict[Exps, Coeff]]:
         # basis of the degree-e slice of d(I)*R, over standard monomials
         if e not in dbasis:
-            index = _strand_index(I, {0: 0}, e)
-            std = I.standard_monomials(e)
+            keys, index = cx.basis(0, e)
             span = Span()
             basis = []
             for f, fdeg in dgens:
                 for m in monomials_of_degree(I.ring.weights, e - fdeg):
                     vec = _coordinates(I, f, index, m)
                     if vec and span.add(vec):
-                        basis.append({std[i]: c for i, c in vec.items()})
+                        basis.append({keys[i][1]: c for i, c in vec.items()})
             dbasis[e] = basis
         return dbasis[e]
 
@@ -293,7 +296,7 @@ def derivative_cycle_check(
         if l == 0:
             continue
         _, index = cx.basis(l, d)
-        shifts = cx.shifts(l)
+        shifts = cx.shifts[l]
         sub_vectors = [{index[W][u]: c for u, c in bv.items()}
                        for W in index for bv in derivative_image_basis(d - shifts[W])]
         if not sub_vectors:

@@ -13,8 +13,10 @@ strands above it are never built, and the series is the same as on the
 full window.
 
 The bound's denominator and the default window's top shift are both read
-off one ``koszul._Complex``; no resolution of S/I is computed.  The Tor
-strands use the Koszul strand layer, and so the ideal's normal-form memo.
+off the Koszul complex; no resolution of S/I is computed.  The resolution
+of K is itself a ``koszul._Complex``, whose generator tables grow one
+homological step at a time, so its strands, kernels and the ideal's
+normal-form memo come from the same code as Koszul homology.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 
 from .errors import AlgebraError, ImproperIdealError
 from .groebner import Ideal
-from .koszul import Element, _Complex, _coordinates, _strand_index, _summarize, _top_shift
-from .linalg import Span, kernel_of_columns
+from .koszul import Element, _Complex, _coordinates, _koszul, _summarize, _top_shift
+from .linalg import Span
 
 Coeffs = dict[tuple[int, int], int]
 
@@ -113,7 +115,7 @@ def serre_bound_series(I: Ideal, i_max: int = 4, d_max: int | None = None) -> Bi
     Homological degree i_max first shows at internal degree i_max * min
     weight, so a smaller d_max truncates the bound.
     """
-    cx = _Complex(I)
+    cx = _koszul(I)
     top = _top_shift(cx)
     if d_max is None:
         d_max = _default_d_max(I, i_max, top)
@@ -143,9 +145,10 @@ def _tor_series(I: Ideal, i_max: int, d_max: int, caps: dict[int, int]) -> Bigra
     """Degreewise minimal resolution of K over R = S/I, step i visiting the
     internal degrees 0..caps[i] (none when i is missing from caps).
 
-    Each homological step keeps, per internal degree, a kernel basis of the
-    previous differential; new generators are kernel vectors independent of
-    the span of variable multiples of lower-degree kernel elements.  A step
+    The resolution is a ``koszul._Complex`` whose tables grow one step at a
+    time.  Step i reads, per internal degree, the kernel of the differential
+    out of F_{i-1}; F_i's generators are kernel vectors independent of the
+    span of variable multiples of lower-degree kernel elements.  A step
     reads only its own lower degrees and the previous step's generators, so
     the numbers at every visited bidegree are the same as on the full window
     (caps[i] = d_max for every i).
@@ -153,27 +156,17 @@ def _tor_series(I: Ideal, i_max: int, d_max: int, caps: dict[int, int]) -> Bigra
     ring = I.ring
     unit = [tuple(int(p == t) for p in range(ring.n)) for t in range(ring.n)]
     coeffs: Coeffs = {(0, 0): 1}
-
-    # F_{i-1} data: generator shifts and images over the F_{i-2} degree basis
-    shifts_prev: dict[int, int] = {0: 0}
-    images_prev: list[Element | None] = [None]
-    shifts_prev2: dict[int, int] = {}
+    cx = _Complex(I, {0: {0: 0}}, {})  # F_0 = R; step i fills in F_i
 
     for i in range(1, i_max + 1):
         kernels: dict[int, list[Element]] = {}
-        new_shifts: dict[int, int] = {}
-        new_images: list[Element] = []
+        new_shifts = cx.shifts[i] = {}
+        new_images = cx.images[i] = {}
         for d in range(0, caps.get(i, -1) + 1):
-            src_index = _strand_index(I, shifts_prev, d)
-            src_keys = [(j, m) for j, block in src_index.items() for m in block]
-            if i == 1:
-                kern = [{key: 1} for key in src_keys] if d >= 1 else []
-            else:
-                tgt_index = _strand_index(I, shifts_prev2, d)
-                columns = [_coordinates(I, images_prev[j], tgt_index, m) for j, m in src_keys]
-                kern = [{src_keys[t]: c for t, c in combo.items()}
-                        for combo in kernel_of_columns(columns)[1]]
-            kernels[d] = kern
+            keys, index = cx.basis(i - 1, d)
+            # R_0 -> K is injective; above degree 0, F_0 -> K is zero
+            kern = cx.kernel(i - 1, d) if (i, d) != (1, 0) else []
+            kernels[d] = [{keys[t]: c for t, c in row.items()} for row in kern]
             if not kern:
                 continue
             # Variable multiples of lower kernels lie in this kernel (it is an
@@ -184,23 +177,19 @@ def _tor_series(I: Ideal, i_max: int, d_max: int, caps: dict[int, int]) -> Bigra
             for t_var, w in lower:
                 if span.dim == len(kern):
                     break
-                span.add(_coordinates(I, w, src_index, unit[t_var]))
-            for w in kern:
+                span.add(_coordinates(I, w, index, unit[t_var]))
+            for row, w in zip(kern, kernels[d]):
                 if span.dim == len(kern):
                     break
-                as_vec = {src_index[j][m]: c for (j, m), c in w.items()}
-                if not span.add(as_vec):
+                if not span.add(row):
                     continue
                 if not all(any(m) for (_, m) in w):
                     raise AlgebraError("unit entry would make the resolution non-minimal")
                 coeffs[(i, d)] = coeffs.get((i, d), 0) + 1
-                new_shifts[len(new_shifts)] = d
-                new_images.append(w)
+                g = len(new_shifts)
+                new_shifts[g], new_images[g] = d, w
         if not new_shifts:
             break
-        shifts_prev2 = shifts_prev
-        shifts_prev = new_shifts
-        images_prev = new_images
 
     truncated = any(d == d_max for i, d in coeffs if i)
     return BigradedSeries(coeffs, i_max, d_max, truncated=truncated)

@@ -128,6 +128,26 @@ def test_binary_commands(session_file, capsys):
         assert obj["command"] == cmd
 
 
+@pytest.mark.parametrize("argv, first_line", [
+    (["derivative-ideal", "Z"], "derivative ideal: 0"),
+    (["power", "Z"], "power 2: 0"),
+    (["integral-closure", "Z"], "integral closure: 0"),
+    (["squarefree-symbolic", "Z"], "symbolic power via minimal primes, k=2: 0"),
+    (["symbolic-power", "Z"], "symbolic power (mode saturated, k=2): 0"),
+    (["saturated-power", "Z"], "saturated power k=2: 0"),
+    (["primary-components", "Z"], "prime (): 0 [strongly Golod: True]"),
+    (["sum", "Z", "Z"], "sum: 0"),
+])
+def test_zero_ideal_prints_as_zero(tmp_path, capsys, argv, first_line):
+    session = tmp_path / "zero.golod"
+    session.write_text("ring x, y weights 1, 1\nideal Z = 0\n")
+    assert main([*argv, "--session", str(session)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == first_line
+    assert main([*argv, "--session", str(session), "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj.get("generators", []) == []
+
+
 def test_graph_commands(session_file, capsys):
     assert main(["vertex-cover-ideal", "C5", "--session", session_file, "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)

@@ -2,20 +2,25 @@
 
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golodkit import (
     AlgebraError,
     GradingSpec,
     Ideal,
     Polynomial,
+    check_colon_condition,
     colon,
     contains,
     intersect,
     module_syzygies,
     parse_polynomial,
+    power,
     saturate,
     syzygies,
 )
@@ -365,3 +370,33 @@ def test_reduced_basis_matches_sympy(nvars):
             monic = poly.quo_ground(poly.LC(order="grevlex"))
             theirs.add(Polynomial(ring, {e: Fraction(str(c)) for e, c in monic.terms()}).terms)
         assert ours == theirs, polys
+
+
+_RINGS = {
+    "r3": (GradingSpec(("x", "y", "z"), (1, 1, 1)), (1, 3)),
+    "rw": (GradingSpec(("x", "y"), (1, 2)), (2, 4)),
+}
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(_RINGS)), data=st.data())
+def test_ideal_operations_against_the_oracle_on_random_ideals(name, data):
+    ring, (lo, hi) = _RINGS[name]
+    rng = Random(data.draw(st.integers(0, 2 ** 32)))
+
+    def draw_ideal(size):
+        degrees = data.draw(st.lists(st.integers(lo, hi), min_size=size[0], max_size=size[1]))
+        return Ideal(ring, [random_homogeneous(ring, d, rng) for d in degrees])
+
+    I, J = draw_ideal((2, 2)), draw_ideal((1, 2))
+    meet = intersect(I, J).groebner_basis()
+    assert all(oracle_member(I, g) and oracle_member(J, g) for g in meet)
+    Q = colon(I, J)
+    assert all(oracle_member(I, q * f) for q in Q.groebner_basis() for f in J.generators)
+    sat = saturate(I, Ideal(ring, list(ring.variables())))
+    assert all(oracle_member(sat.ideal, g) for g in I.generators)
+    # m^t * sat lies in I at the reported exponent t
+    for combo in combinations_with_replacement(range(ring.n), sat.exponent):
+        u = Polynomial.monomial(ring, tuple(combo.count(i) for i in range(ring.n)))
+        assert all(oracle_member(I, u * s) for s in sat.ideal.groebner_basis())
+    assert check_colon_condition(I, J) == (Q == colon(I, power(J, 2)))

@@ -24,7 +24,7 @@ from golodkit import (
     trivial_multiplication_check,
 )
 from golodkit import koszul, linalg, poincare
-from golodkit.koszul import _Complex, _top_shift
+from golodkit.koszul import _Complex, _koszul, _top_shift
 from golodkit.linalg import Span
 from golodkit.ring import axpy, mono_lcm
 
@@ -40,7 +40,7 @@ def test_quotient_basis_counts(r2):
 
 def test_differential_squares_to_zero(r3):
     I = Ideal.from_strings(r3, ["x*y - z^2", "y^2"])
-    cx = _Complex(I)
+    cx = _koszul(I)
     for l in (2, 3):
         for d in range(0, 6):
             cols = cx.differential_columns(l, d)
@@ -71,7 +71,7 @@ def test_strand_totals_match_total_betti(r2):
 def test_cycle_representatives_are_honest(r3):
     I = Ideal.from_strings(r3, ["x*z", "y*z"])
     hs = koszul_homology(I)
-    cx = _Complex(I)
+    cx = _koszul(I)
     for (l, d), reps in hs.cycle_reps.items():
         if l == 0 or not reps:
             continue
@@ -198,7 +198,7 @@ def test_top_shift_is_read_below_a_loose_lcm_bound(r2):
     for g in I.groebner_basis():
         lead_lcm = mono_lcm(lead_lcm, g.terms[0][0])
     assert lead_lcm == (2, 2)
-    assert _top_shift(_Complex(I)) == 3
+    assert _top_shift(_koszul(I)) == 3
     assert koszul_homology(I).d_max == 3 + 1
 
 

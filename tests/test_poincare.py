@@ -247,13 +247,13 @@ def test_tor_strands_stop_at_the_bound_support(r3, monkeypatch):
     for i, d in bound.coefficients:
         caps[i] = max(caps.get(i, d), d)
     seen = []
-    real = poincare._strand_index
 
-    def recording(I, shifts, d):
-        seen.append(d)
-        return real(I, shifts, d)
+    class Recording(poincare._Complex):
+        def basis(self, l, d):
+            seen.append(d)
+            return super().basis(l, d)
 
-    monkeypatch.setattr(poincare, "_strand_index", recording)
+    monkeypatch.setattr(poincare, "_Complex", Recording)
     v = golod_verdict(I)
     assert v.status == GOLOD
     assert [max(step) for step in _steps(seen)] == [caps[i] for i in range(1, 5)]
