@@ -1,8 +1,9 @@
 """Groebner bases over Q and the ideal operations built on them.
 
 One engine handles both ideals and submodules of free modules: an internal
-"vector" is a list of ((component, exponents), coefficient) pairs sorted in
-descending term order.  Scalar polynomials are the one-component case.
+"vector" is a sparse dict {(component, exponents): coefficient}, and every
+sum in the engine is one ``ring.axpy``.  Scalar polynomials are the
+one-component case.
 
 The engine has one reduction loop, ``_Engine.nf``, which returns the
 remainder together with its reduction steps (basis index, shift,
@@ -79,63 +80,28 @@ class MonomialOrder:
 
 # -- internal vector representation ------------------------------------------
 #
-# ModTerm = (component, exps); ModVec = list[(ModTerm, Fraction)] sorted
-# descending by (order.key(exps), -component).
+# ModTerm = (component, exps); ModVec = dict[ModTerm, coefficient], unordered.
+# A vector's leading term is its largest term under ``_Engine.key``, the
+# order on exponents with ties broken towards the lower component.
 
 ModTerm = tuple[int, Exps]
-ModVec = list[tuple[ModTerm, Fraction]]
+ModVec = dict[ModTerm, Fraction]
 
 
-def _term_key(order: MonomialOrder, t: ModTerm):
-    return (order.key(t[1]), -t[0])
-
-
-def _to_internal(vec: Sequence[Polynomial], order: MonomialOrder) -> ModVec:
-    items = []
-    for comp, p in enumerate(vec):
-        for e, c in p.terms:
-            items.append(((comp, e), c))
-    items.sort(key=lambda it: _term_key(order, it[0]), reverse=True)
-    return items
+def _to_internal(vec: Sequence[Polynomial]) -> ModVec:
+    return {(comp, e): c for comp, p in enumerate(vec) for e, c in p.terms}
 
 
 def _from_internal(mv: ModVec, ring: GradingSpec, ncomp: int) -> tuple[Polynomial, ...]:
     per: list[dict[Exps, Fraction]] = [dict() for _ in range(ncomp)]
-    for (comp, e), c in mv:
+    for (comp, e), c in mv.items():
         per[comp][e] = c
     return tuple(Polynomial(ring, d) for d in per)
 
 
-def _scale(mv: ModVec, factor: Fraction) -> ModVec:
-    return [(t, factor * c) for t, c in mv]
-
-
-def _sub_scaled(a: ModVec, b: ModVec, shift: Exps, coeff: Fraction, order: MonomialOrder) -> ModVec:
-    """a - coeff * x^shift * b, all kept sorted."""
-    out: ModVec = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        tb = (b[j][0][0], mono_mul(b[j][0][1], shift))
-        ka = _term_key(order, a[i][0])
-        kb = _term_key(order, tb)
-        if ka > kb:
-            out.append(a[i])
-            i += 1
-        elif kb > ka:
-            out.append((tb, -coeff * b[j][1]))
-            j += 1
-        else:
-            v = a[i][1] - coeff * b[j][1]
-            if v:
-                out.append((a[i][0], v))
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    while j < len(b):
-        tb = (b[j][0][0], mono_mul(b[j][0][1], shift))
-        out.append((tb, -coeff * b[j][1]))
-        j += 1
-    return out
+def _shift(mv: ModVec, shift: Exps) -> ModVec:
+    """x^shift * mv."""
+    return {(comp, mono_mul(e, shift)): c for (comp, e), c in mv.items()}
 
 
 # A reduction step (basis index, shift, c) records that c * x^shift * polys[hit]
@@ -147,14 +113,23 @@ Step = tuple[int, Exps, Fraction]
 class _Engine:
     """Buchberger machinery for one order / component count."""
 
-    def __init__(self, order: MonomialOrder, ncomp: int, ninputs: int, track: bool):
+    def __init__(self, order: MonomialOrder, ncomp: int, track: bool):
         self.order = order
         self.ncomp = ncomp
-        self.ninputs = ninputs
         self.track = track
         self.leads: list[ModTerm] = []
         self.polys: list[ModVec] = []
-        self.reps: list[list[dict]] = []  # rep[i] = coefficients over input vectors
+        # reps[i] is polys[i] over the inputs: a ModVec whose component is the
+        # input index
+        self.reps: list[ModVec] = []
+        self._keys: dict[ModTerm, tuple] = {}
+
+    def key(self, t: ModTerm):
+        """Sort key of a term, computed once per term and engine."""
+        k = self._keys.get(t)
+        if k is None:
+            k = self._keys[t] = (self.order.key(t[1]), -t[0])
+        return k
 
     def nf(self, vec: ModVec) -> tuple[ModVec, list[Step]]:
         """Full normal form against the current basis, and its reduction steps.
@@ -164,34 +139,29 @@ class _Engine:
         before, so a (hit, shift) pair occurs at most once: the steps are the
         division quotients.
         """
-        rem: ModVec = []
+        rem: ModVec = {}
         steps: list[Step] = []
-        work = vec
+        work = dict(vec)
         while work:
-            (comp, exps), c = work[0]
+            lead = max(work, key=self.key)
+            comp, exps = lead
             for hit, (lcomp, lexps) in enumerate(self.leads):
                 if lcomp == comp and mono_divides(lexps, exps):
                     break
             else:
-                rem.append(work[0])
-                work = work[1:]
+                rem[lead] = work.pop(lead)
                 continue
             shift = mono_div(exps, lexps)
-            work = _sub_scaled(work, self.polys[hit], shift, c, self.order)
+            c = work[lead]
+            # polys[hit] is monic, so this clears the lead exactly
+            axpy(work, -c, _shift(self.polys[hit], shift))
             steps.append((hit, shift, c))
         return rem, steps
 
-    def fold(self, rep: list[dict], steps: list[Step]) -> list[dict]:
+    def fold(self, rep: ModVec, steps: list[Step]) -> ModVec:
         """rep minus c * x^shift * reps[hit] for each step, in place; returns rep."""
         for hit, shift, c in steps:
-            for target, src in zip(rep, self.reps[hit]):
-                for e, v in src.items():
-                    key = mono_mul(e, shift)
-                    acc = target.get(key, 0) - c * v
-                    if acc:
-                        target[key] = acc
-                    elif key in target:
-                        del target[key]
+            axpy(rep, -c, _shift(self.reps[hit], shift))
         return rep
 
     def _push_pairs(self, heap, pending, new_idx: int):
@@ -217,15 +187,15 @@ class _Engine:
         rem, steps = self.nf(vec)
         if not rem:
             return
-        inv = Fraction(1) / rem[0][1]
-        self.leads.append(rem[0][0])
-        self.polys.append(_scale(rem, inv))
-        rep: list[dict] = []
+        lead = max(rem, key=self.key)
+        inv = Fraction(1) / rem[lead]
+        self.leads.append(lead)
+        self.polys.append({t: inv * c for t, c in rem.items()})
+        rep: ModVec = {}
         if self.track:
-            rep = [dict() for _ in range(self.ninputs)]
             if unit is not None:
-                rep[unit][tuple(0 for _ in range(self.order.grading.n))] = Fraction(1)
-            rep = [{e: inv * c for e, c in d.items()} for d in self.fold(rep, pre + steps)]
+                rep[(unit, (0,) * self.order.grading.n)] = 1
+            rep = {t: inv * c for t, c in self.fold(rep, pre + steps).items()}
         self.reps.append(rep)
         self._push_pairs(heap, pending, len(self.polys) - 1)
 
@@ -260,13 +230,13 @@ class _Engine:
         representation of zero into one of it."""
         si = mono_div(lcm, self.leads[i][1])
         sj = mono_div(lcm, self.leads[j][1])
-        shifted = [((c, mono_mul(e, si)), v) for (c, e), v in self.polys[i]]
-        svec = _sub_scaled(shifted, self.polys[j], sj, Fraction(1), self.order)
-        return svec, [(i, si, Fraction(-1)), (j, sj, Fraction(1))]
+        svec = _shift(self.polys[i], si)
+        axpy(svec, -1, _shift(self.polys[j], sj))
+        return svec, [(i, si, -1), (j, sj, 1)]
 
     def _reduce_basis(self):
         # drop elements whose lead is divisible by another surviving lead
-        order_idx = sorted(range(len(self.polys)), key=lambda i: _term_key(self.order, self.leads[i]))
+        order_idx = sorted(range(len(self.polys)), key=lambda i: self.key(self.leads[i]))
         keep: list[int] = []
         for i in order_idx:
             ci, ei = self.leads[i]
@@ -279,15 +249,16 @@ class _Engine:
         # interreduce tails: a lead divides no smaller monomial, so no element
         # reduces its own tail, and no lead moves, the kept leads being
         # pairwise irreducible
-        for i, poly in enumerate(self.polys):
-            rem, steps = self.nf(poly[1:])
-            self.polys[i] = poly[:1] + rem
+        for i, (lead, poly) in enumerate(zip(self.leads, self.polys)):
+            rem, steps = self.nf({t: c for t, c in poly.items() if t != lead})
+            rem[lead] = poly[lead]
+            self.polys[i] = rem
             if self.track:
                 self.fold(self.reps[i], steps)
 
 
 def _run_engine(vectors: list[ModVec], order: MonomialOrder, ncomp: int, track: bool) -> _Engine:
-    eng = _Engine(order, ncomp, len(vectors), track)
+    eng = _Engine(order, ncomp, track)
     eng.run(vectors)
     return eng
 
@@ -358,13 +329,10 @@ class Ideal:
         return self._compute_gb(order)
 
     def _compute_gb(self, order: MonomialOrder) -> tuple[Polynomial, ...]:
-        vecs = [_to_internal([g], order) for g in self.generators]
+        vecs = [_to_internal([g]) for g in self.generators]
         eng = _run_engine(vecs, order, 1, track=False)
         polys = [_from_internal(mv, self.ring, 1)[0] for mv in eng.polys]
         return tuple(polys)
-
-    def _set_gb_cache(self, gb: tuple[Polynomial, ...]):
-        self._gb = gb
 
     def _reducer_list(self) -> list[tuple[Exps, list[tuple[Exps, Coeff]]]]:
         if self._reducers is None:
@@ -483,20 +451,10 @@ def _fresh_name(ring: GradingSpec, base: str = "t") -> str:
     return f"{base}{i}"
 
 
-def _extend_ring(ring: GradingSpec) -> tuple[GradingSpec, MonomialOrder]:
-    name = _fresh_name(ring)
-    ext = GradingSpec((name,) + ring.names, (1,) + ring.weights)
-    return ext, MonomialOrder.elimination(ext, 1)
-
-
-def _lift(p: Polynomial, ext: GradingSpec) -> Polynomial:
-    return Polynomial(ext, {(0,) + e: c for e, c in p.terms})
-
-
-def _drop(p: Polynomial, ring: GradingSpec) -> Polynomial:
-    if any(e[0] for e, _ in p.terms):
-        raise AlgebraError(f"{p} still involves the elimination variable")
-    return Polynomial(ring, {e[1:]: c for e, c in p.terms})
+def _elimination_order(ring: GradingSpec) -> MonomialOrder:
+    """The order eliminating a fresh first variable t of weight 1 from ring."""
+    ext = GradingSpec((_fresh_name(ring),) + ring.names, (1,) + ring.weights)
+    return MonomialOrder.elimination(ext, 1)
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -506,22 +464,17 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     ring = I.ring
     if I.is_zero() or J.is_zero():
         return Ideal(ring, [])
-    ext, order = _extend_ring(ring)
-    t = ext.variable(0)
-    one_minus_t = Polynomial.constant(ext, 1) - t
-    gens = [t * _lift(f, ext) for f in I.generators]
-    gens += [one_minus_t * _lift(g, ext) for g in J.generators]
-    vecs = [_to_internal([g], order) for g in gens]
-    eng = _run_engine(vecs, order, 1, track=False)
-    kept = []
-    for mv in eng.polys:
-        p = _from_internal(mv, ext, 1)[0]
-        if all(e[0] == 0 for e, _ in p.terms):
-            kept.append(_drop(p, ring))
+    # t * f and (1 - t) * g, with t the first exponent
+    vecs = [{(0, (1,) + e): c for e, c in f.terms} for f in I.generators]
+    vecs += [{(0, (t,) + e): -c if t else c for e, c in g.terms for t in (0, 1)}
+             for g in J.generators]
+    eng = _run_engine(vecs, _elimination_order(ring), 1, track=False)
+    kept = [Polynomial(ring, {e[1:]: c for (_, e), c in mv.items()})
+            for mv in eng.polys if all(e[0] == 0 for _, e in mv)]
     out = Ideal(ring, kept)
     # the t-free part of the reduced elimination basis is itself a reduced
     # grevlex basis of the intersection, so cache it
-    out._set_gb_cache(tuple(kept))
+    out._gb = tuple(kept)
     return out
 
 
@@ -531,11 +484,10 @@ def _exact_div(p: Polynomial, f: Polynomial) -> Polynomial:
         raise AlgebraError("division by the zero polynomial")
     order = MonomialOrder.grevlex(p.ring)
     lc = f.terms[0][1]
-    eng = _Engine(order, 1, 0, track=False)
-    mv = _to_internal([f * (Fraction(1) / lc)], order)
-    eng.leads.append(mv[0][0])
-    eng.polys.append(mv)
-    rem, steps = eng.nf(_to_internal([p], order))
+    eng = _Engine(order, 1, track=False)
+    eng.leads.append((0, f.terms[0][0]))
+    eng.polys.append(_to_internal([f * (Fraction(1) / lc)]))
+    rem, steps = eng.nf(_to_internal([p]))
     if rem:
         raise AlgebraError(f"{f} does not divide {p}")
     # one basis element, so the shifts are distinct: they are the quotient's terms
@@ -597,11 +549,11 @@ def module_syzygies(columns: Sequence[Sequence[Polynomial]], ring: GradingSpec) 
             if p.ring != ring:
                 raise RingMismatchError("column entry lives in a different ring")
     order = MonomialOrder.grevlex(ring)
-    vecs = [_to_internal(col, order) for col in cols]
+    vecs = [_to_internal(col) for col in cols]
     eng = _run_engine(vecs, order, ncomp, track=True)
     rows: list[tuple[Polynomial, ...]] = []
-    # eng.reps[g][i] is the coefficient of input i in basis element g, so
-    # folding a syzygy of the basis (its steps) into a row gives one of the inputs
+    # eng.reps[g] is basis element g over the inputs (component i is input i),
+    # so folding a syzygy of the basis (its steps) into a row gives one of the inputs
 
     # Schreyer division syzygies over all same-component S-pairs of the basis
     for a in range(len(eng.polys)):
@@ -614,9 +566,9 @@ def module_syzygies(columns: Sequence[Sequence[Polynomial]], ring: GradingSpec) 
             rem, steps = eng.nf(svec)
             if rem:
                 raise AlgebraError("S-pair of a Groebner basis failed to reduce to zero")
-            row = eng.fold([dict() for _ in cols], pre + steps)
-            if any(row):
-                rows.append(tuple(Polynomial(ring, d) for d in row))
+            row = eng.fold({}, pre + steps)
+            if row:
+                rows.append(_from_internal(row, ring, len(cols)))
 
     # rows of I - Q*T, where Q divides the inputs by the basis and T = eng.reps
     one = tuple(0 for _ in range(ring.n))
@@ -624,11 +576,9 @@ def module_syzygies(columns: Sequence[Sequence[Polynomial]], ring: GradingSpec) 
         rem, steps = eng.nf(vec)
         if rem:
             raise AlgebraError("input column is not in the module it generates")
-        row = [dict() for _ in cols]
-        row[i][one] = Fraction(1)
-        row = eng.fold(row, steps)
-        if any(row):
-            rows.append(tuple(Polynomial(ring, d) for d in row))
+        row = eng.fold({(i, one): 1}, steps)
+        if row:
+            rows.append(_from_internal(row, ring, len(cols)))
     return rows
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from math import lcm
 
@@ -113,13 +114,9 @@ class MonomialIdeal:
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_ring(other)
-        result = None
-        for w in other.gens:
-            piece = self.colon_monomial(w)
-            result = piece if result is None else result.intersect(piece)
-        if result is None:
+        if not other.gens:
             raise ValueError("colon by the zero ideal")
-        return result
+        return reduce(MonomialIdeal.intersect, (self.colon_monomial(w) for w in other.gens))
 
     def power(self, k: int) -> "MonomialIdeal":
         if k < 1:
@@ -147,11 +144,8 @@ def saturate_at_irrelevant(I: MonomialIdeal) -> tuple[MonomialIdeal, int]:
     current = I
     exponent = 0
     while True:
-        pieces = [current.colon_monomial(tuple(
-            1 if j == i else 0 for j in range(I.ring.n))) for i in range(I.ring.n)]
-        nxt = pieces[0]
-        for p in pieces[1:]:
-            nxt = nxt.intersect(p)
+        nxt = reduce(MonomialIdeal.intersect, (current.colon_monomial(tuple(
+            1 if j == i else 0 for j in range(I.ring.n))) for i in range(I.ring.n)))
         if nxt == current:
             return current, exponent
         current = nxt
@@ -274,11 +268,8 @@ def vertex_cover_ideal(G: Graph, ring: GradingSpec | None = None) -> MonomialIde
     def unit(i: int) -> Exps:
         return tuple(1 if t == i else 0 for t in range(G.n))
 
-    result = None
-    for i, j in sorted(G.edges):
-        prime = MonomialIdeal(ring, [unit(i), unit(j)])
-        result = prime if result is None else result.intersect(prime)
-    return result
+    return reduce(MonomialIdeal.intersect,
+                  (MonomialIdeal(ring, [unit(i), unit(j)]) for i, j in sorted(G.edges)))
 
 
 def minimal_vertex_covers(G: Graph) -> list[tuple[int, ...]]:
@@ -333,11 +324,8 @@ def squarefree_symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
         raise ValueError("symbolic powers via minimal primes need a squarefree ideal")
     if I.is_zero():
         return I
-    result = None
-    for P in minimal_primes(I):
-        piece = variable_power_ideal(I.ring, P, k)
-        result = piece if result is None else result.intersect(piece)
-    return result
+    return reduce(MonomialIdeal.intersect,
+                  (variable_power_ideal(I.ring, P, k) for P in minimal_primes(I)))
 
 
 @dataclass(frozen=True)
@@ -428,10 +416,7 @@ def irreducible_components(I: MonomialIdeal) -> list[MonomialIdeal]:
             others = out[:idx] + out[idx + 1 :]
             if not others:
                 continue
-            inter = others[0]
-            for o in others[1:]:
-                inter = inter.intersect(o)
-            if out[idx].contains(inter):
+            if out[idx].contains(reduce(MonomialIdeal.intersect, others)):
                 out.pop(idx)
                 changed = True
                 break
@@ -447,10 +432,7 @@ def irreducible_decomposition(I: MonomialIdeal) -> PrimaryDecomposition:
         by_radical[rad] = c if rad not in by_radical else by_radical[rad].intersect(c)
     primes = tuple(sorted(by_radical))
     components = tuple(by_radical[p] for p in primes)
-    check = components[0]
-    for c in components[1:]:
-        check = check.intersect(c)
-    if check != I:
+    if reduce(MonomialIdeal.intersect, components) != I:
         raise AlgebraError("primary decomposition failed to re-intersect to the input")
     return PrimaryDecomposition(components, primes)
 

@@ -28,6 +28,9 @@ class GradingSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
+        for w in self.weights:
+            if int(w) != w:
+                raise ValueError(f"weights must be integers, got {w!r}")
         object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
         if len(self.names) == 0:
             raise ValueError("a ring needs at least one variable")
@@ -155,6 +158,8 @@ class Polynomial:
                 raise ValueError(f"exponent tuple {exps} has wrong length for {ring.n} variables")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
+            if isinstance(c, float):
+                raise TypeError(f"coefficient {c!r} is a float; use an int or a Fraction")
             c = Fraction(c)
             if c:
                 acc = merged.get(exps, Fraction(0)) + c
@@ -181,11 +186,11 @@ class Polynomial:
 
     @classmethod
     def constant(cls, ring: GradingSpec, c) -> "Polynomial":
-        return cls(ring, {tuple(0 for _ in range(ring.n)): Fraction(c)})
+        return cls(ring, {tuple(0 for _ in range(ring.n)): c})
 
     @classmethod
     def monomial(cls, ring: GradingSpec, exps: Exps, c=1) -> "Polynomial":
-        return cls(ring, {tuple(exps): Fraction(c)})
+        return cls(ring, {tuple(exps): c})
 
     # -- queries -------------------------------------------------------------
 

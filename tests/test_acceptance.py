@@ -285,3 +285,32 @@ def test_16_strongly_golod_pairs_are_not_refuted_by_the_verdict():
     assert len(derived) == 98
     for name, I in derived:
         assert golod_verdict(I, 3).status != NOT_GOLOD, name
+
+
+def test_17_closure_family_is_not_refuted_by_the_verdict():
+    # the paper's theorem on the rest of the family that test_02, test_03
+    # and test_04 prove strongly Golod, in rings of at most 3 variables
+    sweep = [e for e in builtin_corpus() if e.closure_sweep and e.ideal.ring.n <= 3]
+    powers = [(f"{e.name}^3", power(e.ideal, 3)) for e in sweep]
+    powers += [(f"{e.name}^({k})", saturated_power(e.ideal, k).ideal)
+               for e in sweep for k in (2, 3)]
+    colons = []
+    for name, _, I in _sg_squares():
+        ring = I.ring
+        if ring.n > 3:
+            continue
+        candidates = [Ideal(ring, [ring.variable(i)]) for i in range(ring.n)]
+        candidates.append(Ideal(ring, list(ring.variables())))
+        colons += [(f"{name}^2 : {J}", colon(I, J))
+                   for J in candidates if check_colon_condition(I, J)]
+    added = []
+    for name, mi in _sg_monomial_ideals():
+        if mi.ring.n > 3:
+            continue
+        I = mi.to_ideal()
+        for S in _variable_primes_containing(mi):
+            P = Ideal(I.ring, [I.ring.variable(i) for i in S])
+            added += [(f"{name} + P{S}^{k}", add_prime_power(I, P, k)) for k in (2, 3)]
+    assert (len(powers), len(colons), len(added)) == (48, 13, 60)
+    for name, I in powers + colons + added:
+        assert golod_verdict(I, 3).status != NOT_GOLOD, name

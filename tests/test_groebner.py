@@ -119,13 +119,12 @@ def test_normal_form_is_linear_and_idempotent(r2):
 def _engine_remainder(I: Ideal, p: Polynomial) -> Polynomial:
     """Reference: term-by-term reduction by the Buchberger engine's nf."""
     order = MonomialOrder.grevlex(I.ring)
-    eng = _Engine(order, 1, 0, track=False)
+    eng = _Engine(order, 1, track=False)
     for g in I.groebner_basis():
-        mv = _to_internal([g], order)
-        eng.leads.append(mv[0][0])
-        eng.polys.append(mv)
-        eng.reps.append([])
-    rem, _ = eng.nf(_to_internal([p], order))
+        eng.leads.append((0, g.terms[0][0]))
+        eng.polys.append(_to_internal([g]))
+        eng.reps.append({})
+    rem, _ = eng.nf(_to_internal([p]))
     return _from_internal(rem, I.ring, 1)[0]
 
 
@@ -279,7 +278,7 @@ def _check_division(eng: _Engine, vec: tuple[Polynomial, ...]):
     """vec == sum of c * x^shift * g_hit over nf's steps, plus a fully reduced remainder."""
     ring = vec[0].ring
     ncomp = len(vec)
-    rem, steps = eng.nf(_to_internal(vec, eng.order))
+    rem, steps = eng.nf(_to_internal(vec))
     assert len({(hit, shift) for hit, shift, _ in steps}) == len(steps)
     total = list(_from_internal(rem, ring, ncomp))
     for hit, shift, c in steps:
@@ -287,7 +286,7 @@ def _check_division(eng: _Engine, vec: tuple[Polynomial, ...]):
         for k in range(ncomp):
             total[k] = total[k] + Polynomial.monomial(ring, shift, c) * g[k]
     assert tuple(total) == vec
-    for (comp, e), _ in rem:
+    for comp, e in rem:
         assert not any(lc == comp and mono_divides(le, e) for lc, le in eng.leads)
     return steps
 
@@ -298,7 +297,7 @@ def test_engine_steps_satisfy_the_division_identity(r3, rw):
         order = MonomialOrder.grevlex(ring)
         for trial in range(4):
             gens = [random_homogeneous(ring, rng.randint(2, 3), rng) for _ in range(3)]
-            eng = _run_engine([_to_internal([g], order) for g in gens], order, 1, track=False)
+            eng = _run_engine([_to_internal([g]) for g in gens], order, 1, track=False)
             for d in (3, 4, 5):
                 _check_division(eng, (random_homogeneous(ring, d, rng),))
 
@@ -309,7 +308,7 @@ def test_engine_steps_on_a_two_component_module(r3):
     for trial in range(3):
         cols = [(random_homogeneous(r3, 2, rng), random_homogeneous(r3, 3, rng))
                 for _ in range(3)]
-        eng = _run_engine([_to_internal(col, order) for col in cols], order, 2, track=True)
+        eng = _run_engine([_to_internal(col) for col in cols], order, 2, track=True)
         for d in (3, 4):
             vec = (random_homogeneous(r3, d, rng), random_homogeneous(r3, d + 1, rng))
             _check_division(eng, vec)
@@ -318,8 +317,7 @@ def test_engine_steps_on_a_two_component_module(r3):
         a, b = (random_homogeneous(r3, 1, rng) for _ in range(2))
         member = tuple(a * cols[0][k] + b * cols[1][k] for k in range(2))
         steps = _check_division(eng, member)
-        rep = eng.fold([dict() for _ in cols], steps)
-        got = tuple(Polynomial(r3, d) for d in rep)
+        got = _from_internal(eng.fold({}, steps), r3, len(cols))
         combo = [Polynomial.zero(r3)] * 2
         for k in range(2):
             for coeff, col in zip(got, cols):
@@ -400,3 +398,50 @@ def test_ideal_operations_against_the_oracle_on_random_ideals(name, data):
         u = Polynomial.monomial(ring, tuple(combo.count(i) for i in range(ring.n)))
         assert all(oracle_member(I, u * s) for s in sat.ideal.groebner_basis())
     assert check_colon_condition(I, J) == (Q == colon(I, power(J, 2)))
+
+
+def _coordinates(parts, basis_index) -> list[Fraction]:
+    """The vector sum_k parts[k] in the basis {(k, monomial): position}."""
+    vec = [Fraction(0)] * len(basis_index)
+    for k, p in enumerate(parts):
+        for e, c in p.terms:
+            vec[basis_index[(k, e)]] = c
+    return vec
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(_RINGS)), data=st.data())
+def test_module_syzygies_span_the_kernel_in_every_degree(name, data):
+    # the rows come from the tracked representations; the oracle is the
+    # degreewise kernel of the column map, by a local elimination
+    ring = _RINGS[name][0]
+    rng = Random(data.draw(st.integers(0, 2 ** 32)))
+    shifts = [0] + data.draw(st.lists(st.integers(0, 1), max_size=1))  # component degrees
+    top = max(shifts)
+    col_degs = [top + d for d in data.draw(st.lists(st.integers(1, 2), min_size=2, max_size=4))]
+    zero = data.draw(st.sets(st.integers(0, len(col_degs) - 1), max_size=1))
+    cols = [tuple(Polynomial.zero(ring) if j in zero else random_homogeneous(ring, dj - a, rng)
+                  for a in shifts)
+            for j, dj in enumerate(col_degs)]
+    rows = module_syzygies(cols, ring)
+    row_degs = []
+    for s in rows:
+        for k in range(len(shifts)):
+            assert sum((c * col[k] for c, col in zip(s, cols)), Polynomial.zero(ring)).is_zero()
+        assert all(p.homogeneity().is_homogeneous for p in s)
+        degs = {p.degree() + dj for p, dj in zip(s, col_degs) if not p.is_zero()}
+        assert len(degs) == 1
+        row_degs.append(degs.pop())
+
+    def basis(degrees, d):
+        pairs = [(k, m) for k, dk in enumerate(degrees) for m in monomials_of_degree(ring, d - dk)]
+        return {km: t for t, km in enumerate(pairs)}
+
+    for d in range(max(col_degs) + 3):
+        source, target = basis(col_degs, d), basis(shifts, d)
+        image = [_coordinates([Polynomial.monomial(ring, m) * p for p in cols[j]], target)
+                 for j, m in source]
+        kernel_dim = len(source) - len(_row_reduce(image))
+        span = [_coordinates([Polynomial.monomial(ring, u) * p for p in s], source)
+                for s, D in zip(rows, row_degs) for u in monomials_of_degree(ring, d - D)]
+        assert len(_row_reduce(span)) == kernel_dim, (cols, d)

@@ -19,6 +19,23 @@ def test_grading_spec_validation():
         GradingSpec(("x",), (1, 2))
 
 
+def test_inputs_must_be_exact(r2):
+    # a fractional weight is an error, not truncated to an integer
+    with pytest.raises(ValueError):
+        GradingSpec(("x", "y"), (1, 1.5))
+    with pytest.raises(ValueError):
+        GradingSpec(("x", "y"), (1, Fraction(3, 2)))
+    assert GradingSpec(("x", "y"), (1, 2.0)).weights == (1, 2)
+    # a float coefficient is rejected rather than expanded to its binary value
+    for build in (lambda: Polynomial(r2, {(1, 0): 0.1}),
+                  lambda: Polynomial(r2, [((1, 0), 1), ((0, 1), 0.5)]),
+                  lambda: Polynomial.constant(r2, 0.1),
+                  lambda: Polynomial.monomial(r2, (0, 1), 2.0)):
+        with pytest.raises(TypeError):
+            build()
+    assert Polynomial.monomial(r2, (0, 1), Fraction(1, 10)).terms == (((0, 1), Fraction(1, 10)),)
+
+
 def test_parse_round_trip(r3):
     texts = ["x^2*y - 3*z^3", "x*y*z", "1/2*x^2 + y^2", "-x + y", "0"]
     for t in texts:
