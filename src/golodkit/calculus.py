@@ -13,10 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 from random import Random
+from typing import Sequence
 
 from .errors import AlgebraError, ContainmentError, HomogeneityError, ImproperIdealError
-from .groebner import Ideal, colon, contains, saturate
+from .groebner import Coeff, Ideal, colon, contains, saturate
+from .linalg import integral
 from .ring import Exps, GradingSpec, Polynomial, axpy, mono_mul
 
 
@@ -69,34 +72,54 @@ def derivative_ideal(I: Ideal) -> Ideal:
 def strongly_golod(I: Ideal) -> StronglyGolodReport:
     """Decide whether the square of the derivative ideal lies in I.
 
-    Products of the derivative ideal's generators suffice, since they
-    generate the square.  The zero ideal passes vacuously; the unit ideal is
-    rejected.  On failure the first offending pair is reported together with
-    the nonzero normal form of its product.
+    Products of any generating set of the derivative ideal generate its
+    square, so the verdict is decided on a minimal one.  The zero ideal
+    passes vacuously; the unit ideal is rejected.  On failure the first
+    offending pair of the full derivative list is reported, in generator
+    order, together with the nonzero normal form of its product.
     """
     if not I.is_homogeneous:
         raise HomogeneityError("the strongly Golod predicate needs a homogeneous ideal")
     if not I.is_proper():
         raise ImproperIdealError("the unit ideal is outside the predicate's domain")
-    dgens = derivative_ideal(I).generators
-    # Normal forms modulo a reduced basis are linear, so NF(d_a * d_b) is the
-    # sum of c * NF(x^e * d_a) over the terms c*x^e of d_b.  The normal forms
-    # of the monomial multiples of d_a are kept for every b >= a.
-    for a in range(len(dgens)):
-        multiples: dict[Exps, dict[Exps, Fraction]] = {}
-        for b in range(a, len(dgens)):
-            rem: dict[Exps, Fraction] = {}
-            for e2, c2 in dgens[b].terms:
+    D = derivative_ideal(I)
+    if _escaping_pair(I, D.minimal_generators()) is None:
+        return StronglyGolodReport(True)
+    a, b = _escaping_pair(I, D.generators)
+    left, right = D.generators[a], D.generators[b]
+    witness = DerivativePairWitness(left, right, I.normal_form(left * right).remainder)
+    return StronglyGolodReport(False, witness)
+
+
+def _escaping_pair(I: Ideal, gens: Sequence[Polynomial]) -> tuple[int, int] | None:
+    """The first (a, b), a <= b, with gens[a] * gens[b] outside I; None if none.
+
+    Scaling a generator changes no product's membership, so each enters as
+    its primitive integer row; over an integral reduced basis every sum below
+    is then int arithmetic.  Normal forms modulo a reduced basis are linear,
+    so NF(d_a * d_b) is the sum of c * NF(x^e * d_a) over the terms c*x^e of
+    d_b.  The normal forms of the monomial multiples of d_a are kept for
+    every b >= a.
+    """
+    rows = []
+    for g in gens:
+        row, _ = integral(dict(g.terms))
+        content = gcd(*row.values())
+        rows.append([(e, c // content) for e, c in row.items()])
+    for a, row_a in enumerate(rows):
+        multiples: dict[Exps, dict[Exps, Coeff]] = {}
+        for b in range(a, len(rows)):
+            rem: dict[Exps, Coeff] = {}
+            for e2, c2 in rows[b]:
                 multiple = multiples.get(e2)
                 if multiple is None:
                     multiple = multiples[e2] = {}
-                    for e1, c1 in dgens[a].terms:
+                    for e1, c1 in row_a:
                         axpy(multiple, c1, I.nf_monomial(mono_mul(e1, e2)))
                 axpy(rem, c2, multiple)
             if rem:
-                witness = DerivativePairWitness(dgens[a], dgens[b], Polynomial(I.ring, rem))
-                return StronglyGolodReport(False, witness)
-    return StronglyGolodReport(True)
+                return a, b
+    return None
 
 
 def power(I: Ideal, k: int) -> Ideal:

@@ -34,6 +34,7 @@ from .errors import (
     SaturationLimitError,
     ZeroColonError,
 )
+from .linalg import Span
 from .ring import (
     Exps,
     GradingSpec,
@@ -288,7 +289,7 @@ def _as_int(c: Coeff) -> Coeff:
 class Ideal:
     """Finitely generated ideal of a weighted polynomial ring over Q."""
 
-    __slots__ = ("ring", "generators", "_gb", "_reducers", "_nf", "_std")
+    __slots__ = ("ring", "generators", "_gb", "_reducers", "_nf", "_std", "_mingens")
 
     def __init__(self, ring: GradingSpec, generators: Sequence[Polynomial]):
         gens = []
@@ -306,6 +307,7 @@ class Ideal:
         self._reducers: list[tuple[Exps, list[tuple[Exps, Coeff]]]] | None = None
         self._nf: dict[Exps, dict[Exps, Coeff]] = {}
         self._std: dict[int, list[Exps]] = {}
+        self._mingens: list[Polynomial] | None = None
 
     @classmethod
     def from_strings(cls, ring: GradingSpec, texts: Sequence[str]) -> "Ideal":
@@ -405,6 +407,38 @@ class Ideal:
             memo[u] = nf
         return memo[e]
 
+    def minimal_generators(self) -> list[Polynomial]:
+        """Minimal generating subset, scanned in (degree, leading term) order; memoized.
+
+        By graded Nakayama a generator of degree d is redundant exactly when it
+        lies in the span of the degree-d monomial multiples of the kept ones.
+        The returned list is shared with the memo and must not be mutated.
+        """
+        if self._mingens is not None:
+            return self._mingens
+        if not self.is_homogeneous:
+            raise HomogeneityError("minimal generators need a homogeneous ideal")
+        order = MonomialOrder.grevlex(self.ring)
+        gens = sorted(
+            self.generators,
+            key=lambda g: (g.homogeneity().degree, order.key(g.terms[0][0])),
+        )
+        kept: list[Polynomial] = []
+        one = (0,) * self.ring.n
+        span_degree = None
+        for g in gens:
+            d = g.homogeneity().degree
+            if d != span_degree:
+                span, index, span_degree = Span(), {}, d
+                for k in kept:
+                    for m in monomials_of_degree(self.ring.weights, d - k.homogeneity().degree):
+                        span.add(_coordinates(k, m, index))
+            # a kept g is its own only degree-d multiple, so the span stays current
+            if span.add(_coordinates(g, one, index)):
+                kept.append(g)
+        self._mingens = kept
+        return kept
+
     def normal_form(self, p: Polynomial) -> NormalForm:
         if p.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
@@ -433,6 +467,11 @@ class Ideal:
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators) or "0"
         return f"Ideal({gens})"
+
+
+def _coordinates(p: Polynomial, m: Exps, index: dict[Exps, int]) -> dict[int, Fraction]:
+    """x^m * p over the monomials numbered in index (extended on demand)."""
+    return {index.setdefault(mono_mul(m, e), len(index)): c for e, c in p.terms}
 
 
 def contains(big: Ideal, small: Ideal) -> bool:

@@ -158,11 +158,14 @@ def strongly_golod_monomial(I: MonomialIdeal) -> StronglyGolodReport:
     u and v range over the minimal generators (u = v allowed), i over the
     support of u and j over the support of v, excluding the case where
     x_i*x_j fails to divide u*v.  Agrees with the derivative-ideal test.
+    A choice (u, v, i, j) fails exactly when its mirror (v, u, j, i) does,
+    with the same quotient, so only pairs with u at or before v are scanned;
+    the first failure in the ordered scan is such a pair.
     """
     if not I.is_proper():
         raise ImproperIdealError("the unit ideal is outside the predicate's domain")
-    for u in I.gens:
-        for v in I.gens:
+    for k, u in enumerate(I.gens):
+        for v in I.gens[k:]:
             prod = tuple(a + b for a, b in zip(u, v))
             for i in range(I.ring.n):
                 if u[i] == 0:

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AlgebraError, HomogeneityError, ImproperIdealError
-from .groebner import Ideal, MonomialOrder, module_syzygies
-from .linalg import Span, Vec
-from .ring import Exps, GradingSpec, Polynomial, mono_mul, monomials_of_degree
+from .groebner import Ideal, module_syzygies
+from .ring import GradingSpec, Polynomial
 
 Matrix = list[list[Polynomial]]
 
@@ -105,38 +104,6 @@ def _column_degree(ring, col, row_shifts) -> int:
     return deg
 
 
-def _trim_generators(I: Ideal) -> list[Polynomial]:
-    """Minimal generating subset of a homogeneous ideal, scanned in (degree, leading term) order.
-
-    By graded Nakayama a generator of degree d is redundant exactly when it
-    lies in the span of the degree-d monomial multiples of the kept ones.
-    """
-    order = MonomialOrder.grevlex(I.ring)
-    gens = sorted(
-        I.generators,
-        key=lambda g: (g.homogeneity().degree, order.key(g.terms[0][0])),
-    )
-    kept: list[Polynomial] = []
-    one = (0,) * I.ring.n
-    span_degree = None
-    for g in gens:
-        d = g.homogeneity().degree
-        if d != span_degree:
-            span, index, span_degree = Span(), {}, d
-            for k in kept:
-                for m in monomials_of_degree(I.ring.weights, d - k.homogeneity().degree):
-                    span.add(_coordinates(k, m, index))
-        # a kept g is its own only degree-d multiple, so the span stays current
-        if span.add(_coordinates(g, one, index)):
-            kept.append(g)
-    return kept
-
-
-def _coordinates(p: Polynomial, m: Exps, index: dict[Exps, int]) -> Vec:
-    """x^m * p over the monomials numbered in index (extended on demand)."""
-    return {index.setdefault(mono_mul(m, e), len(index)): c for e, c in p.terms}
-
-
 def _compose_is_zero(A: Matrix, B: Matrix, ring) -> bool:
     zero = Polynomial.zero(ring)
     for r in range(len(A)):
@@ -224,7 +191,7 @@ def minimal_free_resolution(I: Ideal) -> Resolution:
     if I.is_zero():
         return Resolution(ring, (), ((0,),))
 
-    gens = _trim_generators(I)
+    gens = I.minimal_generators()
     columns: list[tuple[Polynomial, ...]] = [(g,) for g in gens]
     shifts: list[list[int]] = [[0], [g.homogeneity().degree for g in gens]]
     mats: list[Matrix] = [[list(gens)]]

@@ -4,6 +4,10 @@ The oracles below deliberately avoid the package's Groebner and linear
 algebra machinery: ideal membership is decided degreewise with a local
 Gaussian elimination over Fraction, and monomial membership by raw
 divisibility.  Tests cross-check the fast implementations against these.
+The references ``full_window_series``, ``full_pair_scan`` and
+``ordered_monomial_scan`` run the package's own arithmetic without its
+shortcuts: the Tor window cap, the trim of the derivative list to a minimal
+generating set, and the scan over unordered pairs of monomial generators.
 """
 
 from __future__ import annotations
@@ -14,8 +18,10 @@ from random import Random
 
 import pytest
 
-from golodkit import GradingSpec, Ideal, Polynomial
+from golodkit import GradingSpec, Ideal, MonomialIdeal, Polynomial, derivative_ideal
+from golodkit.calculus import DerivativePairWitness, MonomialQuotientWitness, StronglyGolodReport
 from golodkit.poincare import _tor_series
+from golodkit.ring import axpy, mono_mul
 
 
 def monomials_of_degree(ring: GradingSpec, d: int) -> list[tuple[int, ...]]:
@@ -122,6 +128,50 @@ def full_window_series(I: Ideal, i_max: int, d_max: int):
     """The Tor series from the resolution loop run on every internal degree
     0..d_max at every step, without the cap read off Serre's bound."""
     return _tor_series(I, i_max, d_max, {i: d_max for i in range(1, i_max + 1)})
+
+
+def full_pair_scan(I: Ideal) -> StronglyGolodReport:
+    """The predicate scanned over every ordered pair of the full derivative
+    list in Fractions, with no trim to a minimal generating set."""
+    dgens = derivative_ideal(I).generators
+    for a in range(len(dgens)):
+        multiples: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+        for b in range(a, len(dgens)):
+            rem: dict[tuple[int, ...], Fraction] = {}
+            for e2, c2 in dgens[b].terms:
+                multiple = multiples.get(e2)
+                if multiple is None:
+                    multiple = multiples[e2] = {}
+                    for e1, c1 in dgens[a].terms:
+                        axpy(multiple, c1, I.nf_monomial(mono_mul(e1, e2)))
+                axpy(rem, c2, multiple)
+            if rem:
+                witness = DerivativePairWitness(dgens[a], dgens[b], Polynomial(I.ring, rem))
+                return StronglyGolodReport(False, witness)
+    return StronglyGolodReport(True)
+
+
+def ordered_monomial_scan(I: MonomialIdeal) -> StronglyGolodReport:
+    """The quotient form of the predicate over every ordered pair (u, v)."""
+    for u in I.gens:
+        for v in I.gens:
+            prod = tuple(a + b for a, b in zip(u, v))
+            for i in range(I.ring.n):
+                if u[i] == 0:
+                    continue
+                for j in range(I.ring.n):
+                    if v[j] == 0 or prod[i] == 0 or prod[j] == 0:
+                        continue
+                    q = list(prod)
+                    q[i] -= 1
+                    if q[j] == 0:
+                        continue
+                    q[j] -= 1
+                    q = tuple(q)
+                    if not I.contains_exponents(q):
+                        return StronglyGolodReport(
+                            False, MonomialQuotientWitness(u, v, i, j, q))
+    return StronglyGolodReport(True)
 
 
 @pytest.fixture

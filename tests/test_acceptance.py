@@ -40,7 +40,6 @@ from golodkit import (
     zariski_nagata_membership,
 )
 from golodkit.poincare import GOLOD, NOT_GOLOD
-from golodkit.resolution import _trim_generators
 
 
 def _sg_squares():
@@ -106,8 +105,8 @@ def _square_pairs(squares):
 
 
 def _trimmed_product(A: Ideal, B: Ideal) -> Ideal:
-    return Ideal(A.ring, _trim_generators(
-        Ideal(A.ring, [p * q for p in A.generators for q in B.generators])))
+    return Ideal(A.ring, Ideal(
+        A.ring, [p * q for p in A.generators for q in B.generators]).minimal_generators())
 
 
 def test_03_closure_under_intersection_product_and_colon():

@@ -1,14 +1,20 @@
 """Derivative ideals, the strongly Golod predicate, and ideal power calculus."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golodkit import (
     AlgebraError,
     ContainmentError,
+    GradingSpec,
     HomogeneityError,
     Ideal,
     ImproperIdealError,
     MonomialIdeal,
+    Polynomial,
     SymbolicPowerSpec,
     add_prime_power,
     builtin_corpus,
@@ -33,6 +39,8 @@ from golodkit.monomial import (
     squarefree_symbolic_power,
     vertex_cover_ideal,
 )
+
+from conftest import full_pair_scan, monomials_of_degree
 
 
 def test_derivative_ideal_of_product_pair(r3):
@@ -70,13 +78,85 @@ def test_strongly_golod_counterexample_witness(r3):
     [
         (["x^2+y^2+z^2", "x*y"], "2*x", "2*x", "-4*y^2 - 4*z^2"),
         (["x^2*y+y*z^2+z^3", "x*z^2-y^3"], "2*x*y", "2*x*y", "-4*y^2*z^2 - 4*y*z^3"),
+        # redundant derivative lists: the witness is the full list's first failing pair
+        # derivative list (z, x, y, 2*z, 2*x + y); the minimal set is (z, y, x)
+        (["x*z", "y*z", "2*x*z + y*z"], "z", "z", "z^2"),
+        # derivative list (y, x, z, 2*y + z, 2*x); the minimal set fails first at z^2
+        (["x*y", "x*z", "2*x*y + x*z"], "y", "y", "y^2"),
     ],
 )
 def test_strongly_golod_multi_term_witnesses(r3, gens, left, right, remainder):
     I = Ideal.from_strings(r3, gens)
-    w = strongly_golod(I).witness
+    rep = strongly_golod(I)
+    w = rep.witness
     assert (str(w.left), str(w.right), str(w.remainder)) == (left, right, remainder)
     assert I.normal_form(w.left * w.right).remainder == w.remainder
+    assert rep == full_pair_scan(I)
+
+
+def test_strongly_golod_scans_the_full_list_only_on_failure(r3, monkeypatch):
+    calls = []
+    scan = calculus._escaping_pair
+
+    def counted(I, gens):
+        calls.append(list(gens))
+        return scan(I, gens)
+
+    monkeypatch.setattr(calculus, "_escaping_pair", counted)
+    I = power(Ideal.from_strings(r3, ["x*y + z^2", "x*z"]), 2)
+    D = derivative_ideal(I)
+    t = len(D.minimal_generators())
+    assert t < len(D.generators)
+    assert strongly_golod(I).verdict
+    assert [len(gens) for gens in calls] == [t]
+    calls.clear()
+    J = Ideal.from_strings(r3, ["x*z", "y*z", "2*x*z + y*z"])
+    assert not strongly_golod(J).verdict
+    assert len(calls) == 2
+    assert calls[1] == list(derivative_ideal(J).generators)
+
+
+_RINGS = {
+    "r3": GradingSpec(("x", "y", "z"), (1, 1, 1)),
+    "rw": GradingSpec(("x", "y"), (1, 2)),
+}
+_POOL = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3)]
+
+
+@st.composite
+def _redundant_ideals(draw):
+    """A homogeneous ideal, or the square of its first two generators, plus
+    scalar multiples, monomial multiples and rational combinations of
+    earlier generators."""
+    ring = _RINGS[draw(st.sampled_from(sorted(_RINGS)))]
+
+    def form(d):
+        monos = draw(st.lists(st.sampled_from(monomials_of_degree(ring, d)),
+                              min_size=1, max_size=3, unique=True))
+        return Polynomial(ring, {m: draw(st.sampled_from(_POOL)) for m in monos})
+
+    gens = [form(draw(st.integers(2, 3))) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        gens = [f * g for k, f in enumerate(gens[:2]) for g in gens[k:2]]
+    for _ in range(draw(st.integers(1, 3))):
+        g = draw(st.sampled_from(gens))
+        kind = draw(st.sampled_from(["scalar", "monomial", "combination"]))
+        if kind == "scalar":
+            gens.append(g * draw(st.sampled_from(_POOL)))
+        elif kind == "monomial":
+            m = draw(st.sampled_from(monomials_of_degree(ring, draw(st.integers(1, 2)))))
+            gens.append(g * Polynomial.monomial(ring, m))
+        else:
+            d = g.homogeneity().degree
+            h = draw(st.sampled_from([f for f in gens if f.homogeneity().degree == d]))
+            gens.append(g * draw(st.sampled_from(_POOL)) + h * draw(st.sampled_from(_POOL)))
+    return Ideal(ring, gens)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(I=_redundant_ideals())
+def test_strongly_golod_matches_the_full_pair_scan(I):
+    assert strongly_golod(I) == full_pair_scan(I)
 
 
 def test_strongly_golod_positive_cases(r2, r3):

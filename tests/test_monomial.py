@@ -9,9 +9,12 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golodkit import (
     AlgebraError,
+    GradingSpec,
     Graph,
     Ideal,
     MonomialIdeal,
@@ -35,7 +38,7 @@ from golodkit import (
 
 from golodkit import monomial
 
-from conftest import oracle_ideal_powers, oracle_monomial_member
+from conftest import oracle_ideal_powers, oracle_monomial_member, ordered_monomial_scan
 
 
 def _random_monomial_ideal(ring, rng, count=4, maxdeg=3):
@@ -287,3 +290,13 @@ def test_cover_ideal_symbolic_powers_shrink_properly():
         J = vertex_cover_ideal(cycle_graph(n))
         for p in (1, 2):
             assert J.power(p).contains(squarefree_symbolic_power(J, 2 * p))
+
+
+_R3 = GradingSpec(("x", "y", "z"), (1, 1, 1))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(vecs=st.lists(st.tuples(*[st.integers(0, 3)] * 3).filter(any), min_size=1, max_size=5))
+def test_quotient_predicate_matches_the_ordered_scan(vecs):
+    I = MonomialIdeal(_R3, vecs)
+    assert strongly_golod_monomial(I) == ordered_monomial_scan(I)

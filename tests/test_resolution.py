@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from golodkit import (
+    HomogeneityError,
     Ideal,
     MonomialOrder,
     Polynomial,
@@ -16,7 +17,6 @@ from golodkit import (
     parse_polynomial,
     power,
 )
-from golodkit.resolution import _trim_generators
 
 from conftest import _row_reduce, monomials_of_degree, random_homogeneous
 
@@ -216,4 +216,10 @@ def test_trim_generators_matches_membership_scan(r3):
     for A, B in zip(squares, squares[1:]):
         cases.append(Ideal(r3, [p * q for p in A.generators for q in B.generators]))
     for I in cases:
-        assert _trim_generators(I) == _trim_by_membership(I)
+        assert I.minimal_generators() == _trim_by_membership(I)
+        assert I.minimal_generators() is I.minimal_generators()
+
+
+def test_minimal_generators_need_a_homogeneous_ideal(r2):
+    with pytest.raises(HomogeneityError):
+        Ideal.from_strings(r2, ["x*y", "x + y^2"]).minimal_generators()
