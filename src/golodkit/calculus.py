@@ -13,13 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd
 from random import Random
 from typing import Sequence
 
 from .errors import AlgebraError, ContainmentError, HomogeneityError, ImproperIdealError
 from .groebner import Coeff, Ideal, colon, contains, saturate
-from .linalg import integral
+from .linalg import _primitive, integral
 from .ring import Exps, GradingSpec, Polynomial, axpy, mono_mul
 
 
@@ -104,8 +103,7 @@ def _escaping_pair(I: Ideal, gens: Sequence[Polynomial]) -> tuple[int, int] | No
     rows = []
     for g in gens:
         row, _ = integral(dict(g.terms))
-        content = gcd(*row.values())
-        rows.append([(e, c // content) for e, c in row.items()])
+        rows.append(list(_primitive(row, min(row)).items()))
     for a, row_a in enumerate(rows):
         multiples: dict[Exps, dict[Exps, Coeff]] = {}
         for b in range(a, len(rows)):

@@ -289,7 +289,7 @@ def _as_int(c: Coeff) -> Coeff:
 class Ideal:
     """Finitely generated ideal of a weighted polynomial ring over Q."""
 
-    __slots__ = ("ring", "generators", "_gb", "_reducers", "_nf", "_std", "_mingens")
+    __slots__ = ("ring", "generators", "_gb", "_reducers", "_nf", "_std")
 
     def __init__(self, ring: GradingSpec, generators: Sequence[Polynomial]):
         gens = []
@@ -307,7 +307,6 @@ class Ideal:
         self._reducers: list[tuple[Exps, list[tuple[Exps, Coeff]]]] | None = None
         self._nf: dict[Exps, dict[Exps, Coeff]] = {}
         self._std: dict[int, list[Exps]] = {}
-        self._mingens: list[Polynomial] | None = None
 
     @classmethod
     def from_strings(cls, ring: GradingSpec, texts: Sequence[str]) -> "Ideal":
@@ -408,14 +407,11 @@ class Ideal:
         return memo[e]
 
     def minimal_generators(self) -> list[Polynomial]:
-        """Minimal generating subset, scanned in (degree, leading term) order; memoized.
+        """Minimal generating subset, scanned in (degree, leading term) order.
 
         By graded Nakayama a generator of degree d is redundant exactly when it
         lies in the span of the degree-d monomial multiples of the kept ones.
-        The returned list is shared with the memo and must not be mutated.
         """
-        if self._mingens is not None:
-            return self._mingens
         if not self.is_homogeneous:
             raise HomogeneityError("minimal generators need a homogeneous ideal")
         order = MonomialOrder.grevlex(self.ring)
@@ -436,7 +432,6 @@ class Ideal:
             # a kept g is its own only degree-d multiple, so the span stays current
             if span.add(_coordinates(g, one, index)):
                 kept.append(g)
-        self._mingens = kept
         return kept
 
     def normal_form(self, p: Polynomial) -> NormalForm:
