@@ -8,10 +8,12 @@ one-component case.
 The engine has one reduction loop, ``_Engine.nf``, which returns the
 remainder together with its reduction steps (basis index, shift,
 coefficient): the division quotients.  ``_Engine.fold`` applies steps to
-representations over the inputs; tracked Buchberger, exact division and
-syzygies all read what they need off the steps.  Syzygies come from
-Schreyer's theorem: S-pair division syzygies of a reduced basis, translated
-back to the caller's generators through the tracked representation matrix.
+representations over the inputs; tracked Buchberger and syzygies read what
+they need off the steps.  Syzygies come from Schreyer's theorem: S-pair
+division syzygies of a reduced basis, translated back to the caller's
+generators through the tracked representation matrix.  Colon ideals are
+projections of syzygies, and intersections are eliminations; both are
+generated by their reduced grevlex basis.
 
 An ``Ideal`` caches its reduced grevlex basis, and from it the normal form
 of every monomial it meets and its standard monomials per degree; the
@@ -25,6 +27,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from .errors import (
@@ -491,6 +494,13 @@ def _elimination_order(ring: GradingSpec) -> MonomialOrder:
     return MonomialOrder.elimination(ext, 1)
 
 
+def _by_basis(ring: GradingSpec, basis: Sequence[Polynomial]) -> Ideal:
+    """The ideal generated by a reduced grevlex basis, with that basis cached."""
+    out = Ideal(ring, basis)
+    out._gb = tuple(basis)
+    return out
+
+
 def intersect(I: Ideal, J: Ideal) -> Ideal:
     """I ∩ J via a single elimination variable: eliminate t from t*I + (1-t)*J."""
     if I.ring != J.ring:
@@ -503,45 +513,28 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     vecs += [{(0, (t,) + e): -c if t else c for e, c in g.terms for t in (0, 1)}
              for g in J.generators]
     eng = _run_engine(vecs, _elimination_order(ring), 1, track=False)
-    kept = [Polynomial(ring, {e[1:]: c for (_, e), c in mv.items()})
-            for mv in eng.polys if all(e[0] == 0 for _, e in mv)]
-    out = Ideal(ring, kept)
     # the t-free part of the reduced elimination basis is itself a reduced
-    # grevlex basis of the intersection, so cache it
-    out._gb = tuple(kept)
-    return out
-
-
-def _exact_div(p: Polynomial, f: Polynomial) -> Polynomial:
-    """p / f when the division is exact; raises if a remainder appears."""
-    if f.is_zero():
-        raise AlgebraError("division by the zero polynomial")
-    order = MonomialOrder.grevlex(p.ring)
-    lc = f.terms[0][1]
-    eng = _Engine(order, 1, track=False)
-    eng.leads.append((0, f.terms[0][0]))
-    eng.polys.append(_to_internal([f * (Fraction(1) / lc)]))
-    rem, steps = eng.nf(_to_internal([p]))
-    if rem:
-        raise AlgebraError(f"{f} does not divide {p}")
-    # one basis element, so the shifts are distinct: they are the quotient's terms
-    return Polynomial(p.ring, {shift: c / lc for _, shift, c in steps})
+    # grevlex basis of the intersection
+    return _by_basis(ring, [Polynomial(ring, {e[1:]: c for (_, e), c in mv.items()})
+                            for mv in eng.polys if all(e[0] == 0 for _, e in mv)])
 
 
 def colon(I: Ideal, J: Ideal) -> Ideal:
-    """I : J, computed as the intersection of I : f over the generators f of J."""
+    """I : J, the intersection of I : f over the generators f of J.
+
+    I : f is the projection of the syzygies of (f, g_1, ..., g_m), the g_i
+    generating I, onto their first coordinate: s_0 f + sum s_i g_i = 0 says
+    exactly that s_0 f lies in I.
+    """
     if I.ring != J.ring:
         raise RingMismatchError("ideals live in different rings")
     if J.is_zero():
         raise ZeroColonError("colon by the zero ideal is undefined")
-    result: Ideal | None = None
+    quotients = []
     for f in J.generators:
-        meet = intersect(I, Ideal(I.ring, [f]))
-        quot = Ideal(I.ring, [_exact_div(g, f) for g in meet.generators])
-        result = quot if result is None else intersect(result, quot)
-    if result is None:
-        raise ZeroColonError("colon by an ideal without generators")
-    return result
+        rows = module_syzygies([[f]] + [[g] for g in I.generators], I.ring)
+        quotients.append(_by_basis(I.ring, Ideal(I.ring, [s[0] for s in rows]).groebner_basis()))
+    return reduce(intersect, quotients)
 
 
 SATURATION_CAP = 64

@@ -13,8 +13,8 @@ the multiplication checks are exact linear algebra on the strands: each
 differential strand is eliminated once, by ``linalg.kernel_of_columns``,
 which gives the boundary span one step down and the cycles as primitive
 integer rows.  Only ``cycle_reps`` holds Fractions.  Koszul homology
-dimensions are the graded Betti numbers of S/I, so ``_top_shift`` reads the
-resolution's top shift off them.
+dimensions are the graded Betti numbers of S/I, so ``_betti_dims`` reads
+them, and the resolution's top shift, off the strands.
 """
 
 from __future__ import annotations
@@ -139,8 +139,20 @@ def _koszul(I: Ideal) -> _Complex:
     return _Complex(I, shifts, images)
 
 
-def _top_shift(cx: _Complex) -> int:
-    """Largest generator degree in the minimal free resolution of S/I.
+def _dims(cx: _Complex, l_max: int, d_max: int) -> dict[tuple[int, int], int]:
+    """The nonzero homology dimensions in the window."""
+    dims: dict[tuple[int, int], int] = {}
+    for l in range(0, l_max + 1):
+        for d in range(0, d_max + 1):
+            if cx.basis(l, d)[0]:
+                dim = cx.homology(l, d)[0]
+                if dim:
+                    dims[(l, d)] = dim
+    return dims
+
+
+def _betti_dims(cx: _Complex) -> dict[tuple[int, int], int]:
+    """Every graded Betti number of S/I, as Koszul homology dimensions.
 
     No shift exceeds the degree of the lcm of the reduced basis's leading
     terms (upper semicontinuity bounds S/I by S/in(I), and the Taylor
@@ -150,8 +162,12 @@ def _top_shift(cx: _Complex) -> int:
     if not I.is_proper():
         raise ImproperIdealError("S/I vanishes for the unit ideal")
     lead_lcm = reduce(mono_lcm, (g.terms[0][0] for g in I.groebner_basis()), (0,) * cx.n)
-    dims = _summarize(cx, cx.n, cx.ring.weighted_degree(lead_lcm)).dims
-    return max(d for _, d in dims)
+    return _dims(cx, cx.n, cx.ring.weighted_degree(lead_lcm))
+
+
+def _top_shift(cx: _Complex) -> int:
+    """Largest generator degree in the minimal free resolution of S/I."""
+    return max(d for _, d in _betti_dims(cx))
 
 
 def _window(cx: _Complex, l_max: int | None, d_max: int | None) -> tuple[int, int]:
@@ -189,21 +205,14 @@ class HomologySummary:
 
 
 def _summarize(cx: _Complex, l_max: int, d_max: int) -> HomologySummary:
-    dims: dict[tuple[int, int], int] = {}
+    dims = _dims(cx, l_max, d_max)
     reps: dict[tuple[int, int], list[dict[StrandKey, Fraction]]] = {}
-    for l in range(0, l_max + 1):
-        for d in range(0, d_max + 1):
-            keys, _ = cx.basis(l, d)
-            if not keys:
-                continue
-            dim, vecs = cx.homology(l, d)
-            if dim:
-                dims[(l, d)] = dim
-                reps[(l, d)] = []
-                for v in vecs:
-                    top = v[max(v)]  # a kernel row ends at its own column
-                    reps[(l, d)].append(
-                        {keys[idx]: Fraction(c, top) for idx, c in sorted(v.items())})
+    for l, d in dims:
+        keys, _ = cx.basis(l, d)
+        reps[(l, d)] = []
+        for v in cx.homology(l, d)[1]:
+            top = v[max(v)]  # a kernel row ends at its own column
+            reps[(l, d)].append({keys[idx]: Fraction(c, top) for idx, c in sorted(v.items())})
     truncated = any(d == d_max for (_, d) in dims)
     if l_max < cx.n:
         truncated = truncated or any(l == l_max and l > 0 for (l, _) in dims)
@@ -273,9 +282,8 @@ def derivative_cycle_check(
         raise AlgebraError("derivative cycle check needs a strongly Golod ideal")
     cx = _koszul(I)
     l_max, d_max = _window(cx, l_max, d_max)
-    summary = _summarize(cx, l_max, d_max)
     dgens = [({((), u): c for u, c in f.terms}, f.homogeneity().degree)
-             for f in derivative_ideal(I).generators]
+             for f in derivative_ideal(I).minimal_generators()]
     dbasis: dict[int, list[dict[Exps, Coeff]]] = {}
 
     def derivative_image_basis(e: int) -> list[dict[Exps, Coeff]]:
@@ -292,7 +300,7 @@ def derivative_cycle_check(
             dbasis[e] = basis
         return dbasis[e]
 
-    for (l, d), dim in sorted(summary.dims.items()):
+    for (l, d), dim in sorted(_dims(cx, l_max, d_max).items()):
         if l == 0:
             continue
         _, index = cx.basis(l, d)

@@ -411,19 +411,12 @@ def irreducible_components(I: MonomialIdeal) -> list[MonomialIdeal]:
         rest = [g for g in J.gens if g != mixed]
         stack.append(MonomialIdeal(J.ring, rest + [left]))
         stack.append(MonomialIdeal(J.ring, rest + [right]))
-    # drop components that contain the intersection of the others
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(out)):
-            others = out[:idx] + out[idx + 1 :]
-            if not others:
-                continue
-            if out[idx].contains(reduce(MonomialIdeal.intersect, others)):
-                out.pop(idx)
-                changed = True
-                break
-    return sorted(out, key=lambda c: (tuple(sorted(c.gens)),))
+    # the components are distinct, and an irreducible Q containing the
+    # intersection of the others contains one of them (for each other P pick
+    # a generator outside Q: their lcm lies in every P but not in Q), so the
+    # redundant components are exactly those containing another one
+    kept = [Q for Q in out if not any(P is not Q and Q.contains(P) for P in out)]
+    return sorted(kept, key=lambda c: tuple(sorted(c.gens)))
 
 
 def irreducible_decomposition(I: MonomialIdeal) -> PrimaryDecomposition:

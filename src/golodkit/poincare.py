@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import AlgebraError, ImproperIdealError
 from .groebner import Ideal
-from .koszul import Element, _Complex, _coordinates, _koszul, _summarize, _top_shift
+from .koszul import Element, _Complex, _betti_dims, _coordinates, _koszul
 from .linalg import Span
 
 Coeffs = dict[tuple[int, int], int]
@@ -115,8 +115,8 @@ def serre_bound_series(I: Ideal, i_max: int = 4, d_max: int | None = None) -> Bi
     Homological degree i_max first shows at internal degree i_max * min
     weight, so a smaller d_max truncates the bound.
     """
-    cx = _koszul(I)
-    top = _top_shift(cx)
+    betti = _betti_dims(_koszul(I))
+    top = max(d for _, d in betti)
     if d_max is None:
         d_max = _default_d_max(I, i_max, top)
     if i_max < 0 or d_max < 0:
@@ -125,10 +125,7 @@ def serre_bound_series(I: Ideal, i_max: int = 4, d_max: int | None = None) -> Bi
     num: Coeffs = {(0, 0): 1}
     for a in weights:
         num = _mul(num, {(0, 0): 1, (1, a): 1}, i_max, d_max)
-    den: Coeffs = {}
-    for (l, d), dim in _summarize(cx, cx.n, top).dims.items():
-        if l >= 1:
-            den[(l + 1, d)] = den.get((l + 1, d), 0) + dim
+    den: Coeffs = {(l + 1, d): dim for (l, d), dim in betti.items() if l >= 1}
     coeffs = _mul(num, _geometric_inverse(den, i_max, d_max), i_max, d_max)
     return BigradedSeries(coeffs, i_max, d_max, truncated=d_max < i_max * min(weights))
 

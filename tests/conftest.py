@@ -4,15 +4,18 @@ The oracles below deliberately avoid the package's Groebner and linear
 algebra machinery: ideal membership is decided degreewise with a local
 Gaussian elimination over Fraction, and monomial membership by raw
 divisibility.  Tests cross-check the fast implementations against these.
-The references ``full_window_series``, ``full_pair_scan`` and
-``ordered_monomial_scan`` run the package's own arithmetic without its
-shortcuts: the Tor window cap, the trim of the derivative list to a minimal
-generating set, and the scan over unordered pairs of monomial generators.
+The references ``full_window_series``, ``full_pair_scan``,
+``ordered_monomial_scan`` and ``intersection_loop_components`` run the
+package's own arithmetic without its shortcuts: the Tor window cap, the trim
+of the derivative list to a minimal generating set, the scan over unordered
+pairs of monomial generators, and the pairwise containment test that prunes
+irreducible components.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
 from random import Random
 
@@ -172,6 +175,39 @@ def ordered_monomial_scan(I: MonomialIdeal) -> StronglyGolodReport:
                         return StronglyGolodReport(
                             False, MonomialQuotientWitness(u, v, i, j, q))
     return StronglyGolodReport(True)
+
+
+def intersection_loop_components(I: MonomialIdeal) -> list[MonomialIdeal]:
+    """Irreducible components by generator splitting, dropping one component
+    that contains the intersection of the others and rescanning until none does."""
+    out: list[MonomialIdeal] = []
+    seen: set = set()
+    stack = [I]
+    while stack:
+        J = stack.pop()
+        if J.gens in seen:
+            continue
+        seen.add(J.gens)
+        mixed = next((g for g in J.gens if sum(1 for e in g if e) > 1), None)
+        if mixed is None:
+            out.append(J)
+            continue
+        i = next(t for t, e in enumerate(mixed) if e)
+        left = tuple(e if t == i else 0 for t, e in enumerate(mixed))
+        right = tuple(0 if t == i else e for t, e in enumerate(mixed))
+        rest = [g for g in J.gens if g != mixed]
+        stack.append(MonomialIdeal(J.ring, rest + [left]))
+        stack.append(MonomialIdeal(J.ring, rest + [right]))
+    changed = True
+    while changed:
+        changed = False
+        for idx in range(len(out)):
+            others = out[:idx] + out[idx + 1:]
+            if others and out[idx].contains(reduce(MonomialIdeal.intersect, others)):
+                out.pop(idx)
+                changed = True
+                break
+    return sorted(out, key=lambda c: tuple(sorted(c.gens)))
 
 
 @pytest.fixture

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golodkit import (
-    AlgebraError,
     GradingSpec,
     Ideal,
     Polynomial,
@@ -27,7 +26,6 @@ from golodkit import (
 from golodkit.groebner import (
     MonomialOrder,
     _Engine,
-    _exact_div,
     _from_internal,
     _run_engine,
     _to_internal,
@@ -167,15 +165,6 @@ def test_monomial_normal_form_chain_deeper_than_recursion_limit(r2):
     assert I.normal_form(Polynomial.monomial(r2, (k - 1, 1))).remainder == Polynomial.monomial(r2, (0, k))
 
 
-def test_exact_div_raises_on_a_remainder(r2):
-    x, y = r2.variables()
-    with pytest.raises(AlgebraError):
-        _exact_div(x, y)
-    with pytest.raises(AlgebraError):
-        _exact_div(x, Polynomial.zero(r2))
-    assert _exact_div(x * y, y) == x
-
-
 def test_intersection_of_principal_ideals(r2):
     I = Ideal.from_strings(r2, ["x"])
     J = Ideal.from_strings(r2, ["y"])
@@ -203,6 +192,21 @@ def test_colon_definition_on_samples(r3):
             f = random_homogeneous(r3, d, rng)
             belongs = all(I.contains_poly(f * g) for g in J.generators)
             assert Q.contains_poly(f) == belongs
+
+
+@pytest.mark.parametrize("names, gens, by, basis", [
+    ("xy", ["x^2 - y", "x*y^2"], ["x"], ["y^2", "x^2 - y"]),
+    ("xy", ["x^3 - y^2", "x*y - 1"], ["x", "y"], ["x*y - 1", "y^3 - x^2", "x^3 - y^2"]),
+    ("xyz", ["x*y - z", "y^2*z - x", "z^3"], ["x*y", "z - 1"],
+     ["x*y - z", "z^3", "y*z^2 - x^2", "x*z^2", "y^2*z - x", "x^2*z", "x^3"]),
+    ("xyz", ["x^2 + y + z", "x*y*z"], ["x + 1"], ["x^2 + y + z", "y^2*z + y*z^2", "x*y*z"]),
+])
+def test_inhomogeneous_colons_are_generated_by_their_reduced_basis(names, gens, by, basis):
+    ring = GradingSpec(tuple(names), (1,) * len(names))
+    Q = colon(Ideal.from_strings(ring, gens), Ideal.from_strings(ring, by))
+    expected = tuple(parse_polynomial(ring, t) for t in basis)
+    assert Q.groebner_basis() == expected
+    assert Q.generators == expected
 
 
 def test_saturation_by_variable(r2):
@@ -390,7 +394,14 @@ def test_ideal_operations_against_the_oracle_on_random_ideals(name, data):
     meet = intersect(I, J).groebner_basis()
     assert all(oracle_member(I, g) and oracle_member(J, g) for g in meet)
     Q = colon(I, J)
+    assert Q.generators == Q.groebner_basis()
     assert all(oracle_member(I, q * f) for q in Q.groebner_basis() for f in J.generators)
+    # and the reverse inclusion: every h with h*J inside I lies in Q; the
+    # degrees reach past hi, where h*J starts to fall into I
+    for d in range(min(ring.weights), 2 * hi + 1):
+        h = random_homogeneous(ring, d, rng)
+        if all(oracle_member(I, h * f) for f in J.generators):
+            assert oracle_member(Q, h)
     sat = saturate(I, Ideal(ring, list(ring.variables())))
     assert all(oracle_member(sat.ideal, g) for g in I.generators)
     # m^t * sat lies in I at the reported exponent t

@@ -38,7 +38,12 @@ from golodkit import (
 
 from golodkit import monomial
 
-from conftest import oracle_ideal_powers, oracle_monomial_member, ordered_monomial_scan
+from conftest import (
+    intersection_loop_components,
+    oracle_ideal_powers,
+    oracle_monomial_member,
+    ordered_monomial_scan,
+)
 
 
 def _random_monomial_ideal(ring, rng, count=4, maxdeg=3):
@@ -300,3 +305,13 @@ _R3 = GradingSpec(("x", "y", "z"), (1, 1, 1))
 def test_quotient_predicate_matches_the_ordered_scan(vecs):
     I = MonomialIdeal(_R3, vecs)
     assert strongly_golod_monomial(I) == ordered_monomial_scan(I)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(n=st.integers(2, 4), data=st.data())
+def test_irreducible_components_match_the_intersection_loop(n, data):
+    ring = ring_for_vertices(n)
+    vecs = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * n).filter(any),
+                              min_size=1, max_size=5))
+    I = MonomialIdeal(ring, vecs)
+    assert monomial.irreducible_components(I) == intersection_loop_components(I)
