@@ -143,10 +143,3 @@ def kernel_of_columns(columns: list[Vec]) -> tuple[Span, list[IntVec]]:
     image = Span()
     image.pivots = {col: (_primitive(row, col), None) for col, (row, _) in pivots.items()}
     return image, kernel
-
-
-def rank_of_columns(columns: list[Vec]) -> int:
-    span = Span()
-    for col in columns:
-        span.add(col)
-    return span.dim

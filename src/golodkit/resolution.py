@@ -1,7 +1,7 @@
 """Minimal graded free resolutions over the polynomial ring.
 
 The resolution of S/I is built by iterating syzygy computations, then
-minimized by clearing unit entries with exact row and column operations.
+minimized by splitting off each unit entry as a Schur complement.
 Betti numbers are read off the shifts of the minimized complex.
 """
 
@@ -118,18 +118,18 @@ def _compose_is_zero(A: Matrix, B: Matrix, ring) -> bool:
 
 
 def _minimize(mats: list[Matrix], shifts: list[list[int]], ring):
-    """Clear unit entries by graded row/column operations, in place.
+    """Split off unit entries in place, one pivot per matrix per sweep.
 
-    Clearing the pivot row uses column operations, which act on the next
-    matrix as row operations; clearing the pivot column then only touches
-    single entries and acts on the previous matrix as column operations.
-    Exactness forces the freed row and column of the neighbors to vanish.
+    A unit M[r][c] = λ splits off a trivial summand: M becomes its Schur
+    complement M[t][k] - M[t][c]·M[r][k]/λ without row r and column c, and
+    the neighbors lose column r of the previous matrix and row c of the next
+    one, which equal prev·M[:, c] and M[r]·next up to the factor 1/λ.
+    Exactness forces both to vanish; nothing else in the neighbors changes.
     """
     changed = True
     while changed:
         changed = False
-        for i in range(len(mats)):
-            M = mats[i]
+        for i, M in enumerate(mats):
             pivot = next(
                 ((r, c) for r in range(len(M)) for c in range(len(M[0]) if M else 0)
                  if _is_unit(M[r][c])),
@@ -139,43 +139,24 @@ def _minimize(mats: list[Matrix], shifts: list[list[int]], ring):
                 continue
             changed = True
             r, c = pivot
-            lam = M[r][c].constant_value()
-            ncols = len(M[0])
-            nrows = len(M)
-            nxt = mats[i + 1] if i + 1 < len(mats) else None
-            prv = mats[i - 1] if i > 0 else None
-            for c2 in range(ncols):
-                if c2 == c or M[r][c2].is_zero():
-                    continue
-                q = M[r][c2] * (Fraction(1) / lam)
-                for t in range(nrows):
-                    if not M[t][c].is_zero():
-                        M[t][c2] = M[t][c2] - q * M[t][c]
-                if nxt is not None and nxt:
-                    for w in range(len(nxt[0])):
-                        if not nxt[c2][w].is_zero():
-                            nxt[c][w] = nxt[c][w] + q * nxt[c2][w]
-            for r2 in range(nrows):
-                if r2 == r or M[r2][c].is_zero():
-                    continue
-                q = M[r2][c] * (Fraction(1) / lam)
-                M[r2][c] = Polynomial.zero(ring)
-                if prv is not None and prv:
-                    for w in range(len(prv)):
-                        if not prv[w][r2].is_zero():
-                            prv[w][r] = prv[w][r] + q * prv[w][r2]
-            if prv and not all(prv[w][r].is_zero() for w in range(len(prv))):
+            prv = mats[i - 1] if i > 0 else []
+            nxt = mats[i + 1] if i + 1 < len(mats) else []
+            if not _compose_is_zero(prv, [[row[c]] for row in M], ring):
                 raise AlgebraError("exactness should clear the freed column")
-            if nxt and not all(e.is_zero() for e in nxt[c]):
+            if not _compose_is_zero([M[r]], nxt, ring):
                 raise AlgebraError("exactness should clear the freed row")
-            # delete basis element r of F_i and c of F_{i+1}
+            pivot_row = M.pop(r)
+            inv = Fraction(1) / pivot_row[c].constant_value()
+            quotients = [(k, e * inv) for k, e in enumerate(pivot_row)
+                         if k != c and not e.is_zero()]
             for row in M:
+                if not row[c].is_zero():
+                    for k, q in quotients:
+                        row[k] = row[k] - q * row[c]
                 del row[c]
-            del M[r]
-            if prv is not None:
-                for row in prv:
-                    del row[r]
-            if nxt is not None and nxt:
+            for row in prv:
+                del row[r]
+            if nxt:
                 del nxt[c]
             del shifts[i][r]
             del shifts[i + 1][c]

@@ -5,11 +5,13 @@ algebra machinery: ideal membership is decided degreewise with a local
 Gaussian elimination over Fraction, and monomial membership by raw
 divisibility.  Tests cross-check the fast implementations against these.
 The references ``full_window_series``, ``full_pair_scan``,
-``ordered_monomial_scan`` and ``intersection_loop_components`` run the
-package's own arithmetic without its shortcuts: the Tor window cap, the trim
-of the derivative list to a minimal generating set, the scan over unordered
-pairs of monomial generators, and the pairwise containment test that prunes
-irreducible components.
+``ordered_monomial_scan``, ``intersection_loop_components`` and
+``unit_clearing_minimize`` run the package's own arithmetic without its
+shortcuts: the Tor window cap, the trim of the derivative list to a minimal
+generating set, the scan over unordered pairs of monomial generators, the
+pairwise containment test that prunes irreducible components, and the Schur
+split-off of unit entries (the reference clears them by row and column
+operations that also rewrite the neighboring matrices).
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ import pytest
 
 from golodkit import GradingSpec, Ideal, MonomialIdeal, Polynomial, derivative_ideal
 from golodkit.calculus import DerivativePairWitness, MonomialQuotientWitness, StronglyGolodReport
+from golodkit.errors import AlgebraError
 from golodkit.poincare import _tor_series
+from golodkit.resolution import Matrix, _is_unit
 from golodkit.ring import axpy, mono_mul
 
 
@@ -208,6 +212,70 @@ def intersection_loop_components(I: MonomialIdeal) -> list[MonomialIdeal]:
                 changed = True
                 break
     return sorted(out, key=lambda c: tuple(sorted(c.gens)))
+
+
+def unit_clearing_minimize(mats: list[Matrix], shifts: list[list[int]], ring):
+    """Clear unit entries by graded row/column operations, in place.
+
+    Clearing the pivot row uses column operations, which act on the next
+    matrix as row operations; clearing the pivot column then only touches
+    single entries and acts on the previous matrix as column operations.
+    Exactness forces the freed row and column of the neighbors to vanish.
+    """
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(mats)):
+            M = mats[i]
+            pivot = next(
+                ((r, c) for r in range(len(M)) for c in range(len(M[0]) if M else 0)
+                 if _is_unit(M[r][c])),
+                None,
+            )
+            if pivot is None:
+                continue
+            changed = True
+            r, c = pivot
+            lam = M[r][c].constant_value()
+            ncols = len(M[0])
+            nrows = len(M)
+            nxt = mats[i + 1] if i + 1 < len(mats) else None
+            prv = mats[i - 1] if i > 0 else None
+            for c2 in range(ncols):
+                if c2 == c or M[r][c2].is_zero():
+                    continue
+                q = M[r][c2] * (Fraction(1) / lam)
+                for t in range(nrows):
+                    if not M[t][c].is_zero():
+                        M[t][c2] = M[t][c2] - q * M[t][c]
+                if nxt is not None and nxt:
+                    for w in range(len(nxt[0])):
+                        if not nxt[c2][w].is_zero():
+                            nxt[c][w] = nxt[c][w] + q * nxt[c2][w]
+            for r2 in range(nrows):
+                if r2 == r or M[r2][c].is_zero():
+                    continue
+                q = M[r2][c] * (Fraction(1) / lam)
+                M[r2][c] = Polynomial.zero(ring)
+                if prv is not None and prv:
+                    for w in range(len(prv)):
+                        if not prv[w][r2].is_zero():
+                            prv[w][r] = prv[w][r] + q * prv[w][r2]
+            if prv and not all(prv[w][r].is_zero() for w in range(len(prv))):
+                raise AlgebraError("exactness should clear the freed column")
+            if nxt and not all(e.is_zero() for e in nxt[c]):
+                raise AlgebraError("exactness should clear the freed row")
+            # delete basis element r of F_i and c of F_{i+1}
+            for row in M:
+                del row[c]
+            del M[r]
+            if prv is not None:
+                for row in prv:
+                    del row[r]
+            if nxt is not None and nxt:
+                del nxt[c]
+            del shifts[i][r]
+            del shifts[i + 1][c]
 
 
 @pytest.fixture

@@ -7,8 +7,10 @@ from random import Random
 import pytest
 
 from golodkit import (
+    AlgebraError,
     HomogeneityError,
     Ideal,
+    ImproperIdealError,
     MonomialOrder,
     Polynomial,
     betti_table,
@@ -18,7 +20,8 @@ from golodkit import (
     power,
 )
 
-from conftest import _row_reduce, monomials_of_degree, random_homogeneous
+from golodkit import resolution
+from conftest import _row_reduce, monomials_of_degree, random_homogeneous, unit_clearing_minimize
 
 
 def _unit_entry(p):
@@ -222,3 +225,49 @@ def test_trim_generators_matches_membership_scan(r3):
 def test_minimal_generators_need_a_homogeneous_ideal(r2):
     with pytest.raises(HomogeneityError):
         Ideal.from_strings(r2, ["x*y", "x + y^2"]).minimal_generators()
+
+
+def test_minimize_checks_the_pivot_row_against_the_next_matrix(r2):
+    x = r2.variables()[0]
+    one, zero = parse_polynomial(r2, "1"), parse_polynomial(r2, "0")
+    # the unit pivot row (1, x) composes with the next column (x, 0) to x, not 0
+    mats = [[[one, x]], [[x], [zero]]]
+    with pytest.raises(AlgebraError, match="exactness should clear the freed row"):
+        resolution._minimize(mats, [[0], [0, 1], [1]], r2)
+
+
+def test_minimize_checks_the_previous_matrix_against_the_pivot_column(r2):
+    x, y = r2.variables()
+    one, zero = parse_polynomial(r2, "1"), parse_polynomial(r2, "0")
+    # the previous row (x, y) composes with the unit pivot column (1, 0) to x, not 0
+    mats = [[[x, y]], [[one], [zero]]]
+    with pytest.raises(AlgebraError, match="exactness should clear the freed column"):
+        resolution._minimize(mats, [[0], [1, 1], [1]], r2)
+
+
+def test_schur_split_off_matches_unit_clearing_on_the_corpus(monkeypatch):
+    """Every corpus entry in at most 3 variables and its square resolve to the
+    same matrices and shifts as under the row-and-column reference."""
+    ideals = [I for e in builtin_corpus() if e.ideal.ring.n <= 3
+              for I in (e.ideal, power(e.ideal, 2))]
+    ours = [minimal_free_resolution(I) for I in ideals]
+    split_off = []
+
+    def reference(mats, shifts, ring):
+        before = sum(map(len, shifts))
+        unit_clearing_minimize(mats, shifts, ring)
+        split_off.append(before - sum(map(len, shifts)))
+
+    monkeypatch.setattr(resolution, "_minimize", reference)
+    for I, res in zip(ideals, ours):
+        ref = minimal_free_resolution(I)
+        assert res == ref
+        assert repr(res) == repr(ref)
+    assert len(ideals) == 36 and sum(split_off) > 0
+
+
+def test_resolution_rejects_inhomogeneous_and_unit_ideals(r2):
+    with pytest.raises(HomogeneityError, match="resolutions need a homogeneous ideal"):
+        minimal_free_resolution(Ideal.from_strings(r2, ["x^2 + y"]))
+    with pytest.raises(ImproperIdealError, match="S/I vanishes for the unit ideal"):
+        minimal_free_resolution(Ideal.from_strings(r2, ["1"]))
