@@ -5,15 +5,23 @@ One engine handles both ideals and submodules of free modules: an internal
 sum in the engine is one ``ring.axpy``.  Scalar polynomials are the
 one-component case.
 
+The engine runs over Z, fraction-free (Bareiss, Math. Comp. 1968): each
+input enters as a primitive integer vector times a positive rational factor,
+every basis element is kept primitive with a positive lead coefficient, and
+a reduction step cross-multiplies instead of dividing.  ``Fraction``s are
+built only at the public boundary: the monic reduced bases of
+``Ideal.groebner_basis`` and ``intersect``, and the syzygy rows, which are
+scaled back by the inputs' factors and returned as primitive integer rows.
+
 The engine has one reduction loop, ``_Engine.nf``, which returns the
-remainder together with its reduction steps (basis index, shift,
-coefficient): the division quotients.  ``_Engine.fold`` applies steps to
-representations over the inputs; tracked Buchberger and syzygies read what
-they need off the steps.  Syzygies come from Schreyer's theorem: S-pair
-division syzygies of a reduced basis, translated back to the caller's
-generators through the tracked representation matrix.  Colon ideals are
-projections of syzygies, and intersections are eliminations; both are
-generated by their reduced grevlex basis.
+remainder together with its reduction steps (basis index, shift, a, b): the
+division quotients.  ``_Engine.fold`` applies steps to representations over
+the inputs; tracked Buchberger and syzygies read what they need off the
+steps.  Syzygies come from Schreyer's theorem: S-pair division syzygies of a
+reduced basis, translated back to the caller's generators through the
+tracked representation matrix.  Colon ideals are projections of syzygies,
+and intersections are eliminations; both are generated by their reduced
+grevlex basis.
 
 An ``Ideal`` caches its reduced grevlex basis, and from it the normal form
 of every monomial it meets and its standard monomials per degree; the
@@ -28,6 +36,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .errors import (
@@ -37,7 +46,7 @@ from .errors import (
     SaturationLimitError,
     ZeroColonError,
 )
-from .linalg import Span
+from .linalg import Span, _primitive, integral
 from .ring import (
     Exps,
     GradingSpec,
@@ -84,20 +93,25 @@ class MonomialOrder:
 
 # -- internal vector representation ------------------------------------------
 #
-# ModTerm = (component, exps); ModVec = dict[ModTerm, coefficient], unordered.
+# ModTerm = (component, exps); ModVec = dict[ModTerm, int], unordered.
 # A vector's leading term is its largest term under ``_Engine.key``, the
 # order on exponents with ties broken towards the lower component.
 
 ModTerm = tuple[int, Exps]
-ModVec = dict[ModTerm, Fraction]
+ModVec = dict[ModTerm, int]
 
 
-def _to_internal(vec: Sequence[Polynomial]) -> ModVec:
-    return {(comp, e): c for comp, p in enumerate(vec) for e, c in p.terms}
+def _to_internal(vec: Sequence[Polynomial]) -> tuple[ModVec, Fraction]:
+    """(u, f) with vec == f * u, u a primitive integer vector and f > 0."""
+    u, den = integral({(comp, e): c for comp, p in enumerate(vec) for e, c in p.terms})
+    g = gcd(*u.values()) or 1
+    if g > 1:
+        u = {t: c // g for t, c in u.items()}
+    return u, Fraction(g, den)
 
 
 def _from_internal(mv: ModVec, ring: GradingSpec, ncomp: int) -> tuple[Polynomial, ...]:
-    per: list[dict[Exps, Fraction]] = [dict() for _ in range(ncomp)]
+    per: list[dict[Exps, int]] = [dict() for _ in range(ncomp)]
     for (comp, e), c in mv.items():
         per[comp][e] = c
     return tuple(Polynomial(ring, d) for d in per)
@@ -108,14 +122,29 @@ def _shift(mv: ModVec, shift: Exps) -> ModVec:
     return {(comp, mono_mul(e, shift)): c for (comp, e), c in mv.items()}
 
 
-# A reduction step (basis index, shift, c) records that c * x^shift * polys[hit]
-# was subtracted; the same steps applied to the tracked representations
-# (``_Engine.fold``) keep each vector's coefficients over the inputs.
-Step = tuple[int, Exps, Fraction]
+def _scale(mv: ModVec, b: int) -> None:
+    """mv *= b, in place."""
+    if b != 1:
+        for t in mv:
+            mv[t] *= b
+
+
+# A reduction step (basis index, shift, a, b) records the update
+# work <- b * work - a * x^shift * polys[hit], a and b being the two lead
+# coefficients divided by their gcd, b > 0.  The same steps applied to the
+# tracked representations (``_Engine.fold``) keep each vector's coefficients
+# over the inputs.  All of it is int arithmetic over Z: no Fraction enters the
+# engine, and the public layer builds them from its output.
+Step = tuple[int, Exps, int, int]
 
 
 class _Engine:
-    """Buchberger machinery for one order / component count."""
+    """Fraction-free Buchberger machinery for one order / component count.
+
+    Every vector is an integer vector; the basis elements are primitive, with
+    a positive lead coefficient, and together with their representations
+    they satisfy polys[i] == sum over j of reps[i][j] * inputs[j] exactly.
+    """
 
     def __init__(self, order: MonomialOrder, ncomp: int, track: bool):
         self.order = order
@@ -138,10 +167,10 @@ class _Engine:
     def nf(self, vec: ModVec) -> tuple[ModVec, list[Step]]:
         """Full normal form against the current basis, and its reduction steps.
 
-        vec equals the sum of c * x^shift * polys[hit] over the steps plus the
-        remainder.  Each step removes a term strictly smaller than the one
-        before, so a (hit, shift) pair occurs at most once: the steps are the
-        division quotients.
+        With mu the product of the steps' b, mu * vec equals the steps folded
+        into zero (``fold``) plus the remainder.  Each step removes a term
+        strictly smaller than the one before, so a (hit, shift) pair occurs
+        at most once: the steps are the division quotients.
         """
         rem: ModVec = {}
         steps: list[Step] = []
@@ -157,15 +186,21 @@ class _Engine:
                 continue
             shift = mono_div(exps, lexps)
             c = work[lead]
-            # polys[hit] is monic, so this clears the lead exactly
-            axpy(work, -c, _shift(self.polys[hit], shift))
-            steps.append((hit, shift, c))
+            lc = self.polys[hit][self.leads[hit]]
+            g = gcd(c, lc)
+            a, b = c // g, lc // g
+            _scale(work, b)
+            _scale(rem, b)
+            # b * c == a * lc, so this clears the lead exactly
+            axpy(work, -a, _shift(self.polys[hit], shift))
+            steps.append((hit, shift, a, b))
         return rem, steps
 
     def fold(self, rep: ModVec, steps: list[Step]) -> ModVec:
-        """rep minus c * x^shift * reps[hit] for each step, in place; returns rep."""
-        for hit, shift, c in steps:
-            axpy(rep, -c, _shift(self.reps[hit], shift))
+        """rep <- b * rep - a * x^shift * reps[hit] for each step, in place; returns rep."""
+        for hit, shift, a, b in steps:
+            _scale(rep, b)
+            axpy(rep, -a, _shift(self.reps[hit], shift))
         return rep
 
     def _push_pairs(self, heap, pending, new_idx: int):
@@ -182,7 +217,7 @@ class _Engine:
             pending.add((i, new_idx))
 
     def _add(self, vec: ModVec, pre: list[Step], heap, pending, unit: int | None = None):
-        """Reduce vec; a nonzero remainder becomes a monic basis element.
+        """Reduce vec; a nonzero remainder becomes a primitive basis element.
 
         vec is input ``unit``, or else built from the basis by the steps
         ``pre``.  Its representation is folded from those and the reduction
@@ -191,15 +226,15 @@ class _Engine:
         rem, steps = self.nf(vec)
         if not rem:
             return
-        lead = max(rem, key=self.key)
-        inv = Fraction(1) / rem[lead]
-        self.leads.append(lead)
-        self.polys.append({t: inv * c for t, c in rem.items()})
         rep: ModVec = {}
         if self.track:
             if unit is not None:
                 rep[(unit, (0,) * self.order.grading.n)] = 1
-            rep = {t: inv * c for t, c in self.fold(rep, pre + steps).items()}
+            self.fold(rep, pre + steps)
+        lead = max(rem, key=self.key)
+        poly, rep = _primitive_pair(rem, rep, lead)
+        self.leads.append(lead)
+        self.polys.append(poly)
         self.reps.append(rep)
         self._push_pairs(heap, pending, len(self.polys) - 1)
 
@@ -230,13 +265,17 @@ class _Engine:
         return False
 
     def _spair(self, i: int, j: int, lcm: Exps) -> tuple[ModVec, list[Step]]:
-        """x^si * polys[i] - x^sj * polys[j], and the steps that fold a
+        """The S-vector of polys[i] and polys[j], and the steps that fold a
         representation of zero into one of it."""
         si = mono_div(lcm, self.leads[i][1])
         sj = mono_div(lcm, self.leads[j][1])
+        ci, cj = self.polys[i][self.leads[i]], self.polys[j][self.leads[j]]
+        g = gcd(ci, cj)
+        ai, aj = cj // g, ci // g
         svec = _shift(self.polys[i], si)
-        axpy(svec, -1, _shift(self.polys[j], sj))
-        return svec, [(i, si, -1), (j, sj, 1)]
+        _scale(svec, ai)
+        axpy(svec, -aj, _shift(self.polys[j], sj))
+        return svec, [(i, si, -ai, 1), (j, sj, aj, 1)]
 
     def _reduce_basis(self):
         # drop elements whose lead is divisible by another surviving lead
@@ -255,16 +294,32 @@ class _Engine:
         # pairwise irreducible
         for i, (lead, poly) in enumerate(zip(self.leads, self.polys)):
             rem, steps = self.nf({t: c for t, c in poly.items() if t != lead})
-            rem[lead] = poly[lead]
-            self.polys[i] = rem
-            if self.track:
-                self.fold(self.reps[i], steps)
+            if not steps:
+                continue
+            rem[lead] = prod(b for *_, b in steps) * poly[lead]
+            rep = self.fold(self.reps[i], steps) if self.track else {}
+            self.polys[i], self.reps[i] = _primitive_pair(rem, rep, lead)
+
+
+def _primitive_pair(poly: ModVec, rep: ModVec, lead: ModTerm) -> tuple[ModVec, ModVec]:
+    """poly and rep divided by their joint content, signed so that poly's lead is positive."""
+    g = gcd(*poly.values(), *rep.values())
+    if poly[lead] < 0:
+        g = -g
+    if g == 1:
+        return poly, rep
+    return {t: c // g for t, c in poly.items()}, {t: c // g for t, c in rep.items()}
 
 
 def _run_engine(vectors: list[ModVec], order: MonomialOrder, ncomp: int, track: bool) -> _Engine:
     eng = _Engine(order, ncomp, track)
     eng.run(vectors)
     return eng
+
+
+def _monic(ring: GradingSpec, poly: dict[Exps, int], lc: int) -> Polynomial:
+    """An integer polynomial divided by its lead coefficient lc, over Q."""
+    return Polynomial(ring, {e: Fraction(c, lc) for e, c in poly.items()})
 
 
 # -- public ideal layer -------------------------------------------------------
@@ -333,10 +388,10 @@ class Ideal:
         return self._compute_gb(order)
 
     def _compute_gb(self, order: MonomialOrder) -> tuple[Polynomial, ...]:
-        vecs = [_to_internal([g]) for g in self.generators]
+        vecs = [_to_internal([g])[0] for g in self.generators]
         eng = _run_engine(vecs, order, 1, track=False)
-        polys = [_from_internal(mv, self.ring, 1)[0] for mv in eng.polys]
-        return tuple(polys)
+        return tuple(_monic(self.ring, {e: c for (_, e), c in mv.items()}, mv[lead])
+                     for lead, mv in zip(eng.leads, eng.polys))
 
     def _reducer_list(self) -> list[tuple[Exps, list[tuple[Exps, Coeff]]]]:
         if self._reducers is None:
@@ -509,14 +564,17 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     if I.is_zero() or J.is_zero():
         return Ideal(ring, [])
     # t * f and (1 - t) * g, with t the first exponent
-    vecs = [{(0, (1,) + e): c for e, c in f.terms} for f in I.generators]
-    vecs += [{(0, (t,) + e): -c if t else c for e, c in g.terms for t in (0, 1)}
+    vecs = [{(0, (1,) + e): c for (_, e), c in _to_internal([f])[0].items()}
+            for f in I.generators]
+    vecs += [{(0, (t,) + e): -c if t else c
+              for (_, e), c in _to_internal([g])[0].items() for t in (0, 1)}
              for g in J.generators]
     eng = _run_engine(vecs, _elimination_order(ring), 1, track=False)
     # the t-free part of the reduced elimination basis is itself a reduced
     # grevlex basis of the intersection
-    return _by_basis(ring, [Polynomial(ring, {e[1:]: c for (_, e), c in mv.items()})
-                            for mv in eng.polys if all(e[0] == 0 for _, e in mv)])
+    return _by_basis(ring, [_monic(ring, {e[1:]: c for (_, e), c in mv.items()}, mv[lead])
+                            for lead, mv in zip(eng.leads, eng.polys)
+                            if all(e[0] == 0 for _, e in mv)])
 
 
 def colon(I: Ideal, J: Ideal) -> Ideal:
@@ -563,7 +621,9 @@ def module_syzygies(columns: Sequence[Sequence[Polynomial]], ring: GradingSpec) 
     Returns rows s with sum_j s[j] * columns[j] == 0 (componentwise, exactly).
     Schreyer's construction: division syzygies of all S-pairs of a reduced
     basis G, pulled back along G = T * columns, plus the rows of I - Q * T
-    where columns = Q * G.
+    where columns = Q * G.  Each row is a primitive integer row whose leading
+    term (the largest under the grevlex key, ties to the lower index) has a
+    positive coefficient.
     """
     cols = [tuple(col) for col in columns]
     if not cols:
@@ -576,11 +636,20 @@ def module_syzygies(columns: Sequence[Sequence[Polynomial]], ring: GradingSpec) 
             if p.ring != ring:
                 raise RingMismatchError("column entry lives in a different ring")
     order = MonomialOrder.grevlex(ring)
-    vecs = [_to_internal(col) for col in cols]
-    eng = _run_engine(vecs, order, ncomp, track=True)
+    scaled = [_to_internal(col) for col in cols]
+    eng = _run_engine([u for u, _ in scaled], order, ncomp, track=True)
     rows: list[tuple[Polynomial, ...]] = []
-    # eng.reps[g] is basis element g over the inputs (component i is input i),
-    # so folding a syzygy of the basis (its steps) into a row gives one of the inputs
+    # eng.reps[g] is basis element g over the scaled inputs u_j = columns[j] / f_j
+    # (component j is input j), so folding a syzygy of the basis (its steps)
+    # into a row gives one of the u_j; its entry j over the columns is row_j / f_j,
+    # an integer once the row is multiplied by the lcm of the f_j's numerators
+    big = lcm(*(f.numerator for _, f in scaled))
+    back = [f.denominator * (big // f.numerator) for _, f in scaled]
+
+    def emit(row: ModVec):
+        if row:
+            row = {t: c * back[t[0]] for t, c in row.items()}
+            rows.append(_from_internal(_primitive(row, max(row, key=eng.key)), ring, len(cols)))
 
     # Schreyer division syzygies over all same-component S-pairs of the basis
     for a in range(len(eng.polys)):
@@ -593,19 +662,15 @@ def module_syzygies(columns: Sequence[Sequence[Polynomial]], ring: GradingSpec) 
             rem, steps = eng.nf(svec)
             if rem:
                 raise AlgebraError("S-pair of a Groebner basis failed to reduce to zero")
-            row = eng.fold({}, pre + steps)
-            if row:
-                rows.append(_from_internal(row, ring, len(cols)))
+            emit(eng.fold({}, pre + steps))
 
     # rows of I - Q*T, where Q divides the inputs by the basis and T = eng.reps
     one = tuple(0 for _ in range(ring.n))
-    for i, vec in enumerate(vecs):
-        rem, steps = eng.nf(vec)
+    for i, (u, _) in enumerate(scaled):
+        rem, steps = eng.nf(u)
         if rem:
             raise AlgebraError("input column is not in the module it generates")
-        row = eng.fold({(i, one): 1}, steps)
-        if row:
-            rows.append(_from_internal(row, ring, len(cols)))
+        emit(eng.fold({(i, one): 1}, steps))
     return rows
 
 

@@ -3,6 +3,7 @@
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd, prod
 from random import Random
 
 import pytest
@@ -115,15 +116,21 @@ def test_normal_form_is_linear_and_idempotent(r2):
 
 
 def _engine_remainder(I: Ideal, p: Polynomial) -> Polynomial:
-    """Reference: term-by-term reduction by the Buchberger engine's nf."""
+    """Reference: term-by-term reduction by the Buchberger engine's nf.
+
+    nf reduces the primitive integer vector u of p = f * u, and returns mu * u
+    reduced, mu the product of its steps' b; so the normal form is f * rem / mu.
+    """
     order = MonomialOrder.grevlex(I.ring)
     eng = _Engine(order, 1, track=False)
     for g in I.groebner_basis():
         eng.leads.append((0, g.terms[0][0]))
-        eng.polys.append(_to_internal([g]))
+        eng.polys.append(_to_internal([g])[0])
         eng.reps.append({})
-    rem, _ = eng.nf(_to_internal([p]))
-    return _from_internal(rem, I.ring, 1)[0]
+    u, f = _to_internal([p])
+    rem, steps = eng.nf(u)
+    mu = prod(b for *_, b in steps)
+    return Polynomial.constant(I.ring, f / mu) * _from_internal(rem, I.ring, 1)[0]
 
 
 def test_normal_form_matches_engine_and_oracle(r3, rw):
@@ -259,6 +266,11 @@ def test_module_syzygies_of_zero_columns_are_unit_rows(r2):
     assert module_syzygies([[zero]], r2) == [(one,)]
 
 
+def test_module_syzygies_are_primitive_integer_rows(r3):
+    x, y, _ = r3.variables()
+    assert module_syzygies([[Fraction(1, 2) * x], [y]], r3) == [(-2 * y, x)]
+
+
 def test_unit_ideal_detection(r2):
     I = Ideal.from_strings(r2, ["x^2 + y^2", "x^2 - y^2", "x*y"])
     # contains all of (x,y)^2, hence proper
@@ -278,18 +290,30 @@ def test_groebner_cache_consistency(r2):
     assert I.contains_poly(f)
 
 
-def _check_division(eng: _Engine, vec: tuple[Polynomial, ...]):
-    """vec == sum of c * x^shift * g_hit over nf's steps, plus a fully reduced remainder."""
-    ring = vec[0].ring
-    ncomp = len(vec)
-    rem, steps = eng.nf(_to_internal(vec))
-    assert len({(hit, shift) for hit, shift, _ in steps}) == len(steps)
-    total = list(_from_internal(rem, ring, ncomp))
-    for hit, shift, c in steps:
+def _fold_steps(eng: _Engine, steps, ring, ncomp) -> list[Polynomial]:
+    """The steps applied to zero: total <- b * total + a * x^shift * g_hit."""
+    total = [Polynomial.zero(ring)] * ncomp
+    for hit, shift, a, b in steps:
         g = _from_internal(eng.polys[hit], ring, ncomp)
         for k in range(ncomp):
-            total[k] = total[k] + Polynomial.monomial(ring, shift, c) * g[k]
-    assert tuple(total) == vec
+            total[k] = Polynomial.constant(ring, b) * total[k] + Polynomial.monomial(ring, shift, a) * g[k]
+    return total
+
+
+def _check_division(eng: _Engine, vec: tuple[Polynomial, ...]):
+    """mu * u == the steps folded into zero plus a fully reduced remainder, for
+    vec == f * u with u primitive and mu the product of the steps' b."""
+    ring = vec[0].ring
+    ncomp = len(vec)
+    u, _ = _to_internal(vec)
+    rem, steps = eng.nf(u)
+    assert len({(hit, shift) for hit, shift, _, _ in steps}) == len(steps)
+    assert all(type(a) is int and type(b) is int and b > 0 for _, _, a, b in steps)
+    mu = Polynomial.constant(ring, prod(b for *_, b in steps))
+    total = _fold_steps(eng, steps, ring, ncomp)
+    rem_polys = _from_internal(rem, ring, ncomp)
+    scaled = _from_internal(u, ring, ncomp)
+    assert tuple(t + r for t, r in zip(total, rem_polys)) == tuple(mu * p for p in scaled)
     for comp, e in rem:
         assert not any(lc == comp and mono_divides(le, e) for lc, le in eng.leads)
     return steps
@@ -301,7 +325,7 @@ def test_engine_steps_satisfy_the_division_identity(r3, rw):
         order = MonomialOrder.grevlex(ring)
         for trial in range(4):
             gens = [random_homogeneous(ring, rng.randint(2, 3), rng) for _ in range(3)]
-            eng = _run_engine([_to_internal([g]) for g in gens], order, 1, track=False)
+            eng = _run_engine([_to_internal([g])[0] for g in gens], order, 1, track=False)
             for d in (3, 4, 5):
                 _check_division(eng, (random_homogeneous(ring, d, rng),))
 
@@ -312,21 +336,53 @@ def test_engine_steps_on_a_two_component_module(r3):
     for trial in range(3):
         cols = [(random_homogeneous(r3, 2, rng), random_homogeneous(r3, 3, rng))
                 for _ in range(3)]
-        eng = _run_engine([_to_internal(col) for col in cols], order, 2, track=True)
+        scaled = [_to_internal(col) for col in cols]
+        eng = _run_engine([u for u, _ in scaled], order, 2, track=True)
         for d in (3, 4):
             vec = (random_homogeneous(r3, d, rng), random_homogeneous(r3, d + 1, rng))
             _check_division(eng, vec)
         # a member of the module reduces to zero, and folding its steps into a
-        # zero representation gives minus its coefficients over the inputs
+        # zero representation gives minus mu times its coefficients over the
+        # scaled inputs u_j = cols[j] / f_j
         a, b = (random_homogeneous(r3, 1, rng) for _ in range(2))
         member = tuple(a * cols[0][k] + b * cols[1][k] for k in range(2))
         steps = _check_division(eng, member)
+        _, f = _to_internal(member)
         got = _from_internal(eng.fold({}, steps), r3, len(cols))
         combo = [Polynomial.zero(r3)] * 2
         for k in range(2):
-            for coeff, col in zip(got, cols):
-                combo[k] = combo[k] + coeff * col[k]
-        assert tuple(-p for p in combo) == member
+            for coeff, col, (_, fj) in zip(got, cols, scaled):
+                combo[k] = combo[k] + Polynomial.constant(r3, 1 / fj) * coeff * col[k]
+        mu = Polynomial.constant(r3, prod(b for *_, b in steps) / f)
+        assert tuple(-p for p in combo) == tuple(mu * p for p in member)
+
+
+def test_engine_holds_primitive_integer_vectors_over_the_scaled_inputs(r3, rw):
+    # the invariant the fraction-free engine keeps: integer polys and reps, a
+    # positive lead on every basis element, and polys[i] == sum_j reps[i][j] * u_j
+    # exactly, u_j being input j scaled to a primitive integer vector
+    rng = Random(73)
+    factors = set()
+    for ring in (r3, rw):
+        order = MonomialOrder.grevlex(ring)
+        for trial in range(4):
+            ncomp = 1 + trial % 2
+            cols = [tuple(random_homogeneous(ring, rng.randint(2, 3) + k, rng) for k in range(ncomp))
+                    for _ in range(3)]
+            pairs = [_to_internal(col) for col in cols]
+            scaled = [u for u, _ in pairs]
+            factors.update(f for _, f in pairs)
+            eng = _run_engine(scaled, order, ncomp, track=True)
+            us = [_from_internal(u, ring, ncomp) for u in scaled]
+            for lead, poly, rep in zip(eng.leads, eng.polys, eng.reps):
+                assert all(type(c) is int for c in (*poly.values(), *rep.values()))
+                assert poly[lead] > 0
+                coeffs = _from_internal(rep, ring, len(cols))
+                combo = [sum((c * u[k] for c, u in zip(coeffs, us)), Polynomial.zero(ring))
+                         for k in range(ncomp)]
+                assert tuple(combo) == _from_internal(poly, ring, ncomp)
+    # the pool's 1/2 makes some inputs non-integral, so scaling is exercised
+    assert any(f.denominator > 1 for f in factors)
 
 
 def test_standard_monomials_count_the_hilbert_function(r3, rw):
@@ -435,8 +491,13 @@ def test_module_syzygies_span_the_kernel_in_every_degree(name, data):
                   for a in shifts)
             for j, dj in enumerate(col_degs)]
     rows = module_syzygies(cols, ring)
+    key = MonomialOrder.grevlex(ring).key
     row_degs = []
     for s in rows:
+        # a primitive integer row, its leading term (ties to the lower index) positive
+        coeffs = [c for p in s for _, c in p.terms]
+        assert all(c.denominator == 1 for c in coeffs) and gcd(*(int(c) for c in coeffs)) == 1
+        assert max(((key(e), -j), c) for j, p in enumerate(s) for e, c in p.terms)[1] > 0
         for k in range(len(shifts)):
             assert sum((c * col[k] for c, col in zip(s, cols)), Polynomial.zero(ring)).is_zero()
         assert all(p.homogeneity().is_homogeneous for p in s)
