@@ -37,5 +37,6 @@ class ParseError(AlgebraError):
         if line is not None:
             loc = f" (line {line}" + (f", column {column})" if column is not None else ")")
         super().__init__(message + loc)
+        self.message = message  # without the location, for callers that add their own
         self.line = line
         self.column = column

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import AlgebraError, HomogeneityError, ImproperIdealError
 from .groebner import Ideal, module_syzygies
-from .ring import GradingSpec, Polynomial
+from .ring import GradingSpec, Polynomial, mono_mul
 
 Matrix = list[list[Polynomial]]
 
@@ -105,14 +105,16 @@ def _column_degree(ring, col, row_shifts) -> int:
 
 
 def _compose_is_zero(A: Matrix, B: Matrix, ring) -> bool:
-    zero = Polynomial.zero(ring)
-    for r in range(len(A)):
+    """Whether the product A*B vanishes; each entry is summed in one dict."""
+    for row in A:
         for c in range(len(B[0]) if B else 0):
-            acc = zero
+            acc: dict = {}
             for t in range(len(B)):
-                if not A[r][t].is_zero() and not B[t][c].is_zero():
-                    acc = acc + A[r][t] * B[t][c]
-            if not acc.is_zero():
+                for e1, c1 in row[t].terms:
+                    for e2, c2 in B[t][c].terms:
+                        e = mono_mul(e1, e2)
+                        acc[e] = acc.get(e, 0) + c1 * c2
+            if any(acc.values()):
                 return False
     return True
 

@@ -129,6 +129,13 @@ def monomials_of_degree(weights: tuple[int, ...], d: int) -> list[Exps]:
     return sorted(out)
 
 
+def _sorted_terms(ring: GradingSpec, acc: Mapping[Exps, Fraction]) -> tuple:
+    """The nonzero entries of acc, sorted by descending grevlex key."""
+    weights = ring.weights
+    return tuple(sorted(((e, c) for e, c in acc.items() if c),
+                        key=lambda t: grevlex_key(weights, t[0]), reverse=True))
+
+
 @dataclass(frozen=True)
 class HomogeneityReport:
     """Whether a polynomial is homogeneous for the ring's weights.
@@ -144,7 +151,10 @@ class Polynomial:
     """Immutable polynomial with Fraction coefficients.
 
     ``terms`` is a tuple of (exponent tuple, coefficient) pairs sorted in
-    descending weighted grevlex order with no zero coefficients.
+    descending weighted grevlex order with no zero coefficients.  Only the
+    public constructor validates its input (exponent lengths and signs, no
+    floats); arithmetic builds its results directly from terms that are
+    already valid.
     """
 
     __slots__ = ("ring", "terms")
@@ -167,13 +177,17 @@ class Polynomial:
                     merged[exps] = acc
                 elif exps in merged:
                     del merged[exps]
-        weights = ring.weights
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(
-            self,
-            "terms",
-            tuple(sorted(merged.items(), key=lambda t: grevlex_key(weights, t[0]), reverse=True)),
-        )
+        object.__setattr__(self, "terms", _sorted_terms(ring, merged))
+
+    @classmethod
+    def _from_terms(cls, ring: GradingSpec, acc: dict[Exps, Fraction]) -> "Polynomial":
+        """Trusted constructor for arithmetic results: ``acc`` maps exponent
+        tuples of the right length to Fractions; zero values are dropped."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "ring", ring)
+        object.__setattr__(p, "terms", _sorted_terms(ring, acc))
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -239,8 +253,8 @@ class Polynomial:
         self._check_ring(other)
         acc = dict(self.terms)
         for e, c in other.terms:
-            acc[e] = acc.get(e, Fraction(0)) + c
-        return Polynomial(self.ring, acc)
+            acc[e] = acc.get(e, 0) + c
+        return Polynomial._from_terms(self.ring, acc)
 
     def __radd__(self, other):
         if other == 0:  # so sum() works
@@ -248,19 +262,23 @@ class Polynomial:
         return self.__add__(other)
 
     def __neg__(self):
-        return Polynomial(self.ring, [(e, -c) for e, c in self.terms])
+        return Polynomial._from_terms(self.ring, {e: -c for e, c in self.terms})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.ring, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.__add__(-other)
+        self._check_ring(other)
+        acc = dict(self.terms)
+        for e, c in other.terms:
+            acc[e] = acc.get(e, 0) - c
+        return Polynomial._from_terms(self.ring, acc)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return Polynomial(self.ring, [(e, c * k) for e, k in self.terms])
+            return Polynomial._from_terms(self.ring, {e: c * k for e, k in self.terms})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
@@ -268,8 +286,8 @@ class Polynomial:
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 e = mono_mul(e1, e2)
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(self.ring, acc)
+                acc[e] = acc.get(e, 0) + c1 * c2
+        return Polynomial._from_terms(self.ring, acc)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -286,12 +304,12 @@ class Polynomial:
         """Partial derivative with respect to the i-th variable."""
         if not 0 <= i < self.ring.n:
             raise IndexError(f"variable index {i} out of range")
-        acc = []
+        acc = {}
         for e, c in self.terms:
             if e[i] > 0:
                 de = tuple(x - 1 if j == i else x for j, x in enumerate(e))
-                acc.append((de, c * e[i]))
-        return Polynomial(self.ring, acc)
+                acc[de] = c * e[i]
+        return Polynomial._from_terms(self.ring, acc)
 
     # -- structural ----------------------------------------------------------
 

@@ -214,6 +214,20 @@ def intersection_loop_components(I: MonomialIdeal) -> list[MonomialIdeal]:
     return sorted(out, key=lambda c: tuple(sorted(c.gens)))
 
 
+def polynomial_compose_is_zero(A: Matrix, B: Matrix, ring) -> bool:
+    """Whether A*B vanishes, each entry summed as one Polynomial after another."""
+    zero = Polynomial.zero(ring)
+    for r in range(len(A)):
+        for c in range(len(B[0]) if B else 0):
+            acc = zero
+            for t in range(len(B)):
+                if not A[r][t].is_zero() and not B[t][c].is_zero():
+                    acc = acc + A[r][t] * B[t][c]
+            if not acc.is_zero():
+                return False
+    return True
+
+
 def unit_clearing_minimize(mats: list[Matrix], shifts: list[list[int]], ring):
     """Clear unit entries by graded row/column operations, in place.
 

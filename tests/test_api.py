@@ -1,5 +1,8 @@
 """The public API contract: the exported names of the golodkit package."""
 
+import ast
+from pathlib import Path
+
 import golodkit
 
 EXPECTED = [
@@ -32,3 +35,13 @@ def test_all_is_pinned():
 def test_every_exported_name_resolves():
     for name in golodkit.__all__:
         assert getattr(golodkit, name) is not None, name
+
+
+def test_no_invariant_is_an_assert():
+    # python -O strips assert statements; an invariant raises a domain error
+    sources = sorted(Path(golodkit.__file__).parent.glob("*.py"))
+    found = [f"{path.name}:{node.lineno}"
+             for path in sources
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Assert)]
+    assert len(sources) > 10 and found == []

@@ -88,6 +88,20 @@ def test_exit_codes(session_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("gen, reason", [
+    ("x/0", "unexpected '/' at position 1 in 'x/0'"),
+    ("x**2", "expected a factor at position 2"),
+    ("(x+y)^2", "expected a factor at position 0"),
+])
+def test_malformed_generator_is_a_clean_error(tmp_path, capsys, gen, reason):
+    session = tmp_path / "bad.golod"
+    session.write_text(f"ring x, y weights 1, 1\nideal A = {gen}\n")
+    assert main(["derivative-ideal", "A", "--session", str(session)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: in generator {gen!r}: {reason} (line 2)\n"
+
+
 def test_witness_shown_on_failure(session_file, capsys):
     main(["check-strongly-golod", "I", "--session", session_file])
     out = capsys.readouterr().out

@@ -21,7 +21,13 @@ from golodkit import (
 )
 
 from golodkit import resolution
-from conftest import _row_reduce, monomials_of_degree, random_homogeneous, unit_clearing_minimize
+from conftest import (
+    _row_reduce,
+    monomials_of_degree,
+    polynomial_compose_is_zero,
+    random_homogeneous,
+    unit_clearing_minimize,
+)
 
 
 def _unit_entry(p):
@@ -243,6 +249,46 @@ def test_minimize_checks_the_previous_matrix_against_the_pivot_column(r2):
     mats = [[[x, y]], [[one], [zero]]]
     with pytest.raises(AlgebraError, match="exactness should clear the freed column"):
         resolution._minimize(mats, [[0], [1, 1], [1]], r2)
+
+
+def test_compose_is_zero_matches_the_polynomial_sum(r3):
+    # B's columns are Koszul syzygies of A's first row, times a random form, so
+    # one-row products cancel term by term; a perturbed entry or a second row
+    # of A breaks that, and random B rarely vanishes at all
+    rng = Random(5)
+    zero = Polynomial.zero(r3)
+
+    def small():
+        if rng.random() < 0.1:
+            return zero
+        return Polynomial(r3, {tuple(rng.randint(0, 1) for _ in range(3)):
+                               Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 2))
+                               for _ in range(rng.randint(1, 2))})
+
+    outcomes = {True: 0, False: 0}
+    cancelled = 0
+    for _ in range(300):
+        inner = rng.randint(1, 3)
+        A = [[small() for _ in range(inner)] for _ in range(rng.randint(1, 2))]
+        if inner > 1 and rng.random() < 0.6:
+            B = []
+            for _ in range(rng.randint(1, 2)):
+                i, j = rng.sample(range(inner), 2)
+                f = small()
+                col = [zero] * inner
+                col[i], col[j] = A[0][j] * f, -(A[0][i] * f)
+                B.append(col)
+            B = [list(row) for row in zip(*B)]
+            if rng.random() < 0.3:
+                B[0][0] = B[0][0] + small()
+        else:
+            ncols = rng.randint(0, 2)
+            B = [[small() for _ in range(ncols)] for _ in range(inner)]
+        ours = resolution._compose_is_zero(A, B, r3)
+        assert ours == polynomial_compose_is_zero(A, B, r3), (A, B)
+        outcomes[ours] += 1
+        cancelled += ours and any(not (A[0][t] * B[t][0]).is_zero() for t in range(inner) if B[t])
+    assert min(outcomes.values()) > 100 and cancelled > 20, (outcomes, cancelled)
 
 
 def test_schur_split_off_matches_unit_clearing_on_the_corpus(monkeypatch):

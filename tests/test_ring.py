@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golodkit import GradingSpec, ParseError, Polynomial, parse_polynomial
 from golodkit.ring import axpy
@@ -123,3 +125,43 @@ def test_axpy_mixes_int_and_fraction_values():
     axpy(target, 2, {1: Fraction(-5, 4), 2: 1})
     assert target == {2: Fraction(7, 3)}
     assert isinstance(target[2], Fraction)
+
+
+_RINGS = {
+    "r3": GradingSpec(("x", "y", "z"), (1, 1, 1)),
+    "rw": GradingSpec(("x", "y"), (1, 2)),
+}
+
+
+def _canonical(p: Polynomial) -> None:
+    """p's terms are what the validating constructor makes of them."""
+    assert p.terms == Polynomial(p.ring, dict(p.terms)).terms
+    assert all(type(c) is Fraction and c != 0 for _, c in p.terms)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(_RINGS)), data=st.data())
+def test_arithmetic_results_are_canonical(name, data):
+    # arithmetic builds its results without the public constructor's checks;
+    # q repeats some of p's terms negated, so sums and differences cancel
+    ring = _RINGS[name]
+    exps = st.tuples(*[st.integers(0, 2)] * ring.n)
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    terms = st.lists(st.tuples(exps, coeff), max_size=5)
+    p = Polynomial(ring, data.draw(terms))
+    flip = data.draw(st.lists(st.booleans(), min_size=len(p.terms), max_size=len(p.terms)))
+    q = Polynomial(ring, [(e, -c) for (e, c), f in zip(p.terms, flip) if f] + data.draw(terms))
+    scalar = data.draw(st.sampled_from([0, 3, Fraction(-2, 3)]))
+    results = {
+        "p + q": p + q, "p - q": p - q, "p - -q": p - -q, "-p": -p, "p * q": p * q,
+        "(p + q) * (p - q)": (p + q) * (p - q), "p * c": p * scalar, "c * p": scalar * p,
+        "p ** k": p ** data.draw(st.integers(0, 3)),
+    }
+    results.update({f"d{i} p": p.partial(i) for i in range(ring.n)})
+    for result in results.values():
+        _canonical(result)
+    # the values agree with the validating constructor's merge
+    assert p + q == Polynomial(ring, p.terms + q.terms)
+    assert p - q == Polynomial(ring, p.terms + tuple((e, -c) for e, c in q.terms))
+    assert p - -q == p + q
+    assert (p * scalar).is_zero() == (scalar == 0 or p.is_zero())
