@@ -623,7 +623,7 @@ def module_syzygies(columns: Sequence[Sequence[Polynomial]], ring: GradingSpec) 
     basis G, pulled back along G = T * columns, plus the rows of I - Q * T
     where columns = Q * G.  Each row is a primitive integer row whose leading
     term (the largest under the grevlex key, ties to the lower index) has a
-    positive coefficient.
+    positive coefficient; no row is repeated.
     """
     cols = [tuple(col) for col in columns]
     if not cols:
@@ -638,7 +638,9 @@ def module_syzygies(columns: Sequence[Sequence[Polynomial]], ring: GradingSpec) 
     order = MonomialOrder.grevlex(ring)
     scaled = [_to_internal(col) for col in cols]
     eng = _run_engine([u for u, _ in scaled], order, ncomp, track=True)
-    rows: list[tuple[Polynomial, ...]] = []
+    # rows by their integer terms: primitive with a positive lead, so a
+    # repeated syzygy is an exact repeat
+    rows: dict[frozenset, tuple[Polynomial, ...]] = {}
     # eng.reps[g] is basis element g over the scaled inputs u_j = columns[j] / f_j
     # (component j is input j), so folding a syzygy of the basis (its steps)
     # into a row gives one of the u_j; its entry j over the columns is row_j / f_j,
@@ -648,8 +650,10 @@ def module_syzygies(columns: Sequence[Sequence[Polynomial]], ring: GradingSpec) 
 
     def emit(row: ModVec):
         if row:
-            row = {t: c * back[t[0]] for t, c in row.items()}
-            rows.append(_from_internal(_primitive(row, max(row, key=eng.key)), ring, len(cols)))
+            row = _primitive({t: c * back[t[0]] for t, c in row.items()}, max(row, key=eng.key))
+            key = frozenset(row.items())
+            if key not in rows:
+                rows[key] = _from_internal(row, ring, len(cols))
 
     # Schreyer division syzygies over all same-component S-pairs of the basis
     for a in range(len(eng.polys)):
@@ -671,7 +675,7 @@ def module_syzygies(columns: Sequence[Sequence[Polynomial]], ring: GradingSpec) 
         if rem:
             raise AlgebraError("input column is not in the module it generates")
         emit(eng.fold({(i, one): 1}, steps))
-    return rows
+    return list(rows.values())
 
 
 def syzygies(I: Ideal) -> list[tuple[Polynomial, ...]]:

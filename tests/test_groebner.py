@@ -271,6 +271,13 @@ def test_module_syzygies_are_primitive_integer_rows(r3):
     assert module_syzygies([[Fraction(1, 2) * x], [y]], r3) == [(-2 * y, x)]
 
 
+def test_syzygy_rows_are_distinct(r3):
+    # the Schreyer S-pairs and the input rows both produce (-y*z, 0, x^2 + y^2)
+    rows = syzygies(Ideal.from_strings(r3, ["x^2 + y^2", "x*y - 1/2*z^2", "y*z"]))
+    assert len(rows) == len(set(rows)) == 7
+    assert tuple(parse_polynomial(r3, t) for t in ("-y*z", "0", "x^2 + y^2")) in rows
+
+
 def test_unit_ideal_detection(r2):
     I = Ideal.from_strings(r2, ["x^2 + y^2", "x^2 - y^2", "x*y"])
     # contains all of (x,y)^2, hence proper
