@@ -103,7 +103,7 @@ def _escaping_pair(I: Ideal, gens: Sequence[Polynomial]) -> tuple[int, int] | No
     rows = []
     for g in gens:
         row, _ = integral(dict(g.terms))
-        rows.append(list(_primitive(row, min(row)).items()))
+        rows.append(list(_primitive(row, min(row))[0].items()))
     for a, row_a in enumerate(rows):
         multiples: dict[Exps, dict[Exps, Coeff]] = {}
         for b in range(a, len(rows)):

@@ -51,6 +51,7 @@ from .ring import (
     Exps,
     GradingSpec,
     Polynomial,
+    _scale,
     axpy,
     grevlex_key,
     mono_div,
@@ -120,13 +121,6 @@ def _from_internal(mv: ModVec, ring: GradingSpec, ncomp: int) -> tuple[Polynomia
 def _shift(mv: ModVec, shift: Exps) -> ModVec:
     """x^shift * mv."""
     return {(comp, mono_mul(e, shift)): c for (comp, e), c in mv.items()}
-
-
-def _scale(mv: ModVec, b: int) -> None:
-    """mv *= b, in place."""
-    if b != 1:
-        for t in mv:
-            mv[t] *= b
 
 
 # A reduction step (basis index, shift, a, b) records the update
@@ -232,7 +226,7 @@ class _Engine:
                 rep[(unit, (0,) * self.order.grading.n)] = 1
             self.fold(rep, pre + steps)
         lead = max(rem, key=self.key)
-        poly, rep = _primitive_pair(rem, rep, lead)
+        poly, rep = _primitive(rem, lead, rep)
         self.leads.append(lead)
         self.polys.append(poly)
         self.reps.append(rep)
@@ -298,17 +292,7 @@ class _Engine:
                 continue
             rem[lead] = prod(b for *_, b in steps) * poly[lead]
             rep = self.fold(self.reps[i], steps) if self.track else {}
-            self.polys[i], self.reps[i] = _primitive_pair(rem, rep, lead)
-
-
-def _primitive_pair(poly: ModVec, rep: ModVec, lead: ModTerm) -> tuple[ModVec, ModVec]:
-    """poly and rep divided by their joint content, signed so that poly's lead is positive."""
-    g = gcd(*poly.values(), *rep.values())
-    if poly[lead] < 0:
-        g = -g
-    if g == 1:
-        return poly, rep
-    return {t: c // g for t, c in poly.items()}, {t: c // g for t, c in rep.items()}
+            self.polys[i], self.reps[i] = _primitive(rem, lead, rep)
 
 
 def _run_engine(vectors: list[ModVec], order: MonomialOrder, ncomp: int, track: bool) -> _Engine:
@@ -650,7 +634,7 @@ def module_syzygies(columns: Sequence[Sequence[Polynomial]], ring: GradingSpec) 
 
     def emit(row: ModVec):
         if row:
-            row = _primitive({t: c * back[t[0]] for t, c in row.items()}, max(row, key=eng.key))
+            row, _ = _primitive({t: c * back[t[0]] for t, c in row.items()}, max(row, key=eng.key))
             key = frozenset(row.items())
             if key not in rows:
                 rows[key] = _from_internal(row, ring, len(cols))

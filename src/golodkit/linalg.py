@@ -11,12 +11,18 @@ membership.  ``kernel_of_columns`` eliminates a column matrix once, carrying
 beside each row integer tag coordinates that say which columns it is made
 of; from that one pass it returns both the image, as a ``Span``, and the
 kernel, as primitive integer rows.
+
+One combine: each step is ``ring._scale`` then ``ring.axpy``.  One
+normalisation, ``_primitive``, also used by the Buchberger engine, the
+syzygy rows and the predicate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+from .ring import _scale, axpy
 
 Vec = dict[int, Fraction]
 IntVec = dict[int, int]
@@ -32,18 +38,6 @@ def integral(vec: Vec) -> tuple[IntVec, int]:
     return {k: c.numerator * (den // c.denominator) for k, c in vec.items()}, den
 
 
-def _combine(b: int, x: IntVec, a: int, y: IntVec) -> IntVec:
-    """b*x - a*y as a new dict, dropping entries that cancel to zero."""
-    out = {k: b * v for k, v in x.items()} if b != 1 else dict(x)
-    for k, v in y.items():
-        acc = out.get(k, 0) - a * v
-        if acc:
-            out[k] = acc
-        else:
-            del out[k]
-    return out
-
-
 def _reduce(pivots: Pivots, res: IntVec, tag: IntVec | None) -> tuple[IntVec, IntVec | None]:
     """Eliminate the leading column of res while it is a pivot column.
 
@@ -51,7 +45,8 @@ def _reduce(pivots: Pivots, res: IntVec, tag: IntVec | None) -> tuple[IntVec, In
     column and leaves only later ones.  Reduction stops at the first leading
     column without a pivot: res is then independent of the rows, and its
     leading column is a new pivot.  An empty res means it lay in their span.
-    The tag, if given, undergoes the same integer operations.
+    The tag, if given, undergoes the same integer operations.  res and tag
+    are fresh dicts, updated in place; stored rows are only read.
     """
     while res:
         col = min(res)
@@ -64,31 +59,30 @@ def _reduce(pivots: Pivots, res: IntVec, tag: IntVec | None) -> tuple[IntVec, In
         g = gcd(a, b)
         a //= g
         b //= g
-        res = _combine(b, res, a, row)
+        _scale(res, b)
+        axpy(res, -a, row)
         if tag is not None:
-            tag = _combine(b, tag, a, row_tag)
+            _scale(tag, b)
+            axpy(tag, -a, row_tag)
     return res, tag
+
+
+def _primitive(vec: dict, key, tag: dict | None = None) -> tuple[dict, dict | None]:
+    """vec and tag (a row's tag or representation, if given) divided by their
+    joint content, signed so that vec[key] > 0; primitive input comes back as is."""
+    g = gcd(*vec.values(), *(tag or {}).values())
+    if vec[key] < 0:
+        g = -g
+    if g == 1:
+        return vec, tag
+    scaled = {k: v // g for k, v in tag.items()} if tag is not None else None
+    return {k: v // g for k, v in vec.items()}, scaled
 
 
 def _store(pivots: Pivots, res: IntVec, tag: IntVec | None) -> None:
     """Insert a reduced nonzero row at its leading column, primitive, pivot positive."""
     col = min(res)
-    g = gcd(*res.values(), *tag.values()) if tag is not None else gcd(*res.values())
-    if res[col] < 0:
-        g = -g
-    if g != 1:
-        res = {k: v // g for k, v in res.items()}
-        if tag is not None:
-            tag = {k: v // g for k, v in tag.items()}
-    pivots[col] = (res, tag)
-
-
-def _primitive(vec: IntVec, key: int) -> IntVec:
-    """vec divided by its content, signed so that its entry at key is positive."""
-    g = gcd(*vec.values())
-    if vec[key] < 0:
-        g = -g
-    return {k: v // g for k, v in vec.items()} if g != 1 else vec
+    pivots[col] = _primitive(res, col, tag)
 
 
 class Span:
@@ -139,7 +133,7 @@ def kernel_of_columns(columns: list[Vec]) -> tuple[Span, list[IntVec]]:
         if res:
             _store(pivots, res, tag)
             continue
-        kernel.append(_primitive({s: c * dens[s] for s, c in tag.items()}, t))
+        kernel.append(_primitive({s: c * dens[s] for s, c in tag.items()}, t)[0])
     image = Span()
-    image.pivots = {col: (_primitive(row, col), None) for col, (row, _) in pivots.items()}
+    image.pivots = {col: _primitive(row, col) for col, (row, _) in pivots.items()}
     return image, kernel

@@ -237,9 +237,19 @@ def golod_verdict(I: Ideal, i_max: int = 4, d_max: int | None = None) -> GolodVe
     A coefficient where the actual series falls short of the bound is
     decisive even under truncation, since the window values are exact and
     truncation only ever under-counts the bound.
+
+    A drop below the bound proves non-Golodness only when the variables
+    minimally generate the maximal ideal of R, that is, when I lies in m^2:
+    an ideal with a generator that has a linear term raises
+    ``ImproperIdealError``.
     """
     bound = serre_bound_series(I, i_max, d_max)
     d_max = bound.d_max
+    linear = next(((g, e) for g in I.generators for e, _ in g.terms if sum(e) == 1), None)
+    if linear is not None:
+        g, e = linear
+        raise ImproperIdealError(f"the verdict needs I inside m^2, but generator {g} "
+                                 f"has the linear term {I.ring.names[e.index(1)]}")
     actual = _tor_series(I, i_max, d_max, _support_caps(bound))
     for i in range(i_max + 1):
         for d in range(d_max + 1):

@@ -112,6 +112,13 @@ def axpy(target: dict, factor, src: Mapping, index: Mapping | None = None) -> No
             del target[k]
 
 
+def _scale(target: dict, factor) -> None:
+    """target *= factor over a sparse dict, in place; factor is nonzero."""
+    if factor != 1:
+        for k in target:
+            target[k] *= factor
+
+
 def monomials_of_degree(weights: tuple[int, ...], d: int) -> list[Exps]:
     """All exponent vectors of weighted degree d, sorted; none for d < 0."""
     out: list[Exps] = []

@@ -12,23 +12,39 @@ generating set, the scan over unordered pairs of monomial generators, the
 pairwise containment test that prunes irreducible components, and the Schur
 split-off of unit entries (the reference clears them by row and column
 operations that also rewrite the neighboring matrices).
+``subcomplex_derivative_cycle_check`` decides the derivative cycle check
+inside K itself: it spans the cycles whose coefficients lie in d(I)R, where
+the package reads the same answer off the Koszul complex of S/(I + d(I)).
+``hochster_betti`` computes graded Betti numbers of monomial ideals from
+simplicial homology alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from random import Random
 
 import pytest
 
-from golodkit import GradingSpec, Ideal, MonomialIdeal, Polynomial, derivative_ideal
+from golodkit import (
+    GradingSpec,
+    Ideal,
+    MonomialIdeal,
+    Polynomial,
+    builtin_corpus,
+    derivative_ideal,
+    koszul,
+    power,
+)
 from golodkit.calculus import DerivativePairWitness, MonomialQuotientWitness, StronglyGolodReport
 from golodkit.errors import AlgebraError
+from golodkit.koszul import _coordinates, _dims, _koszul, _window
+from golodkit.linalg import Span, Vec, kernel_of_columns
 from golodkit.poincare import _tor_series
 from golodkit.resolution import Matrix, _is_unit
-from golodkit.ring import axpy, mono_mul
+from golodkit.ring import axpy, mono_mul, monomials_of_degree as weighted_monomials
 
 
 def monomials_of_degree(ring: GradingSpec, d: int) -> list[tuple[int, ...]]:
@@ -156,6 +172,116 @@ def full_pair_scan(I: Ideal) -> StronglyGolodReport:
                 witness = DerivativePairWitness(dgens[a], dgens[b], Polynomial(I.ring, rem))
                 return StronglyGolodReport(False, witness)
     return StronglyGolodReport(True)
+
+
+def corpus_powers() -> list[tuple[str, Ideal]]:
+    """The corpus squares, and the cubes in at most 3 variables: strongly
+    Golod by the paper's theorem."""
+    out = [(f"{e.name}^2", power(e.ideal, 2)) for e in builtin_corpus()]
+    out += [(f"{e.name}^3", power(e.ideal, 3)) for e in builtin_corpus() if e.ideal.ring.n <= 3]
+    return out
+
+
+def subcomplex_derivative_cycle_check(I: Ideal, l_max: int | None = None,
+                                      d_max: int | None = None) -> bool:
+    """Whether the cycles of K with coefficients in d(I)R, together with the
+    boundaries, span the cycles at every positive bidegree of the window.
+
+    It reads ``koszul.derivative_ideal`` at call time, so a test may
+    substitute another ideal for d(I).  No strongly Golod precondition.
+    """
+    cx = _koszul(I)
+    l_max, d_max = _window(cx, l_max, d_max)
+    dgens = [({((), u): c for u, c in f.terms}, f.homogeneity().degree)
+             for f in koszul.derivative_ideal(I).minimal_generators()]
+    dbasis: dict[int, list[dict[tuple[int, ...], Fraction]]] = {}
+
+    def derivative_image_basis(e: int) -> list[dict[tuple[int, ...], Fraction]]:
+        # basis of the degree-e slice of d(I)*R, over standard monomials
+        if e not in dbasis:
+            keys, index = cx.basis(0, e)
+            span = Span()
+            basis = []
+            for f, fdeg in dgens:
+                for m in weighted_monomials(I.ring.weights, e - fdeg):
+                    vec = _coordinates(I, f, index, m)
+                    if vec and span.add(vec):
+                        basis.append({keys[i][1]: c for i, c in vec.items()})
+            dbasis[e] = basis
+        return dbasis[e]
+
+    for (l, d), dim in sorted(_dims(cx, l_max, d_max).items()):
+        if l == 0:
+            continue
+        _, index = cx.basis(l, d)
+        shifts = cx.shifts[l]
+        sub_vectors = [{index[W][u]: c for u, c in bv.items()}
+                       for W in index for bv in derivative_image_basis(d - shifts[W])]
+        if not sub_vectors:
+            return False
+        cols = []
+        diff = cx.differential_columns(l, d)
+        for sv in sub_vectors:
+            img: Vec = {}
+            for idx, c in sv.items():
+                axpy(img, c, diff[idx])
+            cols.append(img)
+        captured = cx.boundary_span(l, d).copy()
+        base_dim = captured.dim
+        for combo in kernel_of_columns(cols)[1]:
+            z: Vec = {}
+            for j, c in combo.items():
+                axpy(z, c, sub_vectors[j])
+            captured.add(z)
+        if captured.dim - base_dim < dim:
+            return False
+    return True
+
+
+def hochster_betti(ring: GradingSpec, gens: list[tuple[int, ...]]) -> dict[tuple[int, int], int]:
+    """The nonzero graded Betti numbers beta_{l,d}(S/I) of a proper monomial
+    ideal, by Hochster's formula (Miller and Sturmfels, Thm. 1.34).
+
+    beta_{i+1,b}(S/I) = beta_{i,b}(I) = dim H~_{i-1}(K^b(I); Q), where the
+    upper Koszul simplicial complex K^b(I) has the squarefree tau with
+    x^(b - tau) in I as faces.  Only b in the lcm lattice of the generators
+    can carry a Betti number.  Membership is divisibility, and the reduced
+    homology comes from the ranks of the simplicial boundary maps.
+    """
+    lattice = set(gens)
+    frontier = set(gens)
+    while frontier:
+        frontier = {tuple(map(max, a, g)) for a in frontier for g in gens} - lattice
+        lattice |= frontier
+    out: dict[tuple[int, int], int] = {(0, 0): 1}
+    for b in lattice:
+        support = [i for i in range(ring.n) if b[i]]
+        faces: dict[int, list[tuple[int, ...]]] = {}  # dimension -> faces
+        for size in range(len(support) + 1):
+            for tau in combinations(support, size):
+                below = tuple(e - (i in tau) for i, e in enumerate(b))
+                if oracle_monomial_member(gens, below):
+                    faces.setdefault(size - 1, []).append(tau)
+
+        def rank(j: int) -> int:
+            # rank of the boundary map from the j-faces to the (j-1)-faces
+            if j not in faces or j - 1 not in faces:
+                return 0
+            index = {tau: t for t, tau in enumerate(faces[j - 1])}
+            rows = []
+            for tau in faces[j]:
+                row = [Fraction(0)] * len(index)
+                for k in range(len(tau)):
+                    row[index[tau[:k] + tau[k + 1:]]] = Fraction((-1) ** k)
+                rows.append(row)
+            return len(_row_reduce(rows))
+
+        degree = sum(w * e for w, e in zip(ring.weights, b))
+        for j, js in faces.items():
+            dim = len(js) - rank(j) - rank(j + 1)
+            if dim:
+                out[(j + 2, degree)] = out.get((j + 2, degree), 0) + dim
+    return out
 
 
 def ordered_monomial_scan(I: MonomialIdeal) -> StronglyGolodReport:

@@ -8,7 +8,7 @@ import time
 from itertools import combinations
 from random import Random
 
-from conftest import full_window_series
+from conftest import corpus_powers, full_window_series
 from golodkit import (
     GradingSpec,
     Ideal,
@@ -20,6 +20,7 @@ from golodkit import (
     colon,
     contains,
     cycle_graph,
+    derivative_cycle_check,
     derivative_ideal,
     golod_verdict,
     integral_closure,
@@ -313,3 +314,13 @@ def test_17_closure_family_is_not_refuted_by_the_verdict():
     assert (len(powers), len(colons), len(added)) == (48, 13, 60)
     for name, I in powers + colons + added:
         assert golod_verdict(I, 3).status != NOT_GOLOD, name
+
+
+def test_18_derivative_cycles_carry_the_koszul_homology_of_corpus_powers():
+    # the paper's lemma: when d(I)^2 lies in I, every positive Koszul class
+    # has a cycle with coefficients in d(I)R; checked on the corpus squares
+    # and on the cubes in at most 3 variables
+    powers = corpus_powers()
+    assert len(powers) == 41
+    for name, I in powers:
+        assert derivative_cycle_check(I), name

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -232,6 +233,17 @@ def test_negative_homological_bound_exits_two(session_file, capsys):
         assert captured.err == "error: bounds must be non-negative\n"
 
 
+def test_verdict_commands_exit_two_outside_the_square_of_the_maximal_ideal(tmp_path, capsys):
+    f = tmp_path / "lin.golod"
+    f.write_text("ring x, y weights 1, 2\nideal W = x^2 - y\n")
+    for command in ("poincare", "golod-verdict"):
+        assert main([command, "W", "--session", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the verdict needs I inside m^2, but generator "
+                                "x^2 - y has the linear term y\n")
+
+
 def test_add_prime_power_command(tmp_path, capsys):
     f = tmp_path / "s.golod"
     f.write_text("ring x,y,z weights 1,1,1\n"
@@ -368,3 +380,26 @@ def test_help_text_is_pinned(command, monkeypatch, capsys):
     assert exc.value.code == 0
     pin = HELP_PINS / f"{command or 'golodkit'}.txt"
     assert capsys.readouterr().out == pin.read_text()
+
+
+_SWEEP_IDEALS = {"Z": "0", "U": "1", "M": "x, y, z", "Q": "x^2*z^2, x*y*z^2, y^2*z^2"}
+# every command whose positional arguments name ideals, with those arguments
+_IDEAL_COMMANDS = {name: [flag for flag, _ in arguments if not flag.startswith("-")]
+                   for name, _, arguments in cli._COMMANDS
+                   if any(flag in ("ideal", "left", "right") for flag, _ in arguments)}
+
+
+@pytest.mark.parametrize("command", sorted(_IDEAL_COMMANDS))
+def test_ideal_commands_exit_cleanly_on_edge_ideals(command, tmp_path, capsys):
+    # the zero ideal, the unit ideal, the maximal ideal and a square, in every
+    # position: each run is a verdict or one error line, never a traceback
+    f = tmp_path / "edge.golod"
+    f.write_text("ring x, y, z weights 1, 1, 1\n"
+                 + "".join(f"ideal {k} = {v}\n" for k, v in _SWEEP_IDEALS.items()))
+    for names in product(_SWEEP_IDEALS, repeat=len(_IDEAL_COMMANDS[command])):
+        code = main([command, *names, "--session", str(f)])
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), names
+        lines = captured.err.splitlines()
+        assert not lines or (len(lines) == 1 and lines[0].startswith("error: ")), names
+        assert (code == 2) == bool(lines), names
