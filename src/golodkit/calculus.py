@@ -17,9 +17,9 @@ from random import Random
 from typing import Sequence
 
 from .errors import AlgebraError, ContainmentError, HomogeneityError, ImproperIdealError
-from .groebner import Coeff, Ideal, colon, contains, saturate
+from .groebner import Ideal, NFRow, colon, contains, saturate
 from .linalg import _primitive, integral
-from .ring import Exps, GradingSpec, Polynomial, axpy, mono_mul
+from .ring import Exps, GradingSpec, Polynomial, axpy_over, mono_mul
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,10 @@ def _escaping_pair(I: Ideal, gens: Sequence[Polynomial]) -> tuple[int, int] | No
     """The first (a, b), a <= b, with gens[a] * gens[b] outside I; None if none.
 
     Scaling a generator changes no product's membership, so each enters as
-    its primitive integer row; over an integral reduced basis every sum below
-    is then int arithmetic.  Normal forms modulo a reduced basis are linear,
-    so NF(d_a * d_b) is the sum of c * NF(x^e * d_a) over the terms c*x^e of
+    its primitive integer row, and every sum below is int arithmetic over
+    the memo's integer normal-form rows, kept over a common denominator
+    (``axpy_over``).  Normal forms modulo a reduced basis are linear, so
+    NF(d_a * d_b) is the sum of c * NF(x^e * d_a) over the terms c*x^e of
     d_b.  The normal forms of the monomial multiples of d_a are kept for
     every b >= a.
     """
@@ -104,17 +105,21 @@ def _escaping_pair(I: Ideal, gens: Sequence[Polynomial]) -> tuple[int, int] | No
     for g in gens:
         row, _ = integral(dict(g.terms))
         rows.append(list(_primitive(row, min(row))[0].items()))
+    nf_row = I._nf_row
     for a, row_a in enumerate(rows):
-        multiples: dict[Exps, dict[Exps, Coeff]] = {}
+        multiples: dict[Exps, NFRow] = {}
         for b in range(a, len(rows)):
-            rem: dict[Exps, Coeff] = {}
+            rem: dict[Exps, int] = {}
+            den = 1
             for e2, c2 in rows[b]:
                 multiple = multiples.get(e2)
                 if multiple is None:
-                    multiple = multiples[e2] = {}
+                    acc: dict[Exps, int] = {}
+                    acc_den = 1
                     for e1, c1 in row_a:
-                        axpy(multiple, c1, I.nf_monomial(mono_mul(e1, e2)))
-                axpy(rem, c2, multiple)
+                        acc_den = axpy_over(acc, acc_den, c1, *nf_row(mono_mul(e1, e2)))
+                    multiple = multiples[e2] = (acc, acc_den)
+                den = axpy_over(rem, den, c2, *multiple)
             if rem:
                 return a, b
     return None

@@ -25,9 +25,12 @@ grevlex basis.
 
 An ``Ideal`` caches its reduced grevlex basis, and from it the normal form
 of every monomial it meets and its standard monomials per degree; the
-predicate and the Koszul and Tor strands all read these memos.  Integral
-coefficients of the basis tails and of standard monomials are kept as
-``int``, so strand sums stay integer where they can.
+predicate and the Koszul and Tor strands all read these memos.  The
+normal-form memo is fraction-free too: each entry is an integer row over
+one positive denominator, filled from the primitive integer basis, and sums
+of entries are kept over a common denominator (``ring.axpy_over``).  The
+predicate and ``Ideal.normal_form`` sum these rows; ``nf_monomial`` builds
+``Fraction``s only for the entries that are not integral.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .ring import (
     Polynomial,
     _scale,
     axpy,
+    axpy_over,
     grevlex_key,
     mono_div,
     mono_divides,
@@ -321,11 +325,24 @@ class SaturationResult:
 
 
 Coeff = int | Fraction
+# a normal form row / den: an integer row over standard monomials and a
+# positive denominator, with no common factor left between them
+NFRow = tuple[dict[Exps, int], int]
 
 
 def _as_int(c: Coeff) -> Coeff:
     """c as an int when it is integral."""
     return c.numerator if c.denominator == 1 else c
+
+
+def _lowest_terms(row: dict[Exps, int], den: int) -> NFRow:
+    """row / den with the common factor of the entries and den divided out."""
+    if den == 1:
+        return row, 1
+    g = gcd(den, *row.values())
+    if g == 1:
+        return row, den
+    return {v: c // g for v, c in row.items()}, den // g
 
 
 class Ideal:
@@ -343,11 +360,12 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._gb: tuple[Polynomial, ...] | None = None
-        # (lead, [(tail exps, -c / lc)]) per basis element, the monomial
-        # normal-form memo and the standard monomials per degree; all are
-        # built lazily from the cached basis
-        self._reducers: list[tuple[Exps, list[tuple[Exps, Coeff]]]] | None = None
-        self._nf: dict[Exps, dict[Exps, Coeff]] = {}
+        # (lead, lc, [(tail exps, -c)]) per basis element, its primitive
+        # integer form with lc > 0; the monomial normal-form memo of integer
+        # rows over one denominator each; the standard monomials per degree.
+        # All are built lazily from the cached basis
+        self._reducers: list[tuple[Exps, int, list[tuple[Exps, int]]]] | None = None
+        self._nf: dict[Exps, NFRow] = {}
         self._std: dict[int, list[Exps]] = {}
 
     @classmethod
@@ -377,12 +395,14 @@ class Ideal:
         return tuple(_monic(self.ring, {e: c for (_, e), c in mv.items()}, mv[lead])
                      for lead, mv in zip(eng.leads, eng.polys))
 
-    def _reducer_list(self) -> list[tuple[Exps, list[tuple[Exps, Coeff]]]]:
+    def _reducer_list(self) -> list[tuple[Exps, int, list[tuple[Exps, int]]]]:
         if self._reducers is None:
-            self._reducers = [
-                (g.terms[0][0], [(t, _as_int(-c / g.terms[0][1])) for t, c in g.terms[1:]])
-                for g in self.groebner_basis()
-            ]
+            self._reducers = []
+            for g in self.groebner_basis():
+                row, _ = integral(dict(g.terms))
+                row, _ = _primitive(row, g.terms[0][0])
+                lead, lc = g.terms[0][0], row.pop(g.terms[0][0])
+                self._reducers.append((lead, lc, [(t, -c) for t, c in row.items()]))
         return self._reducers
 
     def standard_monomials(self, d: int) -> list[Exps]:
@@ -394,7 +414,7 @@ class Ideal:
         """
         std = self._std.get(d)
         if std is None:
-            leads = [lead for lead, _ in self._reducer_list()]
+            leads = [lead for lead, _, _ in self._reducer_list()]
             std = self._std[d] = [
                 u for u in monomials_of_degree(self.ring.weights, d)
                 if not any(mono_divides(lead, u) for lead in leads)
@@ -402,13 +422,26 @@ class Ideal:
         return std
 
     def nf_monomial(self, e: Exps) -> dict[Exps, Coeff]:
-        """Normal form of x^e modulo the reduced grevlex basis, memoized.
+        """Normal form of x^e modulo the reduced grevlex basis.
 
-        A standard monomial maps to {x^e: 1}, and the basis's integral tail
-        coefficients are ints, so over an ideal with an integral reduced basis
-        every coefficient is an int.  The returned dict is shared with the
-        memo and must not be mutated.
-        A reducible x^e = x^s * lead(g) equals -x^s * tail(g) / lc(g) modulo
+        A standard monomial maps to {x^e: 1}, and every coefficient that is
+        integral is an int.  When the memoized row's denominator is 1 the
+        returned dict is the memo's own and must not be mutated; otherwise
+        the Fractions are built on each call.
+        """
+        row, den = self._nf_row(e)
+        if den == 1:
+            return row
+        return {v: _as_int(Fraction(c, den)) for v, c in row.items()}
+
+    def _nf_row(self, e: Exps) -> NFRow:
+        """Normal form of x^e as (row, den), row an integer dict; memoized.
+
+        The memo holds no Fraction: each entry is over its own denominator,
+        in lowest terms, and sums of entries are taken with ``axpy_over``.
+        The returned row is shared with the memo and must not be mutated.
+        A reducible x^e = x^s * lead(g), g the primitive integer basis
+        element with lead coefficient lc, equals -x^s * tail(g) / lc modulo
         the ideal, and every monomial of that tail is smaller than x^e, so
         the memo fills bottom-up from an explicit stack.
         """
@@ -417,7 +450,7 @@ class Ideal:
         if hit is not None:
             return hit
         reducers = self._reducer_list()
-        pending: dict[Exps, list[tuple[Exps, Coeff]]] = {}
+        pending: dict[Exps, tuple[int, list[tuple[Exps, int]]]] = {}
         stack = [e]
         while stack:
             u = stack[-1]
@@ -426,26 +459,28 @@ class Ideal:
                 continue
             expansion = pending.get(u)
             if expansion is None:
-                for lead, tail in reducers:
+                for lead, lc, tail in reducers:
                     if mono_divides(lead, u):
                         s = mono_div(u, lead)
-                        expansion = [(mono_mul(s, t), c) for t, c in tail]
+                        expansion = (lc, [(mono_mul(s, t), c) for t, c in tail])
                         break
                 else:
-                    memo[u] = {u: 1}
+                    memo[u] = ({u: 1}, 1)
                     stack.pop()
                     continue
-                missing = [v for v, _ in expansion if v not in memo]
+                missing = [v for v, _ in expansion[1] if v not in memo]
                 if missing:
                     # u is revisited once everything pushed above it is memoized
                     pending[u] = expansion
                     stack.extend(missing)
                     continue
             stack.pop()
-            nf: dict[Exps, Coeff] = {}
-            for v, c in expansion:
-                axpy(nf, c, memo[v])
-            memo[u] = nf
+            lc, terms = expansion
+            nf: dict[Exps, int] = {}
+            den = 1
+            for v, c in terms:
+                den = axpy_over(nf, den, c, *memo[v])
+            memo[u] = _lowest_terms(nf, den * lc)
         return memo[e]
 
     def minimal_generators(self) -> list[Polynomial]:
@@ -454,35 +489,38 @@ class Ideal:
         By graded Nakayama a generator of degree d is redundant exactly when it
         lies in the span of the degree-d monomial multiples of the kept ones.
         """
-        if not self.is_homogeneous:
+        reports = [g.homogeneity() for g in self.generators]
+        if not all(h.is_homogeneous for h in reports):
             raise HomogeneityError("minimal generators need a homogeneous ideal")
         order = MonomialOrder.grevlex(self.ring)
         gens = sorted(
-            self.generators,
-            key=lambda g: (g.homogeneity().degree, order.key(g.terms[0][0])),
+            zip((h.degree for h in reports), self.generators),
+            key=lambda dg: (dg[0], order.key(dg[1].terms[0][0])),
         )
-        kept: list[Polynomial] = []
+        kept: list[tuple[int, Polynomial]] = []
         one = (0,) * self.ring.n
         span_degree = None
-        for g in gens:
-            d = g.homogeneity().degree
+        for d, g in gens:
             if d != span_degree:
                 span, index, span_degree = Span(), {}, d
-                for k in kept:
-                    for m in monomials_of_degree(self.ring.weights, d - k.homogeneity().degree):
+                for kd, k in kept:
+                    for m in monomials_of_degree(self.ring.weights, d - kd):
                         span.add(_coordinates(k, m, index))
             # a kept g is its own only degree-d multiple, so the span stays current
             if span.add(_coordinates(g, one, index)):
-                kept.append(g)
-        return kept
+                kept.append((d, g))
+        return [g for _, g in kept]
 
     def normal_form(self, p: Polynomial) -> NormalForm:
         if p.ring != self.ring:
             raise RingMismatchError("polynomial lives in a different ring")
-        rem: dict[Exps, Fraction] = {}
-        for e, c in p.terms:
-            axpy(rem, c, self.nf_monomial(e))
-        r = Polynomial(self.ring, rem)
+        coeffs, pden = integral(dict(p.terms))
+        rem: dict[Exps, int] = {}
+        den = 1
+        for e, c in coeffs.items():
+            den = axpy_over(rem, den, c, *self._nf_row(e))
+        den *= pden
+        r = Polynomial._from_terms(self.ring, {v: Fraction(c, den) for v, c in rem.items()})
         return NormalForm(r, r.is_zero())
 
     def contains_poly(self, p: Polynomial) -> bool:

@@ -160,10 +160,12 @@ def strongly_golod_monomial(I: MonomialIdeal) -> StronglyGolodReport:
     x_i*x_j fails to divide u*v.  Agrees with the derivative-ideal test.
     A choice (u, v, i, j) fails exactly when its mirror (v, u, j, i) does,
     with the same quotient, so only pairs with u at or before v are scanned;
-    the first failure in the ordered scan is such a pair.
+    the first failure in the ordered scan is such a pair.  Many choices share
+    a quotient, so the quotients already found in I are remembered.
     """
     if not I.is_proper():
         raise ImproperIdealError("the unit ideal is outside the predicate's domain")
+    inside: set[Exps] = set()
     for k, u in enumerate(I.gens):
         for v in I.gens[k:]:
             prod = tuple(a + b for a, b in zip(u, v))
@@ -179,9 +181,12 @@ def strongly_golod_monomial(I: MonomialIdeal) -> StronglyGolodReport:
                         continue
                     q[j] -= 1
                     q = tuple(q)
+                    if q in inside:
+                        continue
                     if not I.contains_exponents(q):
                         return StronglyGolodReport(
                             False, MonomialQuotientWitness(u, v, i, j, q))
+                    inside.add(q)
     return StronglyGolodReport(True)
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import le
 from typing import Iterable, Mapping
 
 from .errors import ParseError, RingMismatchError
@@ -82,7 +84,7 @@ def mono_mul(a: Exps, b: Exps) -> Exps:
 
 def mono_divides(a: Exps, b: Exps) -> bool:
     """True when x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Exps, b: Exps) -> Exps:
@@ -110,6 +112,21 @@ def axpy(target: dict, factor, src: Mapping, index: Mapping | None = None) -> No
             target[k] = acc
         elif k in target:
             del target[k]
+
+
+def axpy_over(target: dict, den: int, factor: int, src: Mapping, src_den: int) -> int:
+    """target / den += factor * src / src_den over integer dicts, in place.
+
+    The sum is kept over the least common denominator of den and src_den,
+    which is returned; target is rescaled to it when it grows.
+    """
+    if src_den != den:
+        common = den // gcd(den, src_den) * src_den
+        _scale(target, common // den)
+        factor *= common // src_den
+        den = common
+    axpy(target, factor, src)
+    return den
 
 
 def _scale(target: dict, factor) -> None:

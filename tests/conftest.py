@@ -16,7 +16,11 @@ operations that also rewrite the neighboring matrices).
 inside K itself: it spans the cycles whose coefficients lie in d(I)R, where
 the package reads the same answer off the Koszul complex of S/(I + d(I)).
 ``hochster_betti`` computes graded Betti numbers of monomial ideals from
-simplicial homology alone.
+simplicial homology alone.  ``oracle_pair_scan`` and ``oracle_monomial_scan``
+decide the strongly Golod predicate with witness from the degreewise
+membership of ``oracle_member`` (normal forms by ``DegreewiseQuotient``) and
+from ``oracle_monomial_member``, sharing no code with the normal-form memo or
+``MonomialIdeal.contains_exponents``.
 """
 
 from __future__ import annotations
@@ -125,6 +129,78 @@ def oracle_member(I: Ideal, f: Polynomial) -> bool:
 
 def oracle_monomial_member(gens: list[tuple[int, ...]], u: tuple[int, ...]) -> bool:
     return any(all(a <= b for a, b in zip(g, u)) for g in gens)
+
+
+def _grevlex_within_degree(u: tuple[int, ...]) -> tuple[int, ...]:
+    """Sort key of grevlex among monomials of one degree: the smaller last
+    exponent wins, then the one before it."""
+    return tuple(-e for e in reversed(u))
+
+
+class DegreewiseQuotient:
+    """Normal forms modulo a homogeneous ideal, one graded piece at a time.
+
+    The degree-d piece of I is spanned by the monomial multiples of the
+    generators, as in ``oracle_member``.  Its echelon basis, each row headed
+    by its largest monomial under grevlex, has the leading monomials of I_d
+    as pivots; reducing f by it leaves f's unique remainder on the standard
+    monomials, which is the normal form modulo the reduced grevlex basis.
+    No Groebner basis is computed, and each degree's echelon is kept.
+    """
+
+    def __init__(self, I: Ideal):
+        self.I = I
+        self._echelons: dict[int, dict[tuple[int, ...], dict[tuple[int, ...], Fraction]]] = {}
+
+    def _reduce(self, pivots, vec: dict) -> dict:
+        while True:
+            hits = [u for u in vec if u in pivots]
+            if not hits:
+                return vec
+            u = max(hits, key=_grevlex_within_degree)
+            c = vec[u]
+            for v, a in pivots[u].items():
+                acc = vec.get(v, Fraction(0)) - c * a
+                if acc:
+                    vec[v] = acc
+                else:
+                    vec.pop(v, None)
+
+    def _echelon(self, d: int):
+        if d not in self._echelons:
+            pivots: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+            ring = self.I.ring
+            for g in self.I.generators:
+                dg = g.homogeneity().degree
+                if dg > d:
+                    continue
+                for m in monomials_of_degree(ring, d - dg):
+                    row = self._reduce(pivots, dict((g * Polynomial.monomial(ring, m)).terms))
+                    if row:
+                        lead = max(row, key=_grevlex_within_degree)
+                        pivots[lead] = {v: c / row[lead] for v, c in row.items()}
+            self._echelons[d] = pivots
+        return self._echelons[d]
+
+    def normal_form(self, f: Polynomial) -> Polynomial:
+        if f.is_zero():
+            return f
+        pivots = self._echelon(f.homogeneity().degree)
+        return Polynomial(f.ring, self._reduce(pivots, dict(f.terms)))
+
+
+def oracle_pair_scan(I: Ideal) -> StronglyGolodReport:
+    """The predicate over every pair a <= b of the full derivative list, in
+    order, with membership and the witness's remainder from the degreewise
+    quotient (no Groebner basis, no normal-form memo)."""
+    quotient = DegreewiseQuotient(I)
+    dgens = derivative_ideal(I).generators
+    for a in range(len(dgens)):
+        for b in range(a, len(dgens)):
+            rem = quotient.normal_form(dgens[a] * dgens[b])
+            if not rem.is_zero():
+                return StronglyGolodReport(False, DerivativePairWitness(dgens[a], dgens[b], rem))
+    return StronglyGolodReport(True)
 
 
 def random_homogeneous(ring: GradingSpec, degree: int, rng: Random) -> Polynomial:
@@ -284,8 +360,12 @@ def hochster_betti(ring: GradingSpec, gens: list[tuple[int, ...]]) -> dict[tuple
     return out
 
 
-def ordered_monomial_scan(I: MonomialIdeal) -> StronglyGolodReport:
-    """The quotient form of the predicate over every ordered pair (u, v)."""
+def ordered_monomial_scan(I: MonomialIdeal, member=None) -> StronglyGolodReport:
+    """The quotient form of the predicate over every ordered pair (u, v).
+
+    Membership is ``member(q)``, by default ``I.contains_exponents``.
+    """
+    member = member or I.contains_exponents
     for u in I.gens:
         for v in I.gens:
             prod = tuple(a + b for a, b in zip(u, v))
@@ -301,10 +381,15 @@ def ordered_monomial_scan(I: MonomialIdeal) -> StronglyGolodReport:
                         continue
                     q[j] -= 1
                     q = tuple(q)
-                    if not I.contains_exponents(q):
+                    if not member(q):
                         return StronglyGolodReport(
                             False, MonomialQuotientWitness(u, v, i, j, q))
     return StronglyGolodReport(True)
+
+
+def oracle_monomial_scan(I: MonomialIdeal) -> StronglyGolodReport:
+    """The ordered quotient scan with membership by raw divisibility."""
+    return ordered_monomial_scan(I, lambda q: oracle_monomial_member(list(I.gens), q))
 
 
 def intersection_loop_components(I: MonomialIdeal) -> list[MonomialIdeal]:

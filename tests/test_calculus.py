@@ -1,6 +1,7 @@
 """Derivative ideals, the strongly Golod predicate, and ideal power calculus."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +41,7 @@ from golodkit.monomial import (
     vertex_cover_ideal,
 )
 
-from conftest import full_pair_scan, monomials_of_degree
+from conftest import full_pair_scan, monomials_of_degree, oracle_member, oracle_pair_scan
 
 
 def test_derivative_ideal_of_product_pair(r3):
@@ -157,6 +158,66 @@ def _redundant_ideals(draw):
 @given(I=_redundant_ideals())
 def test_strongly_golod_matches_the_full_pair_scan(I):
     assert strongly_golod(I) == full_pair_scan(I)
+
+
+def _non_integral(I: Ideal) -> bool:
+    return any(c.denominator != 1 for g in I.groebner_basis() for _, c in g.terms)
+
+
+def _assert_matches_the_degreewise_oracle(I: Ideal):
+    rep = strongly_golod(I)
+    assert rep == oracle_pair_scan(I)
+    if not rep.verdict:
+        w = rep.witness
+        assert not oracle_member(I, w.left * w.right)
+        assert oracle_member(I, w.left * w.right - w.remainder)
+
+
+_SQUARES = {e.name: power(e.ideal, 2) for e in builtin_corpus() if not e.ideal.is_zero()}
+
+
+@pytest.mark.parametrize("name", sorted(_SQUARES))
+def test_strongly_golod_matches_the_degreewise_oracle_on_corpus_squares(name):
+    _assert_matches_the_degreewise_oracle(_SQUARES[name])
+
+
+@pytest.mark.parametrize("a, b, op", [
+    ("seeded-poly-1", "seeded-poly-4", "product"),
+    ("seeded-poly-4", "triangle-cover", "intersect"),
+    ("seeded-poly-4", "triangle-cover", "product"),
+])
+def test_strongly_golod_matches_the_degreewise_oracle_over_non_integral_bases(a, b, op):
+    # as in the benchmark's predicate items: strongly Golod, with a reduced
+    # basis that has non-integral coefficients
+    A, B = _SQUARES[a], _SQUARES[b]
+    if op == "intersect":
+        C = intersect(A, B)
+    else:
+        C = Ideal(A.ring, [p * q for p in A.generators for q in B.generators])
+    assert _non_integral(C)
+    _assert_matches_the_degreewise_oracle(C)
+
+
+def _dense_quadrics(seed: int) -> Ideal:
+    """Two or three quadrics in x, y, z with 2-4 terms and coefficients from
+    _POOL, drawn from Random(seed); for odd seeds, the square of their ideal."""
+    ring = _RINGS["r3"]
+    rng = Random(seed)
+    monos = monomials_of_degree(ring, 2)
+    gens = [Polynomial(ring, {m: rng.choice(_POOL) for m in rng.sample(monos, rng.randint(2, 4))})
+            for _ in range(rng.randint(2, 3))]
+    return power(Ideal(ring, gens), 2) if seed % 2 else Ideal(ring, gens)
+
+
+def test_strongly_golod_matches_the_degreewise_oracle_on_dense_quadrics():
+    verdicts = []
+    for seed in range(30):
+        I = _dense_quadrics(seed)
+        if _non_integral(I):
+            _assert_matches_the_degreewise_oracle(I)
+            verdicts.append(strongly_golod(I).verdict)
+    # most draws have a non-integral reduced basis, both verdicts occur
+    assert len(verdicts) >= 20 and any(verdicts) and not all(verdicts)
 
 
 def test_strongly_golod_positive_cases(r2, r3):

@@ -33,7 +33,13 @@ from golodkit.groebner import (
 )
 from golodkit.ring import grevlex_key, mono_div, mono_divides, mono_lcm
 
-from conftest import _row_reduce, monomials_of_degree, oracle_member, random_homogeneous
+from conftest import (
+    DegreewiseQuotient,
+    _row_reduce,
+    monomials_of_degree,
+    oracle_member,
+    random_homogeneous,
+)
 
 
 def _lead(p: Polynomial):
@@ -170,6 +176,39 @@ def test_monomial_normal_form_chain_deeper_than_recursion_limit(r2):
     k = sys.getrecursionlimit() + 100
     assert I.nf_monomial((k, 0)) == {(0, k): Fraction(1)}
     assert I.normal_form(Polynomial.monomial(r2, (k - 1, 1))).remainder == Polynomial.monomial(r2, (0, k))
+
+
+def _fractions_in(obj) -> int:
+    """The number of Fractions anywhere inside nested dicts, tuples and lists."""
+    if isinstance(obj, Fraction):
+        return 1
+    if isinstance(obj, dict):
+        return sum(_fractions_in(k) + _fractions_in(v) for k, v in obj.items())
+    if isinstance(obj, (tuple, list)):
+        return sum(_fractions_in(x) for x in obj)
+    return 0
+
+
+def test_monomial_normal_forms_are_integer_rows_over_a_non_integral_basis(r3):
+    I = Ideal.from_strings(r3, ["2*x^2 + y^2 - 3*z^2", "x*y + 1/2*y*z - z^2", "3*x*z - y^2"])
+    assert any(c.denominator != 1 for g in I.groebner_basis() for _, c in g.terms)
+    oracle = DegreewiseQuotient(I)
+    for d in range(6):
+        for e in monomials_of_degree(r3, d):
+            I.nf_monomial(e)
+    reached = list(I._nf)
+    assert len(reached) > 50
+    fractional = 0
+    for e in reached:
+        nf = I.nf_monomial(e)
+        x_e = Polynomial.monomial(r3, e)
+        assert nf == dict(I.normal_form(x_e).remainder.terms)
+        assert nf == dict(oracle.normal_form(x_e).terms)
+        assert all(type(c) is int for c in nf.values() if c.denominator == 1)
+        fractional += any(type(c) is Fraction for c in nf.values())
+    assert fractional
+    # the memo keeps integer rows over one denominator each, never a Fraction
+    assert _fractions_in(I._nf) == 0
 
 
 def test_intersection_of_principal_ideals(r2):

@@ -19,6 +19,7 @@ from golodkit import (
     Ideal,
     MonomialIdeal,
     ParseError,
+    builtin_corpus,
     colon,
     cycle_graph,
     integral_closure,
@@ -42,6 +43,7 @@ from conftest import (
     intersection_loop_components,
     oracle_ideal_powers,
     oracle_monomial_member,
+    oracle_monomial_scan,
     ordered_monomial_scan,
 )
 
@@ -305,6 +307,21 @@ _R3 = GradingSpec(("x", "y", "z"), (1, 1, 1))
 def test_quotient_predicate_matches_the_ordered_scan(vecs):
     I = MonomialIdeal(_R3, vecs)
     assert strongly_golod_monomial(I) == ordered_monomial_scan(I)
+    assert strongly_golod_monomial(I) == oracle_monomial_scan(I)
+
+
+def test_quotient_predicate_matches_the_divisibility_oracle_on_the_corpus():
+    # the monomial corpus entries (some fail the predicate) and their squares
+    checked = 0
+    for e in builtin_corpus():
+        if not e.monomial or e.ideal.is_zero():
+            continue
+        I = MonomialIdeal.from_ideal(e.ideal)
+        for J in (I, I.power(2)):
+            if J.is_proper():
+                assert strongly_golod_monomial(J) == oracle_monomial_scan(J), e.name
+                checked += 1
+    assert checked >= 28
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
