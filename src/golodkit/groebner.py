@@ -1,9 +1,11 @@
 """Groebner bases over Q and the ideal operations built on them.
 
 One engine handles both ideals and submodules of free modules: an internal
-"vector" is a sparse dict {(component, exponents): coefficient}, and every
-sum in the engine is one ``ring.axpy``.  Scalar polynomials are the
-one-component case.
+"vector" is a sparse dict {(component, exponents): coefficient}.  Every sum
+in the engine adds a basis element or a representation times a monomial,
+``target += factor * x^shift * src``, in one loop over ``src`` without a
+shifted copy (``_axpy_shifted``).  Scalar polynomials are the one-component
+case.
 
 The engine runs over Z, fraction-free (Bareiss, Math. Comp. 1968): each
 input enters as a primitive integer vector times a positive rational factor,
@@ -40,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm, prod
+from operator import add
 from typing import Sequence
 
 from .errors import (
@@ -55,7 +58,6 @@ from .ring import (
     GradingSpec,
     Polynomial,
     _scale,
-    axpy,
     axpy_over,
     grevlex_key,
     mono_div,
@@ -115,16 +117,27 @@ def _to_internal(vec: Sequence[Polynomial]) -> tuple[ModVec, Fraction]:
     return u, Fraction(g, den)
 
 
-def _from_internal(mv: ModVec, ring: GradingSpec, ncomp: int) -> tuple[Polynomial, ...]:
-    per: list[dict[Exps, int]] = [dict() for _ in range(ncomp)]
+def _from_internal(mv: ModVec, ring: GradingSpec, ncomp: int,
+                   canon: dict[Exps, Exps] | None = None) -> tuple[Polynomial, ...]:
+    """mv as ncomp polynomials; each exponent tuple is replaced by its entry in
+    canon, so rows built with one canon share one tuple per monomial."""
+    if canon is None:
+        canon = {}
+    per: list[dict[Exps, Fraction]] = [dict() for _ in range(ncomp)]
     for (comp, e), c in mv.items():
-        per[comp][e] = c
-    return tuple(Polynomial(ring, d) for d in per)
+        per[comp][canon.setdefault(e, e)] = Fraction(c)
+    return tuple(Polynomial._from_terms(ring, d) for d in per)
 
 
-def _shift(mv: ModVec, shift: Exps) -> ModVec:
-    """x^shift * mv."""
-    return {(comp, mono_mul(e, shift)): c for (comp, e), c in mv.items()}
+def _axpy_shifted(target: ModVec, factor: int, src: ModVec, shift: Exps) -> None:
+    """target += factor * x^shift * src, in place, deleting entries that cancel."""
+    for (comp, e), c in src.items():
+        t = (comp, tuple(map(add, e, shift)))
+        acc = target.get(t, 0) + factor * c
+        if acc:
+            target[t] = acc
+        elif t in target:
+            del target[t]
 
 
 # A reduction step (basis index, shift, a, b) records the update
@@ -190,7 +203,7 @@ class _Engine:
             _scale(work, b)
             _scale(rem, b)
             # b * c == a * lc, so this clears the lead exactly
-            axpy(work, -a, _shift(self.polys[hit], shift))
+            _axpy_shifted(work, -a, self.polys[hit], shift)
             steps.append((hit, shift, a, b))
         return rem, steps
 
@@ -198,7 +211,7 @@ class _Engine:
         """rep <- b * rep - a * x^shift * reps[hit] for each step, in place; returns rep."""
         for hit, shift, a, b in steps:
             _scale(rep, b)
-            axpy(rep, -a, _shift(self.reps[hit], shift))
+            _axpy_shifted(rep, -a, self.reps[hit], shift)
         return rep
 
     def _push_pairs(self, heap, pending, new_idx: int):
@@ -270,9 +283,9 @@ class _Engine:
         ci, cj = self.polys[i][self.leads[i]], self.polys[j][self.leads[j]]
         g = gcd(ci, cj)
         ai, aj = cj // g, ci // g
-        svec = _shift(self.polys[i], si)
-        _scale(svec, ai)
-        axpy(svec, -aj, _shift(self.polys[j], sj))
+        svec: ModVec = {}
+        _axpy_shifted(svec, ai, self.polys[i], si)
+        _axpy_shifted(svec, -aj, self.polys[j], sj)
         return svec, [(i, si, -ai, 1), (j, sj, aj, 1)]
 
     def _reduce_basis(self):
@@ -307,7 +320,7 @@ def _run_engine(vectors: list[ModVec], order: MonomialOrder, ncomp: int, track: 
 
 def _monic(ring: GradingSpec, poly: dict[Exps, int], lc: int) -> Polynomial:
     """An integer polynomial divided by its lead coefficient lc, over Q."""
-    return Polynomial(ring, {e: Fraction(c, lc) for e, c in poly.items()})
+    return Polynomial._from_terms(ring, {e: Fraction(c, lc) for e, c in poly.items()})
 
 
 # -- public ideal layer -------------------------------------------------------
@@ -663,6 +676,8 @@ def module_syzygies(columns: Sequence[Sequence[Polynomial]], ring: GradingSpec) 
     # rows by their integer terms: primitive with a positive lead, so a
     # repeated syzygy is an exact repeat
     rows: dict[frozenset, tuple[Polynomial, ...]] = {}
+    # one exponent tuple per monomial across the rows
+    canon: dict[Exps, Exps] = {}
     # eng.reps[g] is basis element g over the scaled inputs u_j = columns[j] / f_j
     # (component j is input j), so folding a syzygy of the basis (its steps)
     # into a row gives one of the u_j; its entry j over the columns is row_j / f_j,
@@ -675,7 +690,7 @@ def module_syzygies(columns: Sequence[Sequence[Polynomial]], ring: GradingSpec) 
             row, _ = _primitive({t: c * back[t[0]] for t, c in row.items()}, max(row, key=eng.key))
             key = frozenset(row.items())
             if key not in rows:
-                rows[key] = _from_internal(row, ring, len(cols))
+                rows[key] = _from_internal(row, ring, len(cols), canon)
 
     # Schreyer division syzygies over all same-component S-pairs of the basis
     for a in range(len(eng.polys)):

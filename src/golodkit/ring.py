@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import le
+from operator import add, le, sub
 from typing import Iterable, Mapping
 
 from .errors import ParseError, RingMismatchError
@@ -79,7 +79,7 @@ def grevlex_key(weights: tuple[int, ...], exps: Exps):
 # -- exponent-tuple helpers -------------------------------------------------
 
 def mono_mul(a: Exps, b: Exps) -> Exps:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Exps, b: Exps) -> bool:
@@ -89,14 +89,14 @@ def mono_divides(a: Exps, b: Exps) -> bool:
 
 def mono_div(a: Exps, b: Exps) -> Exps:
     """Exponent vector of x^a / x^b; requires divisibility."""
-    out = tuple(x - y for x, y in zip(a, b))
-    if any(e < 0 for e in out):
+    out = tuple(map(sub, a, b))
+    if min(out, default=0) < 0:
         raise ValueError(f"{b} does not divide {a}")
     return out
 
 
 def mono_lcm(a: Exps, b: Exps) -> Exps:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def axpy(target: dict, factor, src: Mapping, index: Mapping | None = None) -> None:
@@ -196,7 +196,7 @@ class Polynomial:
                 raise TypeError(f"coefficient {c!r} is a float; use an int or a Fraction")
             c = Fraction(c)
             if c:
-                acc = merged.get(exps, Fraction(0)) + c
+                acc = merged.get(exps, 0) + c
                 if acc:
                     merged[exps] = acc
                 elif exps in merged:
@@ -425,7 +425,7 @@ def parse_polynomial(ring: GradingSpec, text: str) -> Polynomial:
     while True:
         exps, coeff = _parse_term(ring, sc)
         coeff *= sign
-        acc[exps] = acc.get(exps, Fraction(0)) + coeff
+        acc[exps] = acc.get(exps, 0) + coeff
         ch = sc.peek()
         if ch == "":
             break

@@ -12,6 +12,10 @@ generating set, the scan over unordered pairs of monomial generators, the
 pairwise containment test that prunes irreducible components, and the Schur
 split-off of unit entries (the reference clears them by row and column
 operations that also rewrite the neighboring matrices).
+``reference_mono_mul``, ``reference_mono_div``, ``reference_mono_lcm`` and
+``reference_axpy_shifted`` are the earlier generator-expression monomial
+helpers and the engine's earlier combine, a shifted copy of the source added
+by ``axpy``.
 ``subcomplex_derivative_cycle_check`` decides the derivative cycle check
 inside K itself: it spans the cycles whose coefficients lie in d(I)R, where
 the package reads the same answer off the Koszul complex of S/(I + d(I)).
@@ -423,6 +427,34 @@ def intersection_loop_components(I: MonomialIdeal) -> list[MonomialIdeal]:
                 changed = True
                 break
     return sorted(out, key=lambda c: tuple(sorted(c.gens)))
+
+
+def assert_canonical(p: Polynomial) -> None:
+    """p's terms are what the validating constructor makes of them."""
+    assert p.terms == Polynomial(p.ring, dict(p.terms)).terms
+    assert all(type(c) is Fraction and c != 0 for _, c in p.terms)
+
+
+def reference_mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def reference_mono_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    out = tuple(x - y for x, y in zip(a, b))
+    if any(e < 0 for e in out):
+        raise ValueError(f"{b} does not divide {a}")
+    return out
+
+
+def reference_mono_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def reference_axpy_shifted(target: dict, factor: int, src: dict, shift: tuple[int, ...]) -> None:
+    """target += factor * x^shift * src over {(component, exps): coeff} vectors,
+    by a shifted copy of src and ``axpy``."""
+    shifted = {(comp, reference_mono_mul(e, shift)): c for (comp, e), c in src.items()}
+    axpy(target, factor, shifted)
 
 
 def polynomial_compose_is_zero(A: Matrix, B: Matrix, ring) -> bool:

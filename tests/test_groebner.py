@@ -27,6 +27,7 @@ from golodkit import (
 from golodkit.groebner import (
     MonomialOrder,
     _Engine,
+    _axpy_shifted,
     _from_internal,
     _run_engine,
     _to_internal,
@@ -36,9 +37,12 @@ from golodkit.ring import grevlex_key, mono_div, mono_divides, mono_lcm
 from conftest import (
     DegreewiseQuotient,
     _row_reduce,
+    assert_canonical,
     monomials_of_degree,
     oracle_member,
     random_homogeneous,
+    reference_axpy_shifted,
+    reference_mono_mul,
 )
 
 
@@ -317,6 +321,12 @@ def test_syzygy_rows_are_distinct(r3):
     assert tuple(parse_polynomial(r3, t) for t in ("-y*z", "0", "x^2 + y^2")) in rows
 
 
+def test_syzygy_rows_share_one_exponent_tuple_per_monomial(r3):
+    rows = syzygies(Ideal.from_strings(r3, ["x^2 + y^2", "x*y - 1/2*z^2", "y*z"]))
+    exps = [e for row in rows for p in row for e, _ in p.terms]
+    assert len({id(e) for e in exps}) == len(set(exps)) < len(exps)
+
+
 def test_unit_ideal_detection(r2):
     I = Ideal.from_strings(r2, ["x^2 + y^2", "x^2 - y^2", "x*y"])
     # contains all of (x,y)^2, hence proper
@@ -563,3 +573,58 @@ def test_module_syzygies_span_the_kernel_in_every_degree(name, data):
         span = [_coordinates([Polynomial.monomial(ring, u) * p for p in s], source)
                 for s, D in zip(rows, row_degs) for u in monomials_of_degree(ring, d - D)]
         assert len(_row_reduce(span)) == kernel_dim, (cols, d)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_shifted_combine_matches_axpy_of_the_reference_shift(data):
+    exps = st.tuples(*[st.integers(0, 3)] * data.draw(st.integers(1, 3)))
+    terms = st.tuples(st.integers(0, 1), exps)
+    coeff = st.integers(-5, 5).filter(bool)
+    src = data.draw(st.dictionaries(terms, coeff, max_size=6))
+    target = data.draw(st.dictionaries(terms, coeff, max_size=6))
+    shift, factor = data.draw(exps), data.draw(coeff)
+    # make some entries of the target cancel against the shifted source
+    cancel = data.draw(st.lists(st.sampled_from(sorted(src)), unique=True)) if src else []
+    gone = [(comp, reference_mono_mul(e, shift)) for comp, e in cancel]
+    for t, (comp, e) in zip(gone, cancel):
+        target[t] = -factor * src[(comp, e)]
+    expected = dict(target)
+    reference_axpy_shifted(expected, factor, src, shift)
+    got = dict(target)
+    _axpy_shifted(got, factor, src, shift)
+    assert got == expected
+    assert all(got.values()) and not any(t in got for t in gone)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(_RINGS)), data=st.data())
+def test_engine_outputs_are_canonical_polynomials(name, data):
+    # the engine builds its bases and rows without the public constructor
+    ring, (lo, hi) = _RINGS[name]
+    rng = Random(data.draw(st.integers(0, 2 ** 32)))
+    pool = data.draw(st.sampled_from([(1, -1, 2), (1, -1, 2, Fraction(1, 2), -3)]))
+
+    def form(d):
+        monos = monomials_of_degree(ring, d)
+        return Polynomial(ring, {m: rng.choice(pool) for m in monos if rng.random() < 0.6}
+                          or {monos[0]: 1})
+
+    def draw_ideal(size):
+        degrees = data.draw(st.lists(st.integers(lo, hi), min_size=size[0], max_size=size[1]))
+        return Ideal(ring, [form(d) for d in degrees])
+
+    def validating(*args, **kwargs):
+        raise AssertionError("the validating constructor ran on an engine path")
+
+    I, J = draw_ideal((2, 3)), draw_ideal((1, 2))
+    gens = I.generators + J.generators
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Polynomial, "__init__", validating)
+        outputs = [*I.groebner_basis(), *I.groebner_basis(MonomialOrder.elimination(ring, 1)),
+                   *intersect(I, J).generators, *colon(I, J).generators]
+        outputs += [p for row in syzygies(I) for p in row]
+        outputs += [p for row in module_syzygies([[f, g] for f, g in zip(gens, gens[::-1])], ring)
+                    for p in row]
+    for p in outputs:
+        assert_canonical(p)

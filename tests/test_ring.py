@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golodkit import GradingSpec, ParseError, Polynomial, parse_polynomial
-from golodkit.ring import axpy
+from golodkit.ring import axpy, mono_div, mono_lcm, mono_mul
+
+from conftest import assert_canonical, reference_mono_div, reference_mono_lcm, reference_mono_mul
 
 
 def test_grading_spec_validation():
@@ -133,12 +135,6 @@ _RINGS = {
 }
 
 
-def _canonical(p: Polynomial) -> None:
-    """p's terms are what the validating constructor makes of them."""
-    assert p.terms == Polynomial(p.ring, dict(p.terms)).terms
-    assert all(type(c) is Fraction and c != 0 for _, c in p.terms)
-
-
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(name=st.sampled_from(sorted(_RINGS)), data=st.data())
 def test_arithmetic_results_are_canonical(name, data):
@@ -159,9 +155,28 @@ def test_arithmetic_results_are_canonical(name, data):
     }
     results.update({f"d{i} p": p.partial(i) for i in range(ring.n)})
     for result in results.values():
-        _canonical(result)
+        assert_canonical(result)
     # the values agree with the validating constructor's merge
     assert p + q == Polynomial(ring, p.terms + q.terms)
     assert p - q == Polynomial(ring, p.terms + tuple((e, -c) for e, c in q.terms))
     assert p - -q == p + q
     assert (p * scalar).is_zero() == (scalar == 0 or p.is_zero())
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_monomial_helpers_match_the_references(data):
+    exps = st.tuples(*[st.integers(0, 4)] * data.draw(st.integers(1, 4)))
+    a, b = data.draw(exps), data.draw(exps)
+    assert mono_mul(a, b) == reference_mono_mul(a, b)
+    assert mono_lcm(a, b) == reference_mono_lcm(a, b)
+    # the last pair always divides, the first two often do not
+    for num, den in ((a, b), (b, a), (mono_mul(a, b), b)):
+        try:
+            expected = reference_mono_div(num, den)
+        except ValueError as err:
+            with pytest.raises(ValueError) as raised:
+                mono_div(num, den)
+            assert str(raised.value) == str(err)
+        else:
+            assert mono_div(num, den) == expected
