@@ -21,9 +21,11 @@ division quotients.  ``_Engine.fold`` applies steps to representations over
 the inputs; tracked Buchberger and syzygies read what they need off the
 steps.  Syzygies come from Schreyer's theorem: S-pair division syzygies of a
 reduced basis, translated back to the caller's generators through the
-tracked representation matrix.  Colon ideals are projections of syzygies,
-and intersections are eliminations; both are generated by their reduced
-grevlex basis.
+tracked representation matrix.  A colon ideal or an intersection is read off
+one untracked run on module columns under a position-over-term order (Greuel
+and Pfister, *A Singular Introduction to Commutative Algebra*): the basis
+elements in the last component are the reduced grevlex basis of the result,
+which is generated by it.
 
 An ``Ideal`` caches its reduced grevlex basis, and from it the normal form
 of every monomial it meets and its standard monomials per degree; the
@@ -40,10 +42,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm, prod
 from operator import add
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     AlgebraError,
@@ -101,11 +102,13 @@ class MonomialOrder:
 # -- internal vector representation ------------------------------------------
 #
 # ModTerm = (component, exps); ModVec = dict[ModTerm, int], unordered.
-# A vector's leading term is its largest term under ``_Engine.key``, the
-# order on exponents with ties broken towards the lower component.
+# A vector's leading term is its largest term under ``_Engine.key``: the order
+# on exponents with ties broken towards the lower component, or, position over
+# term, the component first, a lower component being larger.
 
 ModTerm = tuple[int, Exps]
 ModVec = dict[ModTerm, int]
+_ONE = Fraction(1)  # shared by all monic bases
 
 
 def _to_internal(vec: Sequence[Polynomial]) -> tuple[ModVec, Fraction]:
@@ -157,10 +160,11 @@ class _Engine:
     they satisfy polys[i] == sum over j of reps[i][j] * inputs[j] exactly.
     """
 
-    def __init__(self, order: MonomialOrder, ncomp: int, track: bool):
+    def __init__(self, order: MonomialOrder, ncomp: int, track: bool, pot: bool = False):
         self.order = order
         self.ncomp = ncomp
         self.track = track
+        self.pot = pot
         self.leads: list[ModTerm] = []
         self.polys: list[ModVec] = []
         # reps[i] is polys[i] over the inputs: a ModVec whose component is the
@@ -172,7 +176,8 @@ class _Engine:
         """Sort key of a term, computed once per term and engine."""
         k = self._keys.get(t)
         if k is None:
-            k = self._keys[t] = (self.order.key(t[1]), -t[0])
+            term = self.order.key(t[1])
+            k = self._keys[t] = (-t[0], term) if self.pot else (term, -t[0])
         return k
 
     def nf(self, vec: ModVec) -> tuple[ModVec, list[Step]]:
@@ -312,15 +317,27 @@ class _Engine:
             self.polys[i], self.reps[i] = _primitive(rem, lead, rep)
 
 
-def _run_engine(vectors: list[ModVec], order: MonomialOrder, ncomp: int, track: bool) -> _Engine:
-    eng = _Engine(order, ncomp, track)
+def _run_engine(vectors: list[ModVec], order: MonomialOrder, ncomp: int, track: bool,
+                pot: bool = False) -> _Engine:
+    eng = _Engine(order, ncomp, track, pot)
     eng.run(vectors)
     return eng
 
 
-def _monic(ring: GradingSpec, poly: dict[Exps, int], lc: int) -> Polynomial:
-    """An integer polynomial divided by its lead coefficient lc, over Q."""
-    return Polynomial._from_terms(ring, {e: Fraction(c, lc) for e, c in poly.items()})
+def _monic(ring: GradingSpec, basis: Iterable, inputs: list[ModVec]) -> tuple[Polynomial, ...]:
+    """The (lead, vector) pairs made monic over Q, without their component, sharing one
+    exponent tuple per monomial (the inputs' where they have it) and one Fraction per value."""
+    exps = {e: e for vec in inputs for _, e in vec}
+    values = {_ONE: _ONE}
+    out = []
+    for lead, mv in basis:
+        lc = mv[lead]
+        terms: dict[Exps, Fraction] = {}
+        for (_, e), c in mv.items():
+            q = Fraction(c, lc)
+            terms[exps.setdefault(e, e)] = values.setdefault(q, q)
+        out.append(Polynomial._from_terms(ring, terms))
+    return tuple(out)
 
 
 # -- public ideal layer -------------------------------------------------------
@@ -373,13 +390,12 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._gb: tuple[Polynomial, ...] | None = None
-        # (lead, lc, [(tail exps, -c)]) per basis element, its primitive
-        # integer form with lc > 0; the monomial normal-form memo of integer
-        # rows over one denominator each; the standard monomials per degree.
-        # All are built lazily from the cached basis
+        # per basis element (lead, lc, [(tail exps, -c)]), its primitive integer form with
+        # lc > 0; the normal-form memo of integer rows over one denominator each; the
+        # standard monomials per degree.  All three are built from the basis on first use
         self._reducers: list[tuple[Exps, int, list[tuple[Exps, int]]]] | None = None
-        self._nf: dict[Exps, NFRow] = {}
-        self._std: dict[int, list[Exps]] = {}
+        self._nf: dict[Exps, NFRow] | None = None
+        self._std: dict[int, list[Exps]] | None = None
 
     @classmethod
     def from_strings(cls, ring: GradingSpec, texts: Sequence[str]) -> "Ideal":
@@ -405,12 +421,12 @@ class Ideal:
     def _compute_gb(self, order: MonomialOrder) -> tuple[Polynomial, ...]:
         vecs = [_to_internal([g])[0] for g in self.generators]
         eng = _run_engine(vecs, order, 1, track=False)
-        return tuple(_monic(self.ring, {e: c for (_, e), c in mv.items()}, mv[lead])
-                     for lead, mv in zip(eng.leads, eng.polys))
+        return _monic(self.ring, zip(eng.leads, eng.polys), vecs)
 
     def _reducer_list(self) -> list[tuple[Exps, int, list[tuple[Exps, int]]]]:
         if self._reducers is None:
             self._reducers = []
+            self._nf, self._std = {}, {}
             for g in self.groebner_basis():
                 row, _ = integral(dict(g.terms))
                 row, _ = _primitive(row, g.terms[0][0])
@@ -425,7 +441,7 @@ class Ideal:
         ``nf_monomial`` are expansions over them.  The returned list is shared
         with the memo and must not be mutated.
         """
-        std = self._std.get(d)
+        std = self._std.get(d) if self._std else None
         if std is None:
             leads = [lead for lead, _, _ in self._reducer_list()]
             std = self._std[d] = [
@@ -458,11 +474,11 @@ class Ideal:
         the ideal, and every monomial of that tail is smaller than x^e, so
         the memo fills bottom-up from an explicit stack.
         """
-        memo = self._nf
-        hit = memo.get(e)
+        hit = self._nf.get(e) if self._nf else None
         if hit is not None:
             return hit
         reducers = self._reducer_list()
+        memo = self._nf
         pending: dict[Exps, tuple[int, list[tuple[Exps, int]]]] = {}
         stack = [e]
         while stack:
@@ -569,65 +585,49 @@ def contains(big: Ideal, small: Ideal) -> bool:
     return all(big.contains_poly(g) for g in small.generators)
 
 
-def _fresh_name(ring: GradingSpec, base: str = "t") -> str:
-    if base not in ring.names:
-        return base
-    i = 0
-    while f"{base}{i}" in ring.names:
-        i += 1
-    return f"{base}{i}"
-
-
-def _elimination_order(ring: GradingSpec) -> MonomialOrder:
-    """The order eliminating a fresh first variable t of weight 1 from ring."""
-    ext = GradingSpec((_fresh_name(ring),) + ring.names, (1,) + ring.weights)
-    return MonomialOrder.elimination(ext, 1)
-
-
 def _by_basis(ring: GradingSpec, basis: Sequence[Polynomial]) -> Ideal:
     """The ideal generated by a reduced grevlex basis, with that basis cached."""
     out = Ideal(ring, basis)
-    out._gb = tuple(basis)
+    out._gb = out.generators
     return out
 
 
+def _last_component(ring: GradingSpec, columns: list[ModVec], ncomp: int) -> Ideal:
+    """The last coordinates of the elements of the columns' module that have no
+    other coordinate.  Under the position-over-term order these are the basis
+    elements with a lead in the last component: a reduced grevlex basis."""
+    eng = _run_engine(columns, MonomialOrder.grevlex(ring), ncomp, track=False, pot=True)
+    return _by_basis(ring, _monic(ring, [(lead, mv) for lead, mv in zip(eng.leads, eng.polys)
+                                         if lead[0] == ncomp - 1], columns))
+
+
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I ∩ J via a single elimination variable: eliminate t from t*I + (1-t)*J."""
+    """I ∩ J, the second coordinates of the module of the columns (f, f), f in
+    I, and (g, 0), g in J, where the first coordinate vanishes."""
     if I.ring != J.ring:
         raise RingMismatchError("ideals live in different rings")
-    ring = I.ring
-    if I.is_zero() or J.is_zero():
-        return Ideal(ring, [])
-    # t * f and (1 - t) * g, with t the first exponent
-    vecs = [{(0, (1,) + e): c for (_, e), c in _to_internal([f])[0].items()}
-            for f in I.generators]
-    vecs += [{(0, (t,) + e): -c if t else c
-              for (_, e), c in _to_internal([g])[0].items() for t in (0, 1)}
-             for g in J.generators]
-    eng = _run_engine(vecs, _elimination_order(ring), 1, track=False)
-    # the t-free part of the reduced elimination basis is itself a reduced
-    # grevlex basis of the intersection
-    return _by_basis(ring, [_monic(ring, {e[1:]: c for (_, e), c in mv.items()}, mv[lead])
-                            for lead, mv in zip(eng.leads, eng.polys)
-                            if all(e[0] == 0 for _, e in mv)])
+    columns = [{(k, e): c for e, c in integral(dict(f.terms))[0].items() for k in (0, 1)}
+               for f in I.generators]
+    columns += [{(0, e): c for e, c in integral(dict(g.terms))[0].items()} for g in J.generators]
+    return _last_component(I.ring, columns, 2)
 
 
 def colon(I: Ideal, J: Ideal) -> Ideal:
-    """I : J, the intersection of I : f over the generators f of J.
-
-    I : f is the projection of the syzygies of (f, g_1, ..., g_m), the g_i
-    generating I, onto their first coordinate: s_0 f + sum s_i g_i = 0 says
-    exactly that s_0 f lies in I.
-    """
+    """I : J: with f_1, ..., f_r generating J, a * f_k lies in I for every k
+    exactly when (0, ..., 0, a) lies in the module of the columns
+    (f_1, ..., f_r, 1) and g * e_k, g in I and k < r."""
     if I.ring != J.ring:
         raise RingMismatchError("ideals live in different rings")
     if J.is_zero():
         raise ZeroColonError("colon by the zero ideal is undefined")
-    quotients = []
-    for f in J.generators:
-        rows = module_syzygies([[f]] + [[g] for g in I.generators], I.ring)
-        quotients.append(_by_basis(I.ring, Ideal(I.ring, [s[0] for s in rows]).groebner_basis()))
-    return reduce(intersect, quotients)
+    # scaling a generator of J changes neither J nor the colon
+    fs = [integral(dict(f.terms))[0] for f in J.generators]
+    gs = [integral(dict(g.terms))[0] for g in I.generators]
+    r = len(fs)
+    column = {(k, e): c for k, f in enumerate(fs) for e, c in f.items()}
+    column[(r, (0,) * I.ring.n)] = 1
+    columns = [column] + [{(k, e): c for e, c in g.items()} for g in gs for k in range(r)]
+    return _last_component(I.ring, columns, r + 1)
 
 
 SATURATION_CAP = 64

@@ -44,10 +44,12 @@ from golodkit import (
     builtin_corpus,
     derivative_ideal,
     koszul,
+    module_syzygies,
     power,
 )
 from golodkit.calculus import DerivativePairWitness, MonomialQuotientWitness, StronglyGolodReport
 from golodkit.errors import AlgebraError
+from golodkit.groebner import MonomialOrder
 from golodkit.koszul import _coordinates, _dims, _koszul, _window
 from golodkit.linalg import Span, Vec, kernel_of_columns
 from golodkit.poincare import _tor_series
@@ -455,6 +457,54 @@ def reference_axpy_shifted(target: dict, factor: int, src: dict, shift: tuple[in
     by a shifted copy of src and ``axpy``."""
     shifted = {(comp, reference_mono_mul(e, shift)): c for (comp, e), c in src.items()}
     axpy(target, factor, shifted)
+
+
+def reference_intersect(I: Ideal, J: Ideal) -> Ideal:
+    """I ∩ J by eliminating a fresh first variable t from t*I + (1 - t)*J.
+
+    Its generators are the t-free elements of the reduced elimination basis,
+    a reduced grevlex basis of the intersection, in ascending order.
+    """
+    ring = I.ring
+    if I.is_zero() or J.is_zero():
+        return Ideal(ring, [])
+    name, i = "t", 0
+    while name in ring.names:
+        name, i = f"t{i}", i + 1
+    ext = GradingSpec((name,) + ring.names, (1,) + ring.weights)
+
+    def lift(p: Polynomial, t: int) -> Polynomial:
+        return Polynomial(ext, {(t,) + e: c for e, c in p.terms})
+
+    gens = [lift(f, 1) for f in I.generators] + [lift(g, 0) - lift(g, 1) for g in J.generators]
+    basis = Ideal(ext, gens).groebner_basis(MonomialOrder.elimination(ext, 1))
+    return Ideal(ring, [Polynomial(ring, {e[1:]: c for e, c in g.terms})
+                        for g in basis if all(e[0] == 0 for e, _ in g.terms)])
+
+
+def reference_colon(I: Ideal, J: Ideal) -> Ideal:
+    """I : J, the intersection of I : f over the generators f of J.
+
+    I : f is the projection of the syzygies of (f, g_1, ..., g_m), the g_i
+    generating I, onto their first coordinate, generated by its reduced
+    grevlex basis; the quotients are met with ``reference_intersect``.
+    """
+    quotients = []
+    for f in J.generators:
+        rows = module_syzygies([[f]] + [[g] for g in I.generators], I.ring)
+        quotients.append(Ideal(I.ring, Ideal(I.ring, [s[0] for s in rows]).groebner_basis()))
+    return reduce(reference_intersect, quotients)
+
+
+def reference_saturate(I: Ideal, J: Ideal, cap: int = 64) -> tuple[Ideal, int]:
+    """(I : J^infinity, the least t with I : J^t equal to it) by ``reference_colon``."""
+    current = I
+    for exponent in range(cap):
+        nxt = reference_colon(current, J)
+        if nxt == current:
+            return current, exponent
+        current = nxt
+    raise AssertionError("the reference saturation did not stabilize")
 
 
 def polynomial_compose_is_zero(A: Matrix, B: Matrix, ring) -> bool:

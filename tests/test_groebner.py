@@ -42,7 +42,10 @@ from conftest import (
     oracle_member,
     random_homogeneous,
     reference_axpy_shifted,
+    reference_colon,
+    reference_intersect,
     reference_mono_mul,
+    reference_saturate,
 )
 
 
@@ -521,6 +524,72 @@ def test_ideal_operations_against_the_oracle_on_random_ideals(name, data):
         u = Polynomial.monomial(ring, tuple(combo.count(i) for i in range(ring.n)))
         assert all(oracle_member(I, u * s) for s in sat.ideal.groebner_basis())
     assert check_colon_condition(I, J) == (Q == colon(I, power(J, 2)))
+
+
+def _assert_operations_match_the_references(I: Ideal, J: Ideal):
+    """intersect, colon and saturate give the references' reduced bases, in
+    the same generator order."""
+    assert intersect(I, J).generators == reference_intersect(I, J).generators
+    assert colon(I, J).generators == reference_colon(I, J).generators
+    for by in (J, Ideal(I.ring, list(I.ring.variables()))):
+        res = saturate(I, by)
+        ideal, exponent = reference_saturate(I, by)
+        assert (res.ideal.generators, res.exponent) == (ideal.generators, exponent)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(_RINGS)), data=st.data())
+def test_ideal_operations_match_the_references_on_random_ideals(name, data):
+    # random_homogeneous draws coefficients from a pool with 1/2 and -3
+    ring, (lo, hi) = _RINGS[name]
+    rng = Random(data.draw(st.integers(0, 2 ** 32)))
+
+    def draw_ideal():
+        degrees = data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=3))
+        return Ideal(ring, [random_homogeneous(ring, d, rng) for d in degrees])
+
+    _assert_operations_match_the_references(draw_ideal(), draw_ideal())
+
+
+@pytest.mark.parametrize("names, weights, gens, by", [
+    ("xyz", (1, 1, 1), [], ["x*y", "1/2*z^2 - 3*x^2"]),  # zero I
+    ("xyz", (1, 1, 1), ["x*y - 3", "x*y"], ["x", "y^2"]),  # unit I
+    ("xyz", (1, 1, 1), ["x^2*y - 1/2*z^3", "x*y^2"], ["-3"]),  # unit J
+    ("xyz", (1, 1, 1), ["x^2*y - 1/2*z^3", "x*y^2"], ["x + 1", "x"]),  # unit J
+    ("xy", (1, 1), ["x^2 + y"], ["x"]),
+    ("xy", (1, 2), ["x^2*y - 3*y^2", "1/2*x^4 + x^2*y"], ["x^2", "y", "x*y + x^3"]),
+])
+def test_ideal_operations_match_the_references_on_edge_ideals(names, weights, gens, by):
+    ring = GradingSpec(tuple(names), weights)
+    _assert_operations_match_the_references(Ideal.from_strings(ring, gens),
+                                            Ideal.from_strings(ring, by))
+
+
+def test_colon_basis_shares_one_exponent_tuple_and_one_fraction_per_value(r3):
+    I = Ideal.from_strings(r3, ["x^2*y - 1/2*z^3", "x*y^2 - 1/2*z^3", "x*y*z"])
+    Q = colon(I, Ideal.from_strings(r3, ["x", "y"]))
+    terms = [t for g in Q.generators for t in g.terms]
+    for part in (0, 1):  # exponent tuples, then coefficients
+        objs = [t[part] for t in terms]
+        assert len({id(o) for o in objs}) == len(set(objs)) < len(objs)
+
+
+def test_operation_results_cache_their_generators_as_the_basis(r3):
+    I = Ideal.from_strings(r3, ["x^2*y - 1/2*z^3", "x*y^2 - 1/2*z^3", "x*y*z"])
+    J = Ideal.from_strings(r3, ["x", "y"])
+    for out in (colon(I, J), intersect(I, J)):
+        assert out._gb is out.generators
+
+
+def test_a_fresh_ideal_builds_its_memos_with_its_reducers(r3):
+    I = Ideal.from_strings(r3, ["x^2 - 1/2*y*z", "y^3"])
+    assert I._reducers is None and I._nf is None and I._std is None
+    I.groebner_basis()
+    assert I._nf is None and I._std is None
+    assert I.standard_monomials(2) and I._nf == {} and list(I._std) == [2]
+    K = Ideal.from_strings(r3, ["x^2 - 1/2*y*z", "y^3"])
+    K.nf_monomial((3, 0, 0))
+    assert K._nf and K._std == {}
 
 
 def _coordinates(parts, basis_index) -> list[Fraction]:
