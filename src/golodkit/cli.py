@@ -19,7 +19,7 @@ from random import Random
 from . import calculus, koszul, monomial, poincare, resolution
 from .errors import AlgebraError, ParseError
 from .groebner import Ideal, colon, intersect
-from .ring import GradingSpec, Polynomial, parse_polynomial
+from .ring import _NAME_RE, GradingSpec, Polynomial, parse_polynomial
 
 
 @dataclass
@@ -59,6 +59,10 @@ def parse_session(path: str | Path) -> Session:
             if not sep:
                 raise ParseError("expected 'ring <names> weights <weights>'", line=lineno)
             names = tuple(t.strip() for t in names_part.strip().split(",") if t.strip())
+            for name in names:
+                if not _NAME_RE.fullmatch(name):
+                    raise ParseError(f"variable {name!r} is not a name that polynomials can use",
+                                     line=lineno)
             try:
                 weights = tuple(int(t) for t in weights_part.strip().split(","))
                 ring = GradingSpec(names, weights)

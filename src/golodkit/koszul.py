@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce, wraps
+from functools import wraps
 from itertools import combinations
 from typing import Hashable, Mapping
 
@@ -142,30 +142,47 @@ def _koszul(I: Ideal) -> _Complex:
     return _Complex(I, shifts, images)
 
 
+def _nonzero_dims(cx: _Complex, strands) -> dict[tuple[int, int], int]:
+    """The nonzero homology dimensions among the strands (l, d), in their order."""
+    dims: dict[tuple[int, int], int] = {}
+    for l, d in strands:
+        if cx.basis(l, d)[0]:
+            dim = cx.homology(l, d)[0]
+            if dim:
+                dims[(l, d)] = dim
+    return dims
+
+
 def _dims(cx: _Complex, l_max: int, d_max: int) -> dict[tuple[int, int], int]:
     """The nonzero homology dimensions in the window."""
-    dims: dict[tuple[int, int], int] = {}
-    for l in range(0, l_max + 1):
-        for d in range(0, d_max + 1):
-            if cx.basis(l, d)[0]:
-                dim = cx.homology(l, d)[0]
-                if dim:
-                    dims[(l, d)] = dim
-    return dims
+    return _nonzero_dims(cx, ((l, d) for l in range(l_max + 1) for d in range(d_max + 1)))
+
+
+def _lcm_strands(cx: _Complex):
+    """The strands (l, d) where d is the degree of an lcm of at most l leading
+    terms of the reduced basis, for l up to the length of the Taylor
+    resolution.  The lcms are built level by level, each new one the lcm of a
+    new one of the level below and a lead; no subset of the leads is
+    enumerated."""
+    leads = {g.terms[0][0] for g in cx.I.groebner_basis()}
+    lcms = fresh = {(0,) * cx.n}  # the lcms of at most l leads; those new at level l
+    for l in range(min(cx.n, len(leads)) + 1):
+        yield from ((l, d) for d in sorted({cx.ring.weighted_degree(m) for m in lcms}))
+        fresh = {mono_lcm(m, g) for m in fresh for g in leads} - lcms
+        lcms = lcms | fresh
 
 
 def _betti_dims(cx: _Complex) -> dict[tuple[int, int], int]:
     """Every graded Betti number of S/I, as Koszul homology dimensions.
 
-    No shift exceeds the degree of the lcm of the reduced basis's leading
-    terms (upper semicontinuity bounds S/I by S/in(I), and the Taylor
-    resolution bounds S/in(I)), so the strands up to it see every shift.
+    Upper semicontinuity bounds each Betti number of S/I by that of S/in(I),
+    and the Taylor resolution of S/in(I) has its generators of homological
+    degree l in the degrees of the lcms of l leading terms.  So only the
+    strands of ``_lcm_strands`` can carry homology.
     """
-    I = cx.I
-    if not I.is_proper():
+    if not cx.I.is_proper():
         raise ImproperIdealError("S/I vanishes for the unit ideal")
-    lead_lcm = reduce(mono_lcm, (g.terms[0][0] for g in I.groebner_basis()), (0,) * cx.n)
-    return _dims(cx, cx.n, cx.ring.weighted_degree(lead_lcm))
+    return _nonzero_dims(cx, _lcm_strands(cx))
 
 
 def _top_shift(cx: _Complex) -> int:

@@ -382,90 +382,71 @@ class Polynomial:
 # factor := INT [/ INT] | NAME [^ INT]
 #
 # Products need an explicit '*'; juxtaposition like "2x" is a parse error.
+# One regular expression cuts the text into tokens, each after the whitespace
+# before it: an integer, a name, or any other single character.  The end of
+# the text is a last, empty token at len(text), so every error has a column.
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+_TOKEN_RE = re.compile(rf"\s*(?:(\d+)|({_NAME_RE.pattern})|(\S))")
+_INT, _NAME = 1, 2
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take_int(self) -> int:
-        self.skip_ws()
-        m = re.match(r"\d+", self.text[self.pos:])
-        if not m:
-            raise ParseError(f"expected an integer at position {self.pos} in {self.text!r}", column=self.pos)
-        self.pos += m.end()
-        return int(m.group())
-
-    def take_name(self) -> str:
-        self.skip_ws()
-        m = _NAME_RE.match(self.text, self.pos)
-        if not m:
-            raise ParseError(f"expected a variable name at position {self.pos} in {self.text!r}", column=self.pos)
-        self.pos = m.end()
-        return m.group()
+def _tokens(text: str) -> list[tuple[int, str, int, int]]:
+    """(kind, token, start, end) per token, then the empty end token."""
+    out = [(m.lastindex, m[m.lastindex], m.start(m.lastindex), m.end())
+           for m in _TOKEN_RE.finditer(text)]
+    out.append((0, "", len(text), len(text)))
+    return out
 
 
 def parse_polynomial(ring: GradingSpec, text: str) -> Polynomial:
     """Parse the package's polynomial grammar, e.g. ``3/2*x^2*y - z^3``."""
-    sc = _Scanner(text)
+
+    def integer(k: int) -> int:
+        kind, tok, pos, _ = toks[k]
+        if kind != _INT:
+            raise ParseError(f"expected an integer at position {pos} in {text!r}", column=pos)
+        return int(tok)
+
+    toks = _tokens(text)
     acc: dict[Exps, Fraction] = {}
-    sign = Fraction(1)
-    ch = sc.peek()
-    if ch in "+-":
-        sc.pos += 1
-        sign = Fraction(-1) if ch == "-" else Fraction(1)
+    negative = toks[0][1] == "-"
+    k = 1 if toks[0][1] in ("+", "-") else 0
     while True:
-        exps, coeff = _parse_term(ring, sc)
-        coeff *= sign
-        acc[exps] = acc.get(exps, 0) + coeff
-        ch = sc.peek()
-        if ch == "":
-            break
-        if ch not in "+-":
-            raise ParseError(f"unexpected {ch!r} at position {sc.pos} in {text!r}", column=sc.pos)
-        sign = Fraction(-1) if ch == "-" else Fraction(1)
-        sc.pos += 1
-    return Polynomial(ring, acc)
-
-
-def _parse_term(ring: GradingSpec, sc: _Scanner) -> tuple[Exps, Fraction]:
-    exps = [0] * ring.n
-    coeff = Fraction(1)
-    while True:
-        ch = sc.peek()
-        if ch.isdigit():
-            num = sc.take_int()
-            if sc.peek() == "/":
-                sc.pos += 1
-                den = sc.take_int()
-                if den == 0:
-                    raise ParseError("zero denominator in coefficient", column=sc.pos)
-                coeff *= Fraction(num, den)
+        exps = [0] * ring.n
+        num = den = 1
+        while True:  # one factor
+            kind, tok, pos, end = toks[k]
+            if tok.isdigit():  # a superscript is a digit, but integer() refuses it
+                num *= integer(k)
+                if toks[k + 1][1] == "/":
+                    d = integer(k + 2)
+                    if d == 0:
+                        raise ParseError("zero denominator in coefficient", column=toks[k + 2][3])
+                    den *= d
+                    k += 2
+            elif kind == _NAME:
+                try:
+                    i = ring.index(tok)
+                except KeyError:
+                    raise ParseError(f"unknown variable {tok!r}", column=end) from None
+                if toks[k + 1][1] == "^":
+                    exps[i] += integer(k + 2)
+                    k += 2
+                else:
+                    exps[i] += 1
             else:
-                coeff *= num
-        elif _NAME_RE.match(ch or ""):
-            name = sc.take_name()
-            try:
-                i = ring.index(name)
-            except KeyError:
-                raise ParseError(f"unknown variable {name!r}", column=sc.pos) from None
-            e = 1
-            if sc.peek() == "^":
-                sc.pos += 1
-                e = sc.take_int()
-            exps[i] += e
-        else:
-            raise ParseError(f"expected a factor at position {sc.pos}", column=sc.pos)
-        if sc.peek() == "*":
-            sc.pos += 1
-            continue
-        break
-    return tuple(exps), coeff
+                raise ParseError(f"expected a factor at position {pos}", column=pos)
+            k += 1
+            if toks[k][1] != "*":
+                break
+            k += 1
+        key = tuple(exps)
+        coeff = Fraction(-num if negative else num, den)
+        acc[key] = acc[key] + coeff if key in acc else coeff
+        kind, tok, pos, _ = toks[k]
+        if not kind:
+            return Polynomial._from_terms(ring, acc)
+        if tok != "+" and tok != "-":
+            raise ParseError(f"unexpected {text[pos]!r} at position {pos} in {text!r}", column=pos)
+        negative = tok == "-"
+        k += 1

@@ -69,6 +69,19 @@ def test_parse_session_errors(tmp_path):
         assert needle in str(exc.value)
 
 
+def test_ring_names_must_be_names_of_the_polynomial_grammar(tmp_path):
+    # no generator could mention such a variable, so the ring line is refused
+    f = tmp_path / "bad.golod"
+    for names, bad in (("2x", "2x"), ("x, y z", "y z"), ("x, y-1", "y-1"), ("x, \u00e9", "\u00e9")):
+        f.write_text(f"# header\nring {names} weights {', '.join('1' for _ in names.split(','))}\n")
+        with pytest.raises(ParseError) as exc:
+            parse_session(str(f))
+        assert exc.value.message == f"variable {bad!r} is not a name that polynomials can use"
+        assert exc.value.line == 2
+    f.write_text("ring x_1, Y2, _z weights 1, 1, 1\nideal I = x_1*Y2 - _z^2\n")
+    assert parse_session(str(f)).ring.names == ("x_1", "Y2", "_z")
+
+
 def test_homogeneity_error_names_the_term(tmp_path):
     f = tmp_path / "bad.golod"
     f.write_text("ring x,y weights 1,2\nideal I = x^2 + y^2\n")

@@ -4,10 +4,11 @@ import ast
 import inspect
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -34,7 +35,7 @@ from golodkit import (
     trivial_multiplication_check,
 )
 from golodkit import koszul, linalg, poincare
-from golodkit.koszul import _Complex, _koszul, _top_shift
+from golodkit.koszul import _Complex, _betti_dims, _dims, _koszul, _top_shift
 from golodkit.linalg import Span
 from golodkit.ring import axpy, mono_lcm
 
@@ -242,6 +243,32 @@ def test_koszul_dims_equal_betti_numbers_on_random_ideals(name, data):
     I = Ideal(ring, [random_homogeneous(ring, d, rng) for d in degrees])
     bt = betti_table(minimal_free_resolution(I))
     assert koszul_homology(I).dims == bt.entries
+
+
+def _lcm_window_dims(I):
+    """Reference: every strand up to the degree of the lcm of all leading terms."""
+    lead_lcm = reduce(mono_lcm, (g.terms[0][0] for g in I.groebner_basis()), (0,) * I.ring.n)
+    return _dims(_koszul(I), I.ring.n, I.ring.weighted_degree(lead_lcm))
+
+
+def test_betti_dims_equal_the_lcm_window_on_the_corpus_and_its_squares():
+    checked = 0
+    for e in builtin_corpus():
+        for I in (e.ideal, power(e.ideal, 2)):
+            assert _betti_dims(_koszul(I)) == _lcm_window_dims(I), e.name
+            checked += 1
+    assert checked == 2 * len(builtin_corpus())
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(_RINGS)), data=st.data())
+def test_betti_dims_equal_the_lcm_window_on_random_ideals(name, data):
+    ring, (lo, hi) = _RINGS[name]
+    degrees = data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=4))
+    rng = Random(data.draw(st.integers(0, 2 ** 32)))
+    I = Ideal(ring, [random_homogeneous(ring, d, rng) for d in degrees])
+    assume(not all(g.is_monomial() for g in I.generators))
+    assert _betti_dims(_koszul(I)) == _lcm_window_dims(I)
 
 
 def test_koszul_dims_equal_hochster_betti_numbers_on_the_monomial_corpus():

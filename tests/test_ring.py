@@ -54,6 +54,47 @@ def test_parse_rejects_garbage(r2):
             parse_polynomial(r2, bad)
 
 
+# (text, message, column) as the parser reports them; "unknown variable" and
+# "zero denominator" point just past the offending token, every other error at
+# the first character it could not use (after whitespace)
+_PARSE_ERRORS = [
+    ("x +", "expected a factor at position 3", 3),
+    ("--x", "expected a factor at position 1", 1),
+    ("x+-y", "expected a factor at position 2", 2),
+    ("3x", "unexpected 'x' at position 1 in '3x'", 1),
+    ("x^2^3", "unexpected '^' at position 3 in 'x^2^3'", 3),
+    ("x^", "expected an integer at position 2 in 'x^'", 2),
+    ("x^-1", "expected an integer at position 2 in 'x^-1'", 2),
+    ("(x", "expected a factor at position 0", 0),
+    ("X", "unknown variable 'X'", 1),
+    ("1/0", "zero denominator in coefficient", 3),
+    ("2/", "expected an integer at position 2 in '2/'", 2),
+    ("x*", "expected a factor at position 2", 2),
+    ("\u00b2*x", "expected an integer at position 0 in '\u00b2*x'", 0),
+    ("x\u00b2", "unexpected '\u00b2' at position 1 in 'x\u00b2'", 1),
+    ("x ^ 2 ^", "unexpected '^' at position 6 in 'x ^ 2 ^'", 6),
+    (" 2 / 0 ", "zero denominator in coefficient", 6),
+    (" X1 ", "unknown variable 'X1'", 3),
+]
+
+
+@pytest.mark.parametrize("text, message, column", _PARSE_ERRORS)
+def test_parse_errors_keep_their_message_and_column(r2, text, message, column):
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial(r2, text)
+    assert (exc.value.message, exc.value.column) == (message, column)
+    assert str(exc.value) == message
+
+
+def test_blank_input_reports_the_column_of_its_end(r2):
+    # the end of the text is no sign, so nothing is skipped past it
+    for text, column in (("", 0), (" ", 1), ("  \t", 3)):
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial(r2, text)
+        assert exc.value.message == f"expected a factor at position {column}"
+        assert exc.value.column == column
+
+
 def test_arithmetic_identities(r2):
     x = parse_polynomial(r2, "x")
     y = parse_polynomial(r2, "y")
@@ -180,3 +221,15 @@ def test_monomial_helpers_match_the_references(data):
             assert str(raised.value) == str(err)
         else:
             assert mono_div(num, den) == expected
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(_RINGS)), data=st.data())
+def test_parse_reads_back_the_printed_form(name, data):
+    ring = _RINGS[name]
+    exps = st.tuples(*[st.integers(0, 3)] * ring.n)
+    coeff = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+    p = Polynomial(ring, data.draw(st.lists(st.tuples(exps, coeff), max_size=6)))
+    q = parse_polynomial(ring, str(p))
+    assert q == p
+    assert all(type(c) is Fraction for _, c in q.terms)
