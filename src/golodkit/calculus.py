@@ -17,7 +17,7 @@ from random import Random
 from typing import Sequence
 
 from .errors import AlgebraError, ContainmentError, HomogeneityError, ImproperIdealError
-from .groebner import Ideal, NFRow, colon, contains, saturate
+from .groebner import Ideal, NFRow, _monomial_exps, colon, contains, saturate
 from .linalg import _primitive, integral
 from .ring import Exps, GradingSpec, Polynomial, axpy_over, mono_mul
 
@@ -72,17 +72,24 @@ def strongly_golod(I: Ideal) -> StronglyGolodReport:
     """Decide whether the square of the derivative ideal lies in I.
 
     Products of any generating set of the derivative ideal generate its
-    square, so the verdict is decided on a minimal one.  The zero ideal
-    passes vacuously; the unit ideal is rejected.  On failure the first
-    offending pair of the full derivative list is reported, in generator
-    order, together with the nonzero normal form of its product.
+    square, so the verdict is decided on a minimal one; a monomial ideal is
+    decided by ``strongly_golod_monomial`` instead, with no normal form.  The
+    zero ideal passes vacuously; the unit ideal is rejected.  On failure the
+    first offending pair of the full derivative list is reported, in
+    generator order, together with the nonzero normal form of its product.
     """
     if not I.is_homogeneous:
         raise HomogeneityError("the strongly Golod predicate needs a homogeneous ideal")
     if not I.is_proper():
         raise ImproperIdealError("the unit ideal is outside the predicate's domain")
+    exps = _monomial_exps(I)
+    if exps is not None:
+        from .monomial import MonomialIdeal, strongly_golod_monomial
+
+        if strongly_golod_monomial(MonomialIdeal(I.ring, exps)).verdict:
+            return StronglyGolodReport(True)
     D = derivative_ideal(I)
-    if _escaping_pair(I, D.minimal_generators()) is None:
+    if exps is None and _escaping_pair(I, D.minimal_generators()) is None:
         return StronglyGolodReport(True)
     a, b = _escaping_pair(I, D.generators)
     left, right = D.generators[a], D.generators[b]
@@ -143,10 +150,6 @@ def power(I: Ideal, k: int) -> Ideal:
     return Ideal(I.ring, gens)
 
 
-def _is_monomial_ideal(I: Ideal) -> bool:
-    return all(g.is_monomial() for g in I.generators)
-
-
 @dataclass(frozen=True)
 class SymbolicPowerSpec:
     """Which notion of k-th symbolic power to compute.
@@ -178,10 +181,11 @@ class SymbolicPowerResult:
 
 def saturated_power(I: Ideal, k: int) -> SymbolicPowerResult:
     """I^k : m^infinity.  Monomial inputs take the combinatorial route."""
-    if _is_monomial_ideal(I) and not I.is_zero():
+    exps = _monomial_exps(I)
+    if exps:  # a nonzero monomial ideal
         from . import monomial
 
-        mi = monomial.MonomialIdeal.from_ideal(I)
+        mi = monomial.MonomialIdeal(I.ring, exps)
         sat, exponent = monomial.saturate_at_irrelevant(mi.power(k))
         return SymbolicPowerResult(sat.to_ideal(), exponent)
     res = saturate(power(I, k), maximal_ideal(I.ring))
@@ -197,9 +201,10 @@ def symbolic_power(I: Ideal, spec: SymbolicPowerSpec) -> SymbolicPowerResult:
     # squarefree monomial route
     from . import monomial
 
-    if not _is_monomial_ideal(I):
+    exps = _monomial_exps(I)
+    if exps is None:
         raise ValueError("mode 'squarefree' needs a monomial ideal")
-    mi = monomial.MonomialIdeal.from_ideal(I)
+    mi = monomial.MonomialIdeal(I.ring, exps)
     if not mi.is_squarefree():
         raise ValueError("mode 'squarefree' needs a squarefree monomial ideal")
     return SymbolicPowerResult(monomial.squarefree_symbolic_power(mi, spec.k).to_ideal(), None)
@@ -304,7 +309,7 @@ def _entry(name, ring, texts, description, monomial, sweep=True) -> CorpusEntry:
 
 
 def _random_monomial_entry(rng: Random, idx: int, ring: GradingSpec) -> CorpusEntry:
-    from .monomial import _minimalize
+    from .monomial import MonomialIdeal
 
     n = ring.n
     vecs: list[tuple[int, ...]] = []
@@ -322,7 +327,7 @@ def _random_monomial_entry(rng: Random, idx: int, ring: GradingSpec) -> CorpusEn
             if sum(e) >= 2 and e[: n - 1] != [0] * (n - 1):
                 vecs.append(tuple(e))
                 break
-    gens = [Polynomial.monomial(ring, e) for e in _minimalize(ring, vecs)]
+    gens = [Polynomial.monomial(ring, e) for e in MonomialIdeal(ring, vecs).gens]
     return CorpusEntry(
         f"seeded-monomial-{idx}",
         Ideal(ring, gens),

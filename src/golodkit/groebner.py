@@ -1,11 +1,19 @@
 """Groebner bases over Q and the ideal operations built on them.
 
-One engine handles both ideals and submodules of free modules: an internal
-"vector" is a sparse dict {(component, exponents): coefficient}.  Every sum
-in the engine adds a basis element or a representation times a monomial,
-``target += factor * x^shift * src``, in one loop over ``src`` without a
-shifted copy (``_axpy_shifted``).  Scalar polynomials are the one-component
-case.
+A monomial ideal, one whose generators are all single terms, never reaches
+the engine: its reduced basis is its divisibility-minimal monomials, an
+intersection of two is generated by the pairwise lcms and a colon by the
+componentwise differences (``ring.minimal_exps``, ``intersect_exps`` and
+``colon_exps``).  ``Ideal.groebner_basis``, ``intersect`` and ``colon`` build
+these results with the engine's order and coefficients, so they equal the
+engine's reduced bases generator for generator.
+
+Every other ideal goes to one engine, which handles both ideals and
+submodules of free modules: an internal "vector" is a sparse dict
+{(component, exponents): coefficient}.  Every sum in the engine adds a basis
+element or a representation times a monomial, ``target += factor * x^shift
+* src``, in one loop over ``src`` without a shifted copy (``_axpy_shifted``).
+Scalar polynomials are the one-component case.
 
 The engine runs over Z, fraction-free (Bareiss, Math. Comp. 1968): each
 input enters as a primitive integer vector times a positive rational factor,
@@ -60,9 +68,13 @@ from .ring import (
     Polynomial,
     _scale,
     axpy_over,
+    colon_exps,
     grevlex_key,
+    intersect_exps,
+    minimal_exps,
     mono_div,
     mono_divides,
+    mono_in_ideal,
     mono_lcm,
     mono_mul,
     monomials_of_degree,
@@ -324,6 +336,13 @@ def _run_engine(vectors: list[ModVec], order: MonomialOrder, ncomp: int, track: 
     return eng
 
 
+def _engine_basis(I: Ideal, order: MonomialOrder) -> tuple[Polynomial, ...]:
+    """The reduced basis of I under the order, from one untracked engine run."""
+    vecs = [_to_internal([g])[0] for g in I.generators]
+    eng = _run_engine(vecs, order, 1, track=False)
+    return _monic(I.ring, zip(eng.leads, eng.polys), vecs)
+
+
 def _monic(ring: GradingSpec, basis: Iterable, inputs: list[ModVec]) -> tuple[Polynomial, ...]:
     """The (lead, vector) pairs made monic over Q, without their component, sharing one
     exponent tuple per monomial (the inputs' where they have it) and one Fraction per value."""
@@ -419,9 +438,11 @@ class Ideal:
         return self._compute_gb(order)
 
     def _compute_gb(self, order: MonomialOrder) -> tuple[Polynomial, ...]:
-        vecs = [_to_internal([g])[0] for g in self.generators]
-        eng = _run_engine(vecs, order, 1, track=False)
-        return _monic(self.ring, zip(eng.leads, eng.polys), vecs)
+        exps = _monomial_exps(self)
+        if exps is not None:
+            # a monomial ideal's reduced basis is its minimal monomials
+            return _monic_monomials(self.ring, minimal_exps(exps), order)
+        return _engine_basis(self, order)
 
     def _reducer_list(self) -> list[tuple[Exps, int, list[tuple[Exps, int]]]]:
         if self._reducers is None:
@@ -446,7 +467,7 @@ class Ideal:
             leads = [lead for lead, _, _ in self._reducer_list()]
             std = self._std[d] = [
                 u for u in monomials_of_degree(self.ring.weights, d)
-                if not any(mono_divides(lead, u) for lead in leads)
+                if not mono_in_ideal(u, leads)
             ]
         return std
 
@@ -592,6 +613,36 @@ def _by_basis(ring: GradingSpec, basis: Sequence[Polynomial]) -> Ideal:
     return out
 
 
+def _monomial_exps(I: Ideal) -> list[Exps] | None:
+    """The exponent vectors of I's generators when each is a single term,
+    whatever its coefficient; None when some generator is not."""
+    gens = I.generators
+    if all(g.is_monomial() for g in gens):
+        return [g.terms[0][0] for g in gens]
+    return None
+
+
+def _monic_monomials(ring: GradingSpec, exps: Iterable[Exps], order: MonomialOrder,
+                     inputs: Iterable[Exps] = ()) -> tuple[Polynomial, ...]:
+    """The monomials x^e, ascending by the order, with coefficient ``_ONE``; an
+    e equal to one of the inputs shares the input's tuple."""
+    canon = {e: e for e in inputs}
+    return tuple(Polynomial._from_terms(ring, {canon.get(e, e): _ONE})
+                 for e in sorted(exps, key=order.key))
+
+
+def _monomial_operation(op, I: Ideal, J: Ideal) -> Ideal | None:
+    """op(I, J) on exponent vectors when both ideals are monomial, else None.
+
+    op maps the generators' exponent vectors to the minimal ones of the
+    result, which are its reduced grevlex basis."""
+    a, b = _monomial_exps(I), _monomial_exps(J)
+    if a is None or b is None:
+        return None
+    return _by_basis(I.ring, _monic_monomials(I.ring, op(a, b), MonomialOrder.grevlex(I.ring),
+                                              a + b))
+
+
 def _last_component(ring: GradingSpec, columns: list[ModVec], ncomp: int) -> Ideal:
     """The last coordinates of the elements of the columns' module that have no
     other coordinate.  Under the position-over-term order these are the basis
@@ -602,10 +653,17 @@ def _last_component(ring: GradingSpec, columns: list[ModVec], ncomp: int) -> Ide
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I ∩ J, the second coordinates of the module of the columns (f, f), f in
-    I, and (g, 0), g in J, where the first coordinate vanishes."""
+    """I ∩ J: the pairwise lcms of the generators when both ideals are
+    monomial, and otherwise ``_engine_intersect``."""
     if I.ring != J.ring:
         raise RingMismatchError("ideals live in different rings")
+    out = _monomial_operation(intersect_exps, I, J)
+    return out if out is not None else _engine_intersect(I, J)
+
+
+def _engine_intersect(I: Ideal, J: Ideal) -> Ideal:
+    """I ∩ J, the second coordinates of the module of the columns (f, f), f in
+    I, and (g, 0), g in J, where the first coordinate vanishes."""
     columns = [{(k, e): c for e, c in integral(dict(f.terms))[0].items() for k in (0, 1)}
                for f in I.generators]
     columns += [{(0, e): c for e, c in integral(dict(g.terms))[0].items()} for g in J.generators]
@@ -613,13 +671,21 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
 
 
 def colon(I: Ideal, J: Ideal) -> Ideal:
-    """I : J: with f_1, ..., f_r generating J, a * f_k lies in I for every k
-    exactly when (0, ..., 0, a) lies in the module of the columns
-    (f_1, ..., f_r, 1) and g * e_k, g in I and k < r."""
+    """I : J: when both ideals are monomial, the intersection over the
+    generators x^w of J of the ideals of the x^g : x^w, g in I, and otherwise
+    ``_engine_colon``."""
     if I.ring != J.ring:
         raise RingMismatchError("ideals live in different rings")
     if J.is_zero():
         raise ZeroColonError("colon by the zero ideal is undefined")
+    out = _monomial_operation(colon_exps, I, J)
+    return out if out is not None else _engine_colon(I, J)
+
+
+def _engine_colon(I: Ideal, J: Ideal) -> Ideal:
+    """I : J: with f_1, ..., f_r generating J, a * f_k lies in I for every k
+    exactly when (0, ..., 0, a) lies in the module of the columns
+    (f_1, ..., f_r, 1) and g * e_k, g in I and k < r."""
     # scaling a generator of J changes neither J nor the colon
     fs = [integral(dict(f.terms))[0] for f in J.generators]
     gs = [integral(dict(g.terms))[0] for g in I.generators]

@@ -18,21 +18,21 @@ from math import lcm
 
 from .calculus import MonomialQuotientWitness, StronglyGolodReport
 from .errors import AlgebraError, ImproperIdealError, ParseError, RingMismatchError
-from .groebner import Ideal
-from .ring import Exps, GradingSpec, Polynomial, mono_divides, mono_lcm
-
-
-def _minimalize(ring: GradingSpec, vecs) -> tuple[Exps, ...]:
-    ordered = sorted(set(vecs), key=lambda v: (ring.weighted_degree(v), v))
-    out: list[Exps] = []
-    for v in ordered:
-        if not any(mono_divides(u, v) for u in out):
-            out.append(v)
-    return tuple(out)
+from .groebner import Ideal, _monomial_exps
+from .ring import (
+    Exps,
+    GradingSpec,
+    Polynomial,
+    colon_exps,
+    intersect_exps,
+    minimal_exps,
+    mono_in_ideal,
+)
 
 
 class MonomialIdeal:
-    """Monomial ideal stored by its minimal generating exponent vectors."""
+    """Monomial ideal stored by its minimal generating exponent vectors,
+    sorted by (weighted degree, exponent tuple)."""
 
     __slots__ = ("ring", "gens")
 
@@ -42,18 +42,28 @@ class MonomialIdeal:
             if len(v) != ring.n or any(e < 0 for e in v):
                 raise ValueError(f"bad exponent vector {v}")
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "gens", _minimalize(ring, vecs))
+        object.__setattr__(self, "gens", self._sorted(minimal_exps(vecs)))
+
+    @classmethod
+    def _from_minimal(cls, ring: GradingSpec, vecs: list[Exps]) -> "MonomialIdeal":
+        """The ideal of minimal exponent vectors, trusted, without the checks."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "ring", ring)
+        object.__setattr__(out, "gens", out._sorted(vecs))
+        return out
+
+    def _sorted(self, vecs: list[Exps]) -> tuple[Exps, ...]:
+        return tuple(sorted(vecs, key=lambda v: (self.ring.weighted_degree(v), v)))
 
     def __setattr__(self, name, value):
         raise AttributeError("MonomialIdeal is immutable")
 
     @classmethod
     def from_ideal(cls, I: Ideal) -> "MonomialIdeal":
-        vecs = []
-        for g in I.generators:
-            if not g.is_monomial():
-                raise ValueError(f"generator {g} is not a monomial")
-            vecs.append(g.terms[0][0])
+        vecs = _monomial_exps(I)
+        if vecs is None:
+            g = next(g for g in I.generators if not g.is_monomial())
+            raise ValueError(f"generator {g} is not a monomial")
         return cls(I.ring, vecs)
 
     def to_ideal(self) -> Ideal:
@@ -82,7 +92,7 @@ class MonomialIdeal:
 
     def contains_exponents(self, u: Exps) -> bool:
         """Membership of the monomial x^u: some generator must divide it."""
-        return any(mono_divides(g, u) for g in self.gens)
+        return mono_in_ideal(u, self.gens)
 
     def contains(self, other: "MonomialIdeal") -> bool:
         self._check_ring(other)
@@ -105,18 +115,16 @@ class MonomialIdeal:
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_ring(other)
-        vecs = [mono_lcm(u, v) for u in self.gens for v in other.gens]
-        return MonomialIdeal(self.ring, vecs)
+        return MonomialIdeal._from_minimal(self.ring, intersect_exps(self.gens, other.gens))
 
     def colon_monomial(self, w: Exps) -> "MonomialIdeal":
-        vecs = [tuple(max(g[i] - w[i], 0) for i in range(len(g))) for g in self.gens]
-        return MonomialIdeal(self.ring, vecs)
+        return MonomialIdeal._from_minimal(self.ring, colon_exps(self.gens, [tuple(w)]))
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_ring(other)
         if not other.gens:
             raise ValueError("colon by the zero ideal")
-        return reduce(MonomialIdeal.intersect, (self.colon_monomial(w) for w in other.gens))
+        return MonomialIdeal._from_minimal(self.ring, colon_exps(self.gens, other.gens))
 
     def power(self, k: int) -> "MonomialIdeal":
         if k < 1:
@@ -141,11 +149,11 @@ def saturate_at_irrelevant(I: MonomialIdeal) -> tuple[MonomialIdeal, int]:
     """Iterate I : m until stable; returns the saturation and the exponent."""
     if I.is_zero():
         return I, 0
+    variables = [tuple(int(j == i) for j in range(I.ring.n)) for i in range(I.ring.n)]
     current = I
     exponent = 0
     while True:
-        nxt = reduce(MonomialIdeal.intersect, (current.colon_monomial(tuple(
-            1 if j == i else 0 for j in range(I.ring.n))) for i in range(I.ring.n)))
+        nxt = MonomialIdeal._from_minimal(I.ring, colon_exps(current.gens, variables))
         if nxt == current:
             return current, exponent
         current = nxt
@@ -309,8 +317,9 @@ def minimal_primes(I: MonomialIdeal) -> list[tuple[int, ...]]:
             extend(chosen | {v}, rest)
 
     extend(frozenset(), supports)
-    minimal = [s for s in found if not any(t < s for t in found)]
-    return sorted(tuple(sorted(s)) for s in minimal)
+    # a set of variables is a squarefree monomial, and inclusion is divisibility
+    covers = minimal_exps(tuple(int(i in s) for i in range(I.ring.n)) for s in found)
+    return sorted(tuple(i for i, e in enumerate(c) if e) for c in covers)
 
 
 def variable_power_ideal(ring: GradingSpec, var_indices, k: int) -> MonomialIdeal:

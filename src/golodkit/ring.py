@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 from operator import add, le, sub
 from typing import Iterable, Mapping
@@ -97,6 +98,63 @@ def mono_div(a: Exps, b: Exps) -> Exps:
 
 def mono_lcm(a: Exps, b: Exps) -> Exps:
     return tuple(map(max, a, b))
+
+
+def mono_colon(a: Exps, b: Exps) -> Exps:
+    """Exponent vector of x^a : x^b, the least x^c with x^a dividing x^(b + c)."""
+    return tuple(x - y if x > y else 0 for x, y in zip(a, b))
+
+
+# -- monomial ideals by exponent vectors --------------------------------------
+#
+# A monomial ideal is generated by the x^u for u in a list of exponent
+# vectors: membership is divisibility, an intersection is generated by the
+# pairwise lcms and a colon by the componentwise differences (Miller and
+# Sturmfels, *Combinatorial Commutative Algebra*, Ch. 1).  These return the
+# minimal generators in no particular order; callers sort them by their own
+# key.
+
+def mono_in_ideal(v: Exps, gens: Iterable[Exps]) -> bool:
+    """Whether x^v lies in the ideal of the x^u, u in gens: some x^u divides it."""
+    for u in gens:
+        if all(map(le, u, v)):  # mono_divides(u, v), inlined
+            return True
+    return False
+
+
+def minimal_exps(vecs: Iterable[Exps]) -> list[Exps]:
+    """The divisibility-minimal vectors among vecs, each once.
+
+    A proper divisor has a smaller total degree, so one scan by ascending
+    total degree keeps exactly the vectors that no kept vector divides.  Of
+    equal vectors the first one's tuple is kept.
+    """
+    out: list[Exps] = []
+    for v in sorted(dict.fromkeys(vecs), key=sum):
+        if not mono_in_ideal(v, out):
+            out.append(v)
+    return out
+
+
+def intersect_exps(a: Iterable[Exps], b: Iterable[Exps]) -> list[Exps]:
+    """Minimal generators of the intersection of the ideals of a and of b.
+
+    The pairwise lcms generate it.  A generator of one ideal that lies in
+    the other is among them, and its lcms with the rest are its multiples,
+    so only the generators outside the other ideal are paired.
+    """
+    a, b = list(a), list(b)
+    a_out = [u for u in a if not mono_in_ideal(u, b)]
+    b_out = [v for v in b if not mono_in_ideal(v, a)]
+    inside = [u for u in a if u not in a_out] + [v for v in b if v not in b_out]
+    return minimal_exps(inside + [mono_lcm(u, v) for u in a_out for v in b_out])
+
+
+def colon_exps(a: Iterable[Exps], b: Iterable[Exps]) -> list[Exps]:
+    """Minimal generators of the colon of the ideal of a by the ideal of b, b
+    nonempty: the intersection over w in b of the ideals of the x^u : x^w."""
+    a = list(a)
+    return reduce(intersect_exps, [minimal_exps(mono_colon(u, w) for u in a) for w in b])
 
 
 def axpy(target: dict, factor, src: Mapping, index: Mapping | None = None) -> None:

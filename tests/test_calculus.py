@@ -41,7 +41,14 @@ from golodkit.monomial import (
     vertex_cover_ideal,
 )
 
-from conftest import full_pair_scan, monomials_of_degree, oracle_member, oracle_pair_scan
+from conftest import (
+    corpus_powers,
+    full_pair_scan,
+    monomials_of_degree,
+    oracle_member,
+    oracle_pair_scan,
+    reference_saturate,
+)
 
 
 def test_derivative_ideal_of_product_pair(r3):
@@ -115,6 +122,14 @@ def test_strongly_golod_scans_the_full_list_only_on_failure(r3, monkeypatch):
     assert not strongly_golod(J).verdict
     assert len(calls) == 2
     assert calls[1] == list(derivative_ideal(J).generators)
+    # a monomial ideal is decided by the quotient scan, and only a failure
+    # scans the derivative list, for the witness
+    calls.clear()
+    assert strongly_golod(power(Ideal.from_strings(r3, ["x*z", "2*y*z"]), 2)).verdict
+    assert calls == []
+    K = Ideal.from_strings(r3, ["x*z", "2*y*z", "-1/2*x*y*z"])
+    assert not strongly_golod(K).verdict
+    assert calls == [list(derivative_ideal(K).generators)]
 
 
 _RINGS = {
@@ -246,16 +261,35 @@ def test_strongly_golod_requires_homogeneous(r2):
         strongly_golod(Ideal.from_strings(r2, ["x + y^2"]))
 
 
+def _assert_monomial_predicate_matches_the_full_pair_scan(I: Ideal):
+    # strongly_golod takes the monomial route; full_pair_scan reduces every
+    # product of the full derivative list by the normal-form memo
+    rep = strongly_golod(I)
+    assert rep == full_pair_scan(I)
+    assert rep.verdict == strongly_golod_monomial(MonomialIdeal.from_ideal(I)).verdict
+
+
 def test_monomial_predicate_agrees_with_general_one():
-    for e in builtin_corpus():
-        if not e.monomial or e.ideal.is_zero():
-            continue
-        mi = MonomialIdeal.from_ideal(e.ideal)
-        if not mi.is_proper():
-            continue
-        assert strongly_golod(e.ideal).verdict == strongly_golod_monomial(mi).verdict, e.name
-        sq = power(e.ideal, 2)
-        assert strongly_golod(sq).verdict == strongly_golod_monomial(mi.power(2)).verdict
+    ideals = [(e.name, e.ideal) for e in builtin_corpus()] + corpus_powers()
+    checked = 0
+    for name, I in ideals:
+        if all(g.is_monomial() for g in I.generators) and I.is_proper():
+            _assert_monomial_predicate_matches_the_full_pair_scan(I)
+            checked += 1
+    assert checked > 30
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(name=st.sampled_from(["r3", "r4"]), data=st.data())
+def test_monomial_predicate_matches_the_full_pair_scan_on_random_ideals(name, data):
+    ring = {"r3": GradingSpec(("x", "y", "z"), (1, 1, 1)),
+            "r4": GradingSpec(("x", "y", "z", "w"), (1, 1, 1, 1))}[name]
+    exps = st.tuples(*[st.integers(0, 3)] * ring.n).filter(any)
+    gens = data.draw(st.lists(st.tuples(exps, st.sampled_from(_POOL)), min_size=1, max_size=4))
+    I = Ideal(ring, [Polynomial.monomial(ring, e, c) for e, c in gens])
+    if data.draw(st.booleans()):
+        I = power(I, 2)  # strongly Golod, so the pass side is drawn too
+    _assert_monomial_predicate_matches_the_full_pair_scan(I)
 
 
 def test_power_matches_monomial_power(r3):
@@ -268,13 +302,12 @@ def test_power_matches_monomial_power(r3):
 
 
 def test_saturated_power_monomial_and_groebner_paths_agree(r3):
-    from golodkit.groebner import saturate
-
     I = Ideal.from_strings(r3, ["x*y", "y*z", "x*z"])
     fast = saturated_power(I, 2)
-    slow = saturate(power(I, 2), maximal_ideal(r3))
-    assert fast.ideal == slow.ideal
-    assert fast.exponent == slow.exponent
+    # the reference saturates by colons read off syzygies and eliminations
+    slow, exponent = reference_saturate(power(I, 2), maximal_ideal(r3))
+    assert fast.ideal == slow
+    assert fast.exponent == exponent
 
 
 def test_symbolic_power_of_triangle_cover():

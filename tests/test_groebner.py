@@ -24,10 +24,15 @@ from golodkit import (
     saturate,
     syzygies,
 )
+from golodkit import groebner
 from golodkit.groebner import (
+    _ONE,
     MonomialOrder,
     _Engine,
     _axpy_shifted,
+    _engine_basis,
+    _engine_colon,
+    _engine_intersect,
     _from_internal,
     _run_engine,
     _to_internal,
@@ -563,6 +568,91 @@ def test_ideal_operations_match_the_references_on_edge_ideals(names, weights, ge
     ring = GradingSpec(tuple(names), weights)
     _assert_operations_match_the_references(Ideal.from_strings(ring, gens),
                                             Ideal.from_strings(ring, by))
+
+
+_MONOMIAL_RINGS = {
+    "r3": GradingSpec(("x", "y", "z"), (1, 1, 1)),
+    "rw": GradingSpec(("x", "y"), (1, 2)),
+    "r4": GradingSpec(("x", "y", "z", "w"), (1, 1, 1, 1)),
+}
+_MONOMIAL_COEFFS = (1, 2, -1, Fraction(-1, 2), 3)
+
+
+def _engine_saturate(I: Ideal, J: Ideal) -> tuple[Ideal, int]:
+    """``saturate``'s colon chain with every colon and comparison run by the engine."""
+    current, exponent = I, 0
+    while True:
+        nxt = _engine_colon(current, J)
+        if nxt.generators == _engine_basis(current, MonomialOrder.grevlex(I.ring)):
+            return current, exponent
+        current, exponent = nxt, exponent + 1
+
+
+def _assert_monomial_route_matches_the_engine(I: Ideal, J: Ideal):
+    """Reduced bases, intersect, colon, saturate and the colon condition of
+    monomial ideals equal the engine's, in generator order, without an engine run."""
+    ring = I.ring
+    grevlex, elim = MonomialOrder.grevlex(ring), MonomialOrder.elimination(ring, 1)
+    m = Ideal(ring, list(ring.variables()))
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the engine ran on monomial ideals")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "_run_engine", no_engine)
+        bases = [I.groebner_basis(), I.groebner_basis(elim)]
+        ops = [intersect(I, J), colon(I, J)]
+        sats = [saturate(I, by) for by in (J, m)]
+        stable = check_colon_condition(I, J)
+    assert bases == [_engine_basis(I, grevlex), _engine_basis(I, elim)]
+    for ours, theirs in zip(ops, [_engine_intersect(I, J), _engine_colon(I, J)]):
+        assert ours.generators == theirs.generators
+        assert ours._gb is ours.generators
+    for res, by in zip(sats, (J, m)):
+        ideal, exponent = _engine_saturate(I, by)
+        assert (res.ideal.generators, res.exponent) == (ideal.generators, exponent)
+    Q = _engine_colon(I, J)
+    assert stable == (Q.generators == _engine_colon(Q, J).generators)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(_MONOMIAL_RINGS)), data=st.data())
+def test_monomial_ideals_skip_the_engine_with_its_results(name, data):
+    ring = _MONOMIAL_RINGS[name]
+    exps = st.tuples(*[st.integers(0, 3)] * ring.n)
+
+    def draw_ideal(min_size):
+        terms = data.draw(st.lists(st.tuples(exps, st.sampled_from(_MONOMIAL_COEFFS)),
+                                   min_size=min_size, max_size=4))
+        if terms and data.draw(st.booleans()):  # a repeated generator
+            terms.append((data.draw(st.sampled_from(terms))[0],
+                          data.draw(st.sampled_from(_MONOMIAL_COEFFS))))
+        return Ideal(ring, [Polynomial.monomial(ring, e, c) for e, c in terms])
+
+    _assert_monomial_route_matches_the_engine(draw_ideal(0), draw_ideal(1))
+
+
+@pytest.mark.parametrize("gens, by", [
+    ([], ["x*y", "z^2"]),  # zero I
+    (["-3"], ["x", "y^2"]),  # unit I
+    (["2*x*y", "-1/2*x^2", "x^2*y", "2*x*y"], ["x", "-1/2*x"]),  # redundant and repeated
+    (["x^2*y", "y^3*z", "z^2"], ["7"]),  # unit J
+    (["x^3", "y^3", "z^3", "x*y*z"], ["x*y", "y*z", "x*z"]),
+])
+def test_monomial_ideals_skip_the_engine_on_edge_ideals(r3, gens, by):
+    _assert_monomial_route_matches_the_engine(Ideal.from_strings(r3, gens),
+                                              Ideal.from_strings(r3, by))
+
+
+def test_monomial_results_share_one_and_the_input_exponent_tuples(r3):
+    I = Ideal.from_strings(r3, ["x^2*y", "2*x*y^2", "-1/2*z^3", "x*y*z"])
+    J = Ideal.from_strings(r3, ["x", "y"])
+    inputs = {id(g.terms[0][0]) for g in I.generators + J.generators}
+    for out in (I.groebner_basis(), colon(I, J).generators, intersect(I, J).generators):
+        assert all(c is _ONE for g in out for _, c in g.terms)
+    assert all(id(g.terms[0][0]) in inputs for g in I.groebner_basis())
+    # x*y*z lies in (x, y): the intersection keeps the input's tuple for it
+    assert id(intersect(I, J).generators[0].terms[0][0]) in inputs
 
 
 def test_colon_basis_shares_one_exponent_tuple_and_one_fraction_per_value(r3):
