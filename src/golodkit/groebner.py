@@ -40,9 +40,9 @@ of every monomial it meets and its standard monomials per degree; the
 predicate and the Koszul and Tor strands all read these memos.  The
 normal-form memo is fraction-free too: each entry is an integer row over
 one positive denominator, filled from the primitive integer basis, and sums
-of entries are kept over a common denominator (``ring.axpy_over``).  The
-predicate and ``Ideal.normal_form`` sum these rows; ``nf_monomial`` builds
-``Fraction``s only for the entries that are not integral.
+of entries are kept over a common denominator (``ring.axpy_over``).  Its one
+read, ``Ideal._nf_row``, feeds the predicate, the strands and
+``Ideal.normal_form``, the only one that builds ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -373,15 +373,9 @@ class SaturationResult:
     exponent: int  # least t with I : J^t equal to the saturation
 
 
-Coeff = int | Fraction
 # a normal form row / den: an integer row over standard monomials and a
 # positive denominator, with no common factor left between them
 NFRow = tuple[dict[Exps, int], int]
-
-
-def _as_int(c: Coeff) -> Coeff:
-    """c as an int when it is integral."""
-    return c.numerator if c.denominator == 1 else c
 
 
 def _lowest_terms(row: dict[Exps, int], den: int) -> NFRow:
@@ -459,7 +453,7 @@ class Ideal:
         """Monomials of degree d outside the leading-term ideal, sorted; memoized.
 
         They are a basis of the degree-d part of S/I, and the normal forms of
-        ``nf_monomial`` are expansions over them.  The returned list is shared
+        ``_nf_row`` are expansions over them.  The returned list is shared
         with the memo and must not be mutated.
         """
         std = self._std.get(d) if self._std else None
@@ -471,21 +465,8 @@ class Ideal:
             ]
         return std
 
-    def nf_monomial(self, e: Exps) -> dict[Exps, Coeff]:
-        """Normal form of x^e modulo the reduced grevlex basis.
-
-        A standard monomial maps to {x^e: 1}, and every coefficient that is
-        integral is an int.  When the memoized row's denominator is 1 the
-        returned dict is the memo's own and must not be mutated; otherwise
-        the Fractions are built on each call.
-        """
-        row, den = self._nf_row(e)
-        if den == 1:
-            return row
-        return {v: _as_int(Fraction(c, den)) for v, c in row.items()}
-
     def _nf_row(self, e: Exps) -> NFRow:
-        """Normal form of x^e as (row, den), row an integer dict; memoized.
+        """Normal form of x^e modulo the reduced basis as (row, den); memoized.
 
         The memo holds no Fraction: each entry is over its own denominator,
         in lowest terms, and sums of entries are taken with ``axpy_over``.
@@ -547,19 +528,20 @@ class Ideal:
             zip((h.degree for h in reports), self.generators),
             key=lambda dg: (dg[0], order.key(dg[1].terms[0][0])),
         )
-        kept: list[tuple[int, Polynomial]] = []
+        kept: list[tuple[int, Polynomial, dict[Exps, int]]] = []
         one = (0,) * self.ring.n
         span_degree = None
         for d, g in gens:
+            row, _ = integral(dict(g.terms))
             if d != span_degree:
                 span, index, span_degree = Span(), {}, d
-                for kd, k in kept:
+                for kd, _, k in kept:
                     for m in monomials_of_degree(self.ring.weights, d - kd):
                         span.add(_coordinates(k, m, index))
             # a kept g is its own only degree-d multiple, so the span stays current
-            if span.add(_coordinates(g, one, index)):
-                kept.append((d, g))
-        return [g for _, g in kept]
+            if span.add(_coordinates(row, one, index)):
+                kept.append((d, g, row))
+        return [g for _, g, _ in kept]
 
     def normal_form(self, p: Polynomial) -> NormalForm:
         if p.ring != self.ring:
@@ -594,9 +576,9 @@ class Ideal:
         return f"Ideal({gens})"
 
 
-def _coordinates(p: Polynomial, m: Exps, index: dict[Exps, int]) -> dict[int, Fraction]:
-    """x^m * p over the monomials numbered in index (extended on demand)."""
-    return {index.setdefault(mono_mul(m, e), len(index)): c for e, c in p.terms}
+def _coordinates(row: dict[Exps, int], m: Exps, index: dict[Exps, int]) -> dict[int, int]:
+    """x^m * row over the monomials numbered in index (extended on demand)."""
+    return {index.setdefault(mono_mul(m, e), len(index)): c for e, c in row.items()}
 
 
 def contains(big: Ideal, small: Ideal) -> bool:

@@ -4,17 +4,20 @@
 each generator's degree and its image one degree down.  A strand is the
 degree-d part of one of its modules, over the standard monomials of each
 generator's complementary degree; ``_Complex.basis`` numbers these
-coordinates and ``_coordinates`` writes module elements in them from the
-ideal's monomial normal-form memo.  ``_koszul`` fills the tables with the
-wedges of the Koszul complex on the variables; the resolution of the
-residue field in ``poincare.actual_poincare`` is a ``_Complex`` whose tables
-grow one homological step at a time.  Homology, cycle representatives and
-the multiplication checks are exact linear algebra on the strands: each
-differential strand is eliminated once, by ``linalg.kernel_of_columns``,
-which gives the boundary span one step down and the cycles as primitive
-integer rows.  Only ``cycle_reps`` holds Fractions.  Koszul homology
-dimensions are the graded Betti numbers of S/I, so ``_betti_dims`` reads
-them, and the resolution's top shift, off the strands.
+coordinates and ``_coordinates`` writes integer module elements in them as
+(row, den), summing the rows of ``Ideal._nf_row`` with ``ring.axpy_over``.
+``_koszul`` fills the tables with the wedges of the Koszul complex on the
+variables; the resolution of the residue field in
+``poincare.actual_poincare`` is a ``_Complex`` whose tables grow one
+homological step at a time.  Homology, cycles and the multiplication checks
+are linear algebra on integer rows: each differential strand is eliminated
+once, by ``linalg.kernel_of_columns``, which gives the boundary span one step
+down and the cycles as primitive integer rows; products of classes multiply
+these rows.  Only ``_summarize`` builds Fractions, for the public
+``cycle_reps``.  Koszul homology dimensions are the graded Betti numbers of
+S/I and vanish off the strands of ``_lcm_strands``, so ``_dims`` visits only
+those, and ``_betti_dims`` reads the Betti numbers, and the resolution's top
+shift, off them.
 
 ``derivative_cycle_check`` reads the exact sequence 0 -> d(I)K -> K ->
 K(S/J) -> 0, J = I + d(I), off a second ``_koszul``, over J.
@@ -30,24 +33,27 @@ from typing import Hashable, Mapping
 
 from .calculus import derivative_ideal, strongly_golod
 from .errors import AlgebraError, HomogeneityError, ImproperIdealError
-from .groebner import Coeff, Ideal
-from .linalg import IntVec, Span, Vec, kernel_of_columns
-from .ring import Exps, axpy, mono_lcm, mono_mul
+from .groebner import Ideal
+from .linalg import IntVec, Span, kernel_of_columns
+from .ring import Exps, axpy_over, mono_lcm, mono_mul
 
 Wedge = tuple[int, ...]
 StrandKey = tuple[Hashable, Exps]
 # strand coordinates: generator -> standard monomial -> column index
 StrandIndex = dict[Hashable, dict[Exps, int]]
-# an element of a free R-module: (generator, monomial) -> coefficient
-Element = Mapping[tuple[Hashable, Exps], Coeff]
+# an element of a free R-module: (generator, monomial) -> integer coefficient
+Element = Mapping[tuple[Hashable, Exps], int]
+# row / den: an integer row over strand coordinates and a positive denominator
+Column = tuple[IntVec, int]
 
 
-def _coordinates(I: Ideal, element: Element, index: StrandIndex, shift: Exps) -> Vec:
+def _coordinates(I: Ideal, element: Element, index: StrandIndex, shift: Exps) -> Column:
     """x^shift * element in the coordinates of index, reduced modulo I."""
-    out: Vec = {}
+    out: IntVec = {}
+    den = 1
     for (g, m), c in element.items():
-        axpy(out, c, I.nf_monomial(mono_mul(m, shift)), index[g])
-    return out
+        den = axpy_over(out, den, c, *I._nf_row(mono_mul(m, shift)), index[g])
+    return out, den
 
 
 def _merge_sign(W1: Wedge, W2: Wedge) -> int:
@@ -100,8 +106,8 @@ class _Complex:
         return keys, index
 
     @_cached
-    def differential_columns(self, l: int, d: int) -> list[Vec]:
-        """Images of the (l, d) basis in (l-1, d) coordinates."""
+    def differential_columns(self, l: int, d: int) -> list[Column]:
+        """Images of the (l, d) basis in (l-1, d) coordinates, as (row, den)."""
         images = self.images.get(l, {})
         _, tgt_index = self.basis(l - 1, d)
         return [_coordinates(self.I, images[W], tgt_index, m) for W, m in self.basis(l, d)[0]]
@@ -142,47 +148,44 @@ def _koszul(I: Ideal) -> _Complex:
     return _Complex(I, shifts, images)
 
 
-def _nonzero_dims(cx: _Complex, strands) -> dict[tuple[int, int], int]:
-    """The nonzero homology dimensions among the strands (l, d), in their order."""
+def _lcm_strands(cx: _Complex, l_max: int):
+    """The strands (l, d), l <= l_max, where d is the degree of an lcm of at
+    most l leading terms of the reduced basis, for l up to the length of the
+    Taylor resolution, in order of l and then d.  The lcms are built level by
+    level, each new one the lcm of a new one of the level below and a lead;
+    no subset of the leads is enumerated.
+
+    Upper semicontinuity bounds each Betti number of S/I by that of S/in(I),
+    and the Taylor resolution of S/in(I) has its generators of homological
+    degree l in the degrees of the lcms of l leading terms.  So only these
+    strands can carry Koszul homology.
+    """
+    leads = {g.terms[0][0] for g in cx.I.groebner_basis()}
+    lcms = fresh = {(0,) * cx.n}  # the lcms of at most l leads; those new at level l
+    for l in range(min(cx.n, len(leads), l_max) + 1):
+        if l:
+            fresh = {mono_lcm(m, g) for m in fresh for g in leads} - lcms
+            lcms = lcms | fresh
+        yield from ((l, d) for d in sorted({cx.ring.weighted_degree(m) for m in lcms}))
+
+
+def _dims(cx: _Complex, l_max: int, d_max: int | None = None) -> dict[tuple[int, int], int]:
+    """The nonzero homology dimensions on the strands of ``_lcm_strands`` with
+    l <= l_max and d <= d_max (every d when d_max is None), in their order."""
     dims: dict[tuple[int, int], int] = {}
-    for l, d in strands:
-        if cx.basis(l, d)[0]:
+    for l, d in _lcm_strands(cx, l_max):
+        if (d_max is None or d <= d_max) and cx.basis(l, d)[0]:
             dim = cx.homology(l, d)[0]
             if dim:
                 dims[(l, d)] = dim
     return dims
 
 
-def _dims(cx: _Complex, l_max: int, d_max: int) -> dict[tuple[int, int], int]:
-    """The nonzero homology dimensions in the window."""
-    return _nonzero_dims(cx, ((l, d) for l in range(l_max + 1) for d in range(d_max + 1)))
-
-
-def _lcm_strands(cx: _Complex):
-    """The strands (l, d) where d is the degree of an lcm of at most l leading
-    terms of the reduced basis, for l up to the length of the Taylor
-    resolution.  The lcms are built level by level, each new one the lcm of a
-    new one of the level below and a lead; no subset of the leads is
-    enumerated."""
-    leads = {g.terms[0][0] for g in cx.I.groebner_basis()}
-    lcms = fresh = {(0,) * cx.n}  # the lcms of at most l leads; those new at level l
-    for l in range(min(cx.n, len(leads)) + 1):
-        yield from ((l, d) for d in sorted({cx.ring.weighted_degree(m) for m in lcms}))
-        fresh = {mono_lcm(m, g) for m in fresh for g in leads} - lcms
-        lcms = lcms | fresh
-
-
 def _betti_dims(cx: _Complex) -> dict[tuple[int, int], int]:
-    """Every graded Betti number of S/I, as Koszul homology dimensions.
-
-    Upper semicontinuity bounds each Betti number of S/I by that of S/in(I),
-    and the Taylor resolution of S/in(I) has its generators of homological
-    degree l in the degrees of the lcms of l leading terms.  So only the
-    strands of ``_lcm_strands`` can carry homology.
-    """
+    """Every graded Betti number of S/I, as Koszul homology dimensions."""
     if not cx.I.is_proper():
         raise ImproperIdealError("S/I vanishes for the unit ideal")
-    return _nonzero_dims(cx, _lcm_strands(cx))
+    return _dims(cx, cx.n)
 
 
 def _top_shift(cx: _Complex) -> int:
@@ -224,6 +227,11 @@ class HomologySummary:
         }
 
 
+def _truncated(cx: _Complex, dims, l_max: int, d_max: int) -> bool:
+    """Whether homology reaches an edge of the window that the complex does not."""
+    return any(d == d_max or 0 < l == l_max < cx.n for l, d in dims)
+
+
 def _summarize(cx: _Complex, l_max: int, d_max: int) -> HomologySummary:
     dims = _dims(cx, l_max, d_max)
     reps: dict[tuple[int, int], list[dict[StrandKey, Fraction]]] = {}
@@ -233,10 +241,7 @@ def _summarize(cx: _Complex, l_max: int, d_max: int) -> HomologySummary:
         for v in cx.homology(l, d)[1]:
             top = v[max(v)]  # a kernel row ends at its own column
             reps[(l, d)].append({keys[idx]: Fraction(c, top) for idx, c in sorted(v.items())})
-    truncated = any(d == d_max for (_, d) in dims)
-    if l_max < cx.n:
-        truncated = truncated or any(l == l_max and l > 0 for (l, _) in dims)
-    return HomologySummary(l_max, d_max, dims, reps, truncated)
+    return HomologySummary(l_max, d_max, dims, reps, _truncated(cx, dims, l_max, d_max))
 
 
 def koszul_homology(I: Ideal, l_max: int | None = None, d_max: int | None = None) -> HomologySummary:
@@ -253,40 +258,51 @@ class TrivialMultiplicationReport:
     truncated: bool
 
 
-def _product_vector(cx: _Complex, z1, z2, l: int, d: int) -> Vec:
+def _element(cx: _Complex, l: int, d: int, row: IntVec) -> Element:
+    """An integer row of the (l, d) strand as a module element."""
+    keys, _ = cx.basis(l, d)
+    return {keys[t]: c for t, c in row.items()}
+
+
+def _product_vector(cx: _Complex, z1: Element, z2: Element, l: int, d: int) -> IntVec:
+    """A positive integer multiple of z1 * z2 in the (l, d) strand."""
     _, index = cx.basis(l, d)
-    out: Vec = {}
+    out: IntVec = {}
+    den = 1
     for (W1, m1), c1 in z1.items():
         for (W2, m2), c2 in z2.items():
             if set(W1) & set(W2):
                 continue
             W = tuple(sorted(W1 + W2))
-            axpy(out, _merge_sign(W1, W2) * c1 * c2, cx.I.nf_monomial(mono_mul(m1, m2)),
-                 index[W])
+            den = axpy_over(out, den, _merge_sign(W1, W2) * c1 * c2,
+                            *cx.I._nf_row(mono_mul(m1, m2)), index[W])
     return out
 
 
 def trivial_multiplication_check(
     I: Ideal, l_max: int | None = None, d_max: int | None = None
 ) -> TrivialMultiplicationReport:
-    """Whether every product of positive-degree homology classes is a boundary."""
+    """Whether every product of positive-degree homology classes is a boundary.
+
+    The classes are the integer cycles of ``_Complex.homology``, positive
+    multiples of ``cycle_reps``, so each product's membership is theirs."""
     cx = _koszul(I)
     l_max, d_max = _window(cx, l_max, d_max)
-    summary = _summarize(cx, l_max, d_max)
-    spots = sorted(k for k in summary.dims if k[0] >= 1)
+    dims = _dims(cx, l_max, d_max)
+    truncated = _truncated(cx, dims, l_max, d_max)
+    spots = sorted(k for k in dims if k[0] >= 1)
+    classes = {(l, d): [_element(cx, l, d, z) for z in cx.homology(l, d)[1]] for l, d in spots}
     for a, (l1, d1) in enumerate(spots):
         for l2, d2 in spots[a:]:
             if l1 + l2 > l_max or d1 + d2 > d_max:
                 continue
-            for i1, z1 in enumerate(summary.cycle_reps[(l1, d1)]):
-                for i2, z2 in enumerate(summary.cycle_reps[(l2, d2)]):
+            for i1, z1 in enumerate(classes[(l1, d1)]):
+                for i2, z2 in enumerate(classes[(l2, d2)]):
                     prod = _product_vector(cx, z1, z2, l1 + l2, d1 + d2)
-                    if not prod:
-                        continue
-                    if not cx.boundary_span(l1 + l2, d1 + d2).contains(prod):
+                    if prod and not cx.boundary_span(l1 + l2, d1 + d2).contains(prod):
                         return TrivialMultiplicationReport(
-                            False, (l1, d1, i1, l2, d2, i2), summary.truncated)
-    return TrivialMultiplicationReport(True, None, summary.truncated)
+                            False, (l1, d1, i1, l2, d2, i2), truncated)
+    return TrivialMultiplicationReport(True, None, truncated)
 
 
 def derivative_cycle_check(
@@ -306,10 +322,9 @@ def derivative_cycle_check(
     J = Ideal(I.ring, I.generators + derivative_ideal(I).generators)
     cy = _koszul(J)
     for l, d in sorted(k for k in _dims(cx, l_max, d_max) if k[0] >= 1):
-        keys, _ = cx.basis(l, d)
         _, index = cy.basis(l, d)
         for z in cx.homology(l, d)[1]:
-            image = _coordinates(J, {keys[t]: c for t, c in z.items()}, index, (0,) * cx.n)
+            image, _ = _coordinates(J, _element(cx, l, d, z), index, (0,) * cx.n)
             if image and not cy.boundary_span(l, d).contains(image):
                 return False
     return True

@@ -1,10 +1,11 @@
 """Sparse exact linear algebra over Q, by fraction-free elimination.
 
-Vectors are dicts mapping column index -> nonzero Fraction or int.  Inside
-this module every row is an integer dict: ``integral`` clears a vector's
-denominators when it enters, and elimination cross-multiplies integer rows
-(Bareiss, Math. Comp. 1968, with the exact division replaced by dividing out
-a row's content when it is stored).  No Fraction is ever formed.
+Every vector is an integer row, a dict mapping column index -> nonzero int:
+scaling changes no span, so ``Span`` takes rows, and ``kernel_of_columns``
+takes each column as (row, den), standing for row / den.  Elimination
+cross-multiplies integer rows (Bareiss, Math. Comp. 1968, with the exact
+division replaced by dividing out a row's content when it is stored).  No
+Fraction is ever formed.
 
 ``_reduce`` is the one elimination routine.  ``Span`` uses it for rank and
 membership.  ``kernel_of_columns`` eliminates a column matrix once, carrying
@@ -14,23 +15,21 @@ kernel, as primitive integer rows.
 
 One combine: each step is ``ring._scale`` then ``ring.axpy``.  One
 normalisation, ``_primitive``, also used by the Buchberger engine, the
-syzygy rows and the predicate.
+syzygy rows and the predicate.  ``integral`` turns polynomials into rows.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .ring import _scale, axpy
 
-Vec = dict[int, Fraction]
 IntVec = dict[int, int]
 # pivot column -> (primitive row with positive pivot entry, its tag or None)
 Pivots = dict[int, tuple[IntVec, IntVec | None]]
 
 
-def integral(vec: Vec) -> tuple[IntVec, int]:
+def integral(vec: dict) -> tuple[dict, int]:
     """(den * vec, den) for den the least common denominator of the entries."""
     den = lcm(*[c.denominator for c in vec.values()])
     if den == 1:
@@ -86,7 +85,7 @@ def _store(pivots: Pivots, res: IntVec, tag: IntVec | None) -> None:
 
 
 class Span:
-    """Incremental span of sparse rational vectors: rank and membership only."""
+    """Incremental span of sparse integer rows: rank and membership only."""
 
     def __init__(self):
         self.pivots: Pivots = {}
@@ -95,16 +94,16 @@ class Span:
     def dim(self) -> int:
         return len(self.pivots)
 
-    def add(self, vec: Vec) -> bool:
-        """Insert a vector; return whether it was independent of the span."""
-        res, _ = _reduce(self.pivots, integral(vec)[0], None)
+    def add(self, row: IntVec) -> bool:
+        """Insert a row (not mutated); return whether it was independent of the span."""
+        res, _ = _reduce(self.pivots, dict(row), None)
         if not res:
             return False
         _store(self.pivots, res, None)
         return True
 
-    def contains(self, vec: Vec) -> bool:
-        return not _reduce(self.pivots, integral(vec)[0], None)[0]
+    def contains(self, row: IntVec) -> bool:
+        return not _reduce(self.pivots, dict(row), None)[0]
 
     def copy(self) -> Span:
         """An independent span with the same rows (stored rows are never mutated)."""
@@ -113,27 +112,25 @@ class Span:
         return out
 
 
-def kernel_of_columns(columns: list[Vec]) -> tuple[Span, list[IntVec]]:
+def kernel_of_columns(columns: list[tuple[IntVec, int]]) -> tuple[Span, list[IntVec]]:
     """One tracked elimination of the columns: their span and a kernel basis.
 
-    Column t enters as dens[t] * column t with tag {t: 1}.  A column that
-    reduces to zero gives the null combination {s: tag[s] * dens[s]} of the
-    columns up to t; made primitive with a positive entry at t, its largest
-    index, it is one kernel row.  The stored rows, untagged and divided by
-    their content, are the pivot rows a plain Span builds from the same
-    columns: residuals differ only by positive factors.
+    Column t is a pair (row, den) standing for row / den, den > 0; it enters
+    as its integer row with tag {t: 1}.  A column that reduces to zero gives
+    the null combination {s: tag[s] * den_s} of the columns up to t; made
+    primitive with a positive entry at t, its largest index, it is one kernel
+    row.  The stored rows, untagged and divided by their content, are the
+    pivot rows a plain Span builds from the same rows: residuals differ only
+    by positive factors.
     """
     pivots: Pivots = {}
-    dens: list[int] = []
     kernel: list[IntVec] = []
-    for t, col in enumerate(columns):
-        ints, den = integral(col)
-        dens.append(den)
-        res, tag = _reduce(pivots, ints, {t: 1})
+    for t, (row, _) in enumerate(columns):
+        res, tag = _reduce(pivots, dict(row), {t: 1})
         if res:
             _store(pivots, res, tag)
             continue
-        kernel.append(_primitive({s: c * dens[s] for s, c in tag.items()}, t)[0])
+        kernel.append(_primitive({s: c * columns[s][1] for s, c in tag.items()}, t)[0])
     image = Span()
     image.pivots = {col: _primitive(row, col) for col, (row, _) in pivots.items()}
     return image, kernel

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import AlgebraError, ImproperIdealError
 from .groebner import Ideal
-from .koszul import Element, _Complex, _betti_dims, _coordinates, _koszul
+from .koszul import Element, _Complex, _betti_dims, _coordinates, _element, _koszul
 from .linalg import Span
 
 Coeffs = dict[tuple[int, int], int]
@@ -160,10 +160,10 @@ def _tor_series(I: Ideal, i_max: int, d_max: int, caps: dict[int, int]) -> Bigra
         new_shifts = cx.shifts[i] = {}
         new_images = cx.images[i] = {}
         for d in range(0, caps.get(i, -1) + 1):
-            keys, index = cx.basis(i - 1, d)
+            _, index = cx.basis(i - 1, d)
             # R_0 -> K is injective; above degree 0, F_0 -> K is zero
             kern = cx.kernel(i - 1, d) if (i, d) != (1, 0) else []
-            kernels[d] = [{keys[t]: c for t, c in row.items()} for row in kern]
+            kernels[d] = [_element(cx, i - 1, d, row) for row in kern]
             if not kern:
                 continue
             # Variable multiples of lower kernels lie in this kernel (it is an
@@ -174,7 +174,7 @@ def _tor_series(I: Ideal, i_max: int, d_max: int, caps: dict[int, int]) -> Bigra
             for t_var, w in lower:
                 if span.dim == len(kern):
                     break
-                span.add(_coordinates(I, w, index, unit[t_var]))
+                span.add(_coordinates(I, w, index, unit[t_var])[0])
             for row, w in zip(kern, kernels[d]):
                 if span.dim == len(kern):
                     break

@@ -172,18 +172,19 @@ def axpy(target: dict, factor, src: Mapping, index: Mapping | None = None) -> No
             del target[k]
 
 
-def axpy_over(target: dict, den: int, factor: int, src: Mapping, src_den: int) -> int:
+def axpy_over(target: dict, den: int, factor: int, src: Mapping, src_den: int,
+              index: Mapping | None = None) -> int:
     """target / den += factor * src / src_den over integer dicts, in place.
 
     The sum is kept over the least common denominator of den and src_den,
-    which is returned; target is rescaled to it when it grows.
-    """
+    which is returned; target is rescaled to it when it grows.  ``index`` is
+    as in ``axpy``."""
     if src_den != den:
         common = den // gcd(den, src_den) * src_den
         _scale(target, common // den)
         factor *= common // src_den
         den = common
-    axpy(target, factor, src)
+    axpy(target, factor, src, index)
     return den
 
 

@@ -16,6 +16,11 @@ operations that also rewrite the neighboring matrices).
 ``reference_axpy_shifted`` are the earlier generator-expression monomial
 helpers and the engine's earlier combine, a shifted copy of the source added
 by ``axpy``.
+``full_window_dims`` visits every strand of a Koszul window, where the
+package visits only the lead-lcm strands; ``full_window_koszul_homology`` and
+``fraction_trivial_multiplication_check`` build on it the summary and the
+multiplication check with Fraction cycle representatives, whose products
+are summed in Fractions.
 ``subcomplex_derivative_cycle_check`` decides the derivative cycle check
 inside K itself: it spans the cycles whose coefficients lie in d(I)R, where
 the package reads the same answer off the Koszul complex of S/(I + d(I)).
@@ -50,11 +55,18 @@ from golodkit import (
 from golodkit.calculus import DerivativePairWitness, MonomialQuotientWitness, StronglyGolodReport
 from golodkit.errors import AlgebraError
 from golodkit.groebner import MonomialOrder
-from golodkit.koszul import _coordinates, _dims, _koszul, _window
-from golodkit.linalg import Span, Vec, kernel_of_columns
+from golodkit.koszul import (
+    HomologySummary,
+    TrivialMultiplicationReport,
+    _coordinates,
+    _koszul,
+    _merge_sign,
+    _window,
+)
+from golodkit.linalg import Span, integral, kernel_of_columns
 from golodkit.poincare import _tor_series
 from golodkit.resolution import Matrix, _is_unit
-from golodkit.ring import axpy, mono_mul, monomials_of_degree as weighted_monomials
+from golodkit.ring import axpy, axpy_over, mono_mul, monomials_of_degree as weighted_monomials
 
 
 def monomials_of_degree(ring: GradingSpec, d: int) -> list[tuple[int, ...]]:
@@ -248,7 +260,8 @@ def full_pair_scan(I: Ideal) -> StronglyGolodReport:
                 if multiple is None:
                     multiple = multiples[e2] = {}
                     for e1, c1 in dgens[a].terms:
-                        axpy(multiple, c1, I.nf_monomial(mono_mul(e1, e2)))
+                        row, den = I._nf_row(mono_mul(e1, e2))
+                        axpy(multiple, c1 / den, row)
                 axpy(rem, c2, multiple)
             if rem:
                 witness = DerivativePairWitness(dgens[a], dgens[b], Polynomial(I.ring, rem))
@@ -274,11 +287,12 @@ def subcomplex_derivative_cycle_check(I: Ideal, l_max: int | None = None,
     """
     cx = _koszul(I)
     l_max, d_max = _window(cx, l_max, d_max)
-    dgens = [({((), u): c for u, c in f.terms}, f.homogeneity().degree)
+    dgens = [({((), u): c for u, c in integral(dict(f.terms))[0].items()},
+              f.homogeneity().degree)
              for f in koszul.derivative_ideal(I).minimal_generators()]
-    dbasis: dict[int, list[dict[tuple[int, ...], Fraction]]] = {}
+    dbasis: dict[int, list[dict[tuple[int, ...], int]]] = {}
 
-    def derivative_image_basis(e: int) -> list[dict[tuple[int, ...], Fraction]]:
+    def derivative_image_basis(e: int) -> list[dict[tuple[int, ...], int]]:
         # basis of the degree-e slice of d(I)*R, over standard monomials
         if e not in dbasis:
             keys, index = cx.basis(0, e)
@@ -286,13 +300,13 @@ def subcomplex_derivative_cycle_check(I: Ideal, l_max: int | None = None,
             basis = []
             for f, fdeg in dgens:
                 for m in weighted_monomials(I.ring.weights, e - fdeg):
-                    vec = _coordinates(I, f, index, m)
+                    vec, _ = _coordinates(I, f, index, m)
                     if vec and span.add(vec):
                         basis.append({keys[i][1]: c for i, c in vec.items()})
             dbasis[e] = basis
         return dbasis[e]
 
-    for (l, d), dim in sorted(_dims(cx, l_max, d_max).items()):
+    for (l, d), dim in sorted(full_window_dims(cx, l_max, d_max).items()):
         if l == 0:
             continue
         _, index = cx.basis(l, d)
@@ -304,20 +318,87 @@ def subcomplex_derivative_cycle_check(I: Ideal, l_max: int | None = None,
         cols = []
         diff = cx.differential_columns(l, d)
         for sv in sub_vectors:
-            img: Vec = {}
+            img: dict[int, int] = {}
+            den = 1
             for idx, c in sv.items():
-                axpy(img, c, diff[idx])
-            cols.append(img)
+                den = axpy_over(img, den, c, *diff[idx])
+            cols.append((img, den))
         captured = cx.boundary_span(l, d).copy()
         base_dim = captured.dim
         for combo in kernel_of_columns(cols)[1]:
-            z: Vec = {}
+            z: dict[int, int] = {}
             for j, c in combo.items():
                 axpy(z, c, sub_vectors[j])
             captured.add(z)
         if captured.dim - base_dim < dim:
             return False
     return True
+
+
+def full_window_dims(cx, l_max: int, d_max: int) -> dict[tuple[int, int], int]:
+    """The nonzero homology dimensions of the complex at every strand (l, d)
+    with l <= l_max and d <= d_max, in order of l and then d."""
+    dims: dict[tuple[int, int], int] = {}
+    for l in range(l_max + 1):
+        for d in range(d_max + 1):
+            if cx.basis(l, d)[0]:
+                dim = cx.homology(l, d)[0]
+                if dim:
+                    dims[(l, d)] = dim
+    return dims
+
+
+def _full_window_summary(cx, l_max: int, d_max: int) -> HomologySummary:
+    dims = full_window_dims(cx, l_max, d_max)
+    reps = {}
+    for l, d in dims:
+        keys, _ = cx.basis(l, d)
+        reps[(l, d)] = []
+        for v in cx.homology(l, d)[1]:
+            top = v[max(v)]
+            reps[(l, d)].append({keys[idx]: Fraction(c, top) for idx, c in sorted(v.items())})
+    truncated = any(d == d_max for (_, d) in dims)
+    if l_max < cx.n:
+        truncated = truncated or any(l == l_max and l > 0 for (l, _) in dims)
+    return HomologySummary(l_max, d_max, dims, reps, truncated)
+
+
+def full_window_koszul_homology(I: Ideal, l_max: int | None = None,
+                                d_max: int | None = None) -> HomologySummary:
+    """``koszul_homology`` from a scan of every strand of the window."""
+    cx = _koszul(I)
+    return _full_window_summary(cx, *_window(cx, l_max, d_max))
+
+
+def fraction_trivial_multiplication_check(I: Ideal, l_max: int | None = None,
+                                          d_max: int | None = None) -> TrivialMultiplicationReport:
+    """``trivial_multiplication_check`` on the Fraction cycle representatives
+    of the full-window summary, each product summed in Fractions from the
+    normal-form memo and tested as the integer form of that sum."""
+    cx = _koszul(I)
+    l_max, d_max = _window(cx, l_max, d_max)
+    summary = _full_window_summary(cx, l_max, d_max)
+    spots = sorted(k for k in summary.dims if k[0] >= 1)
+    for a, (l1, d1) in enumerate(spots):
+        for l2, d2 in spots[a:]:
+            l, d = l1 + l2, d1 + d2
+            if l > l_max or d > d_max:
+                continue
+            _, index = cx.basis(l, d)
+            for i1, z1 in enumerate(summary.cycle_reps[(l1, d1)]):
+                for i2, z2 in enumerate(summary.cycle_reps[(l2, d2)]):
+                    prod: dict[int, Fraction] = {}
+                    for (W1, m1), c1 in z1.items():
+                        for (W2, m2), c2 in z2.items():
+                            if set(W1) & set(W2):
+                                continue
+                            row, den = I._nf_row(mono_mul(m1, m2))
+                            axpy(prod, _merge_sign(W1, W2) * c1 * c2 / den, row,
+                                 index[tuple(sorted(W1 + W2))])
+                    if prod and not cx.boundary_span(l, d).contains(integral(prod)[0]):
+                        return TrivialMultiplicationReport(
+                            False, (l1, d1, i1, l2, d2, i2), summary.truncated)
+    return TrivialMultiplicationReport(True, None, summary.truncated)
 
 
 def hochster_betti(ring: GradingSpec, gens: list[tuple[int, ...]]) -> dict[tuple[int, int], int]:

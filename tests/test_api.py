@@ -45,3 +45,28 @@ def test_no_invariant_is_an_assert():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert len(sources) > 10 and found == []
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((Path(golodkit.__file__).parent / f"{module}.py").read_text())
+
+
+def _fraction_calls(node: ast.AST) -> set[int]:
+    return {id(call) for call in ast.walk(node) if isinstance(call, ast.Call)
+            and "Fraction" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))}
+
+
+def test_the_strand_layer_builds_fractions_only_for_public_cycle_reps():
+    # strands, spans and kernels run on integer rows; only koszul._summarize
+    # turns cycles into the Fraction representatives of HomologySummary
+    imports = [node for node in ast.walk(_tree("linalg"))
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    names = [getattr(node, "module", None) or "" for node in imports]
+    names += [alias.name for node in imports for alias in node.names]
+    assert names and not any("fraction" in name.lower() for name in names)
+    koszul = _tree("koszul")
+    summarize = next(node for node in koszul.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "_summarize")
+    inside = _fraction_calls(summarize)
+    assert inside and _fraction_calls(koszul) == inside
+    assert _fraction_calls(_tree("poincare")) == set()

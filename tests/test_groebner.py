@@ -186,7 +186,7 @@ def test_monomial_normal_form_chain_deeper_than_recursion_limit(r2):
     # x^k -> x^(k-1)*y -> ... -> y^k is a chain of k reductions
     I = Ideal.from_strings(r2, ["x - y"])
     k = sys.getrecursionlimit() + 100
-    assert I.nf_monomial((k, 0)) == {(0, k): Fraction(1)}
+    assert I._nf_row((k, 0)) == ({(0, k): 1}, 1)
     assert I.normal_form(Polynomial.monomial(r2, (k - 1, 1))).remainder == Polynomial.monomial(r2, (0, k))
 
 
@@ -207,17 +207,18 @@ def test_monomial_normal_forms_are_integer_rows_over_a_non_integral_basis(r3):
     oracle = DegreewiseQuotient(I)
     for d in range(6):
         for e in monomials_of_degree(r3, d):
-            I.nf_monomial(e)
+            I._nf_row(e)
     reached = list(I._nf)
     assert len(reached) > 50
     fractional = 0
     for e in reached:
-        nf = I.nf_monomial(e)
+        row, den = I._nf_row(e)
+        nf = {v: Fraction(c, den) for v, c in row.items()}
         x_e = Polynomial.monomial(r3, e)
         assert nf == dict(I.normal_form(x_e).remainder.terms)
         assert nf == dict(oracle.normal_form(x_e).terms)
-        assert all(type(c) is int for c in nf.values() if c.denominator == 1)
-        fractional += any(type(c) is Fraction for c in nf.values())
+        assert all(type(c) is int for c in row.values()) and type(den) is int and den > 0
+        fractional += any(c.denominator != 1 for c in nf.values())
     assert fractional
     # the memo keeps integer rows over one denominator each, never a Fraction
     assert _fractions_in(I._nf) == 0
@@ -678,7 +679,7 @@ def test_a_fresh_ideal_builds_its_memos_with_its_reducers(r3):
     assert I._nf is None and I._std is None
     assert I.standard_monomials(2) and I._nf == {} and list(I._std) == [2]
     K = Ideal.from_strings(r3, ["x^2 - 1/2*y*z", "y^3"])
-    K.nf_monomial((3, 0, 0))
+    K._nf_row((3, 0, 0))
     assert K._nf and K._std == {}
 
 

@@ -3,7 +3,6 @@
 import ast
 import inspect
 from collections import Counter
-from fractions import Fraction
 from functools import reduce
 from random import Random
 
@@ -13,6 +12,9 @@ from hypothesis import strategies as st
 
 from conftest import (
     corpus_powers,
+    fraction_trivial_multiplication_check,
+    full_window_dims,
+    full_window_koszul_homology,
     hochster_betti,
     random_homogeneous,
     subcomplex_derivative_cycle_check,
@@ -22,12 +24,14 @@ from golodkit import (
     GradingSpec,
     HomogeneityError,
     Ideal,
+    ImproperIdealError,
     MonomialIdeal,
     Polynomial,
     betti_table,
     builtin_corpus,
     derivative_cycle_check,
     derivative_ideal,
+    golod_verdict,
     koszul_homology,
     minimal_free_resolution,
     power,
@@ -35,9 +39,9 @@ from golodkit import (
     trivial_multiplication_check,
 )
 from golodkit import koszul, linalg, poincare
-from golodkit.koszul import _Complex, _betti_dims, _dims, _koszul, _top_shift
-from golodkit.linalg import Span
-from golodkit.ring import axpy, mono_lcm
+from golodkit.koszul import _Complex, _betti_dims, _koszul, _top_shift
+from golodkit.linalg import Span, integral
+from golodkit.ring import axpy, axpy_over, mono_lcm
 
 
 def test_quotient_basis_counts(r2):
@@ -46,7 +50,7 @@ def test_quotient_basis_counts(r2):
     assert len(I.standard_monomials(1)) == 2
     assert len(I.standard_monomials(2)) == 0
     # normal forms of standard monomials are themselves
-    assert I.nf_monomial((1, 0)) == {(1, 0): Fraction(1)}
+    assert I._nf_row((1, 0)) == ({(1, 0): 1}, 1)
 
 
 def test_differential_squares_to_zero(r3):
@@ -56,10 +60,10 @@ def test_differential_squares_to_zero(r3):
         for d in range(0, 6):
             cols = cx.differential_columns(l, d)
             mid_cols = cx.differential_columns(l - 1, d)
-            for col in cols:
-                acc = {}
-                for j, c in col.items():
-                    axpy(acc, c, mid_cols[j])
+            for row, _ in cols:
+                acc, den = {}, 1
+                for j, c in row.items():
+                    den = axpy_over(acc, den, c, *mid_cols[j])
                 assert not acc, (l, d)
 
 
@@ -93,15 +97,15 @@ def test_cycle_representatives_are_honest(r3):
             # a representative is a cycle: apply the strand differential
             acc = {}
             for j, c in v.items():
-                axpy(acc, c, cols[j])
+                axpy(acc, c / cols[j][1], cols[j][0])
             assert not acc
         # and is independent from the boundary space
         span = Span()
-        for col in cx.differential_columns(l + 1, d):
-            span.add(col)
+        for row, _ in cx.differential_columns(l + 1, d):
+            span.add(row)
         before = span.dim
         for v in vecs:
-            assert span.add(v)
+            assert span.add(integral(v)[0])
         assert span.dim == before + len(vecs)
 
 
@@ -171,30 +175,37 @@ def test_inhomogeneous_ideals_are_rejected_with_explicit_bounds(r2):
 def test_each_koszul_strand_is_eliminated_once(r3, monkeypatch):
     strand_of = {}  # id of a strand's column list -> its (l, d)
     column_ids = set()
-    entries = Counter()  # id of a differential column -> times it entered an elimination
+    entries = Counter()  # id of a differential column's row -> times it entered an elimination
     calls = []
     differential_columns = _Complex.differential_columns
     kernel_of_columns = koszul.kernel_of_columns
-    integral = linalg.integral
 
     def spy_columns(self, l, d):
         cols = differential_columns(self, l, d)
         strand_of[id(cols)] = (l, d)
-        column_ids.update(map(id, cols))
+        column_ids.update(id(row) for row, _ in cols)
         return cols
+
+    def count(row):
+        if id(row) in column_ids:
+            entries[id(row)] += 1
 
     def spy_kernel(columns):
         calls.append(strand_of[id(columns)])
+        for row, _ in columns:
+            count(row)
         return kernel_of_columns(columns)
 
-    def spy_integral(vec):
-        if id(vec) in column_ids:
-            entries[id(vec)] += 1
-        return integral(vec)
+    def spy_span(method):
+        def spy(self, row):
+            count(row)
+            return method(self, row)
+        return spy
 
     monkeypatch.setattr(_Complex, "differential_columns", spy_columns)
     monkeypatch.setattr(koszul, "kernel_of_columns", spy_kernel)
-    monkeypatch.setattr(linalg, "integral", spy_integral)
+    monkeypatch.setattr(linalg.Span, "add", spy_span(linalg.Span.add))
+    monkeypatch.setattr(linalg.Span, "contains", spy_span(linalg.Span.contains))
     hs = koszul_homology(Ideal.from_strings(r3, ["x^2", "x*y", "y^2"]))
     assert hs.dims[(1, 2)] == 3
     assert calls and len(calls) == len(set(calls))
@@ -248,7 +259,7 @@ def test_koszul_dims_equal_betti_numbers_on_random_ideals(name, data):
 def _lcm_window_dims(I):
     """Reference: every strand up to the degree of the lcm of all leading terms."""
     lead_lcm = reduce(mono_lcm, (g.terms[0][0] for g in I.groebner_basis()), (0,) * I.ring.n)
-    return _dims(_koszul(I), I.ring.n, I.ring.weighted_degree(lead_lcm))
+    return full_window_dims(_koszul(I), I.ring.n, I.ring.weighted_degree(lead_lcm))
 
 
 def test_betti_dims_equal_the_lcm_window_on_the_corpus_and_its_squares():
@@ -310,3 +321,57 @@ def test_derivative_cycle_check_agrees_with_the_subcomplex_reference(stand_in, m
         answers.append(derivative_cycle_check(I))
         assert answers[-1] == subcomplex_derivative_cycle_check(I), name
     assert False in answers
+
+
+def _outcome(check, *args):
+    """check(*args), or the type and message of the ImproperIdealError it raises."""
+    try:
+        return check(*args)
+    except ImproperIdealError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(_RINGS)),
+       kind=st.sampled_from(["random", "random", "random", "zero", "unit"]), data=st.data())
+def test_lcm_strands_and_integer_products_equal_the_full_window_references(name, kind, data):
+    ring, (lo, hi) = _RINGS[name]
+    if kind == "random":
+        degrees = data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=3))
+        rng = Random(data.draw(st.integers(0, 2 ** 32)))
+        I = Ideal(ring, [random_homogeneous(ring, d, rng) for d in degrees])
+    else:
+        I = Ideal.from_strings(ring, [] if kind == "zero" else ["1"])
+    top = _top_shift(_koszul(I)) if I.is_proper() else 0
+    for window in ((None, None), (0, 0), (2, 3), (ring.n, top + 3)):
+        assert (_outcome(koszul_homology, I, *window)
+                == _outcome(full_window_koszul_homology, I, *window)), window
+        assert (_outcome(trivial_multiplication_check, I, *window)
+                == _outcome(fraction_trivial_multiplication_check, I, *window)), window
+
+
+def test_strands_and_products_run_on_integer_rows_over_a_non_integral_basis(r3, monkeypatch):
+    I = Ideal.from_strings(r3, ["2*x^2 + y^2 - 3*z^2", "x*y + 1/2*y*z - z^2", "3*x*z - y^2"])
+    want = fraction_trivial_multiplication_check(I)
+    assert not want.verdict
+    columns = {"koszul": [], "tor": []}
+    differential_columns = _Complex.differential_columns
+
+    def spy_columns(self, l, d):
+        cols = differential_columns(self, l, d)
+        columns["koszul" if () in self.shifts[0] else "tor"].extend(cols)
+        return cols
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built in the strand layer")
+
+    monkeypatch.setattr(_Complex, "differential_columns", spy_columns)
+    monkeypatch.setattr(koszul, "Fraction", no_fraction)
+    assert trivial_multiplication_check(I) == want
+    assert golod_verdict(I, 3).status == poincare.NOT_GOLOD
+    assert any(den > 1 for _, den in I._nf.values())
+    for kind, cols in columns.items():
+        assert any(den > 1 for _, den in cols), kind
+        for row, den in cols:
+            assert type(den) is int and den > 0
+            assert all(type(c) is int for c in row.values())

@@ -1,4 +1,9 @@
-"""Exact sparse linear algebra over Q."""
+"""Exact sparse linear algebra over Q.
+
+The package's linear algebra takes integer rows; a rational vector enters
+as ``integral(vec)``, its least integer multiple and that multiple's
+denominator.
+"""
 
 from fractions import Fraction
 from math import gcd
@@ -7,7 +12,7 @@ from random import Random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golodkit.linalg import Span, kernel_of_columns
+from golodkit.linalg import Span, integral, kernel_of_columns
 from golodkit.ring import axpy
 
 from conftest import _row_reduce
@@ -21,8 +26,8 @@ def _dense(vec, n):
 
 
 def test_tracked_span_detects_dependence():
-    image, kernel = kernel_of_columns([{0: Fraction(1)}, {1: Fraction(2)},
-                                       {0: Fraction(3), 1: Fraction(4)}])
+    image, kernel = kernel_of_columns([integral(c) for c in (
+        {0: Fraction(1)}, {1: Fraction(2)}, {0: Fraction(3), 1: Fraction(4)})])
     # the third vector is dependent: the kernel row is a null combination including it
     assert kernel == [{2: 1, 0: -3, 1: -2}]
     assert image.dim == 2
@@ -38,10 +43,10 @@ def test_kernel_matches_rank_nullity_random():
             col = {i: Fraction(rng.randint(-3, 3)) for i in range(nrows)
                    if rng.random() < 0.5}
             cols.append({i: c for i, c in col.items() if c})
-        _, kern = kernel_of_columns(cols)
+        _, kern = kernel_of_columns([integral(col) for col in cols])
         span = Span()
         for col in cols:
-            span.add(col)
+            span.add(integral(col)[0])
         assert span.dim + len(kern) == ncols
         # every kernel vector really kills the columns
         for v in kern:
@@ -67,7 +72,7 @@ def test_rank_agrees_with_dense_elimination():
         rows = [_dense(c, nrows) for c in cols]
         span = Span()
         for col in cols:
-            span.add(col)
+            span.add(integral(col)[0])
         assert span.dim == len(_row_reduce(rows))
 
 
@@ -141,7 +146,7 @@ def test_kernel_of_rational_columns_matches_gauss_jordan():
         nrows = rng.randint(1, 7)
         cols = _rational_columns(rng, ncols, nrows)
         ref = _reference_kernel(cols, nrows)
-        kern = kernel_of_columns(cols)[1]
+        kern = kernel_of_columns([integral(col) for col in cols])[1]
         assert [{j: Fraction(c, v[max(v)]) for j, c in v.items()} for v in kern] == ref
         seen_dependent += len(ref)
     assert seen_dependent > 60
@@ -157,19 +162,20 @@ def test_span_and_rank_on_rational_columns_match_row_reduction():
         for j, col in enumerate(cols):
             before = len(_row_reduce([_dense(c, nrows) for c in cols[:j]]))
             after = len(_row_reduce([_dense(c, nrows) for c in cols[: j + 1]]))
-            assert span.contains(col) == (after == before)
-            assert span.add(col) == (after > before)
-            assert span.contains(col)
+            row = integral(col)[0]
+            assert span.contains(row) == (after == before)
+            assert span.add(row) == (after > before)
+            assert span.contains(row)
             assert span.dim == after
 
 
 def test_span_copy_is_independent():
     span = Span()
-    span.add({0: Fraction(1, 2), 1: Fraction(1, 3)})
+    span.add(integral({0: Fraction(1, 2), 1: Fraction(1, 3)})[0])
     other = span.copy()
-    assert other.add({1: Fraction(2, 7)})
+    assert other.add(integral({1: Fraction(2, 7)})[0])
     assert span.dim == 1 and other.dim == 2
-    assert not span.contains({1: Fraction(1)})
+    assert not span.contains(integral({1: Fraction(1)})[0])
 
 
 _entries = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -185,10 +191,10 @@ def _column_lists(draw):
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(cols=_column_lists())
 def test_one_echelon_gives_the_plain_image_and_primitive_kernel_rows(cols):
-    image, kernel = kernel_of_columns(cols)
+    image, kernel = kernel_of_columns([integral(col) for col in cols])
     plain = Span()
     for col in cols:
-        plain.add(col)
+        plain.add(integral(col)[0])
     assert image.pivots == plain.pivots
     for row in kernel:
         top = max(row)
