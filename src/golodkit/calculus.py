@@ -6,6 +6,10 @@ ring to be Golod.  This module decides the predicate with an explicit
 witness on failure and implements the constructions that preserve it:
 powers, symbolic and saturated powers, colon ideals under the stabilization
 condition I : J = I : J^2, and sums with powers of a containing prime.
+
+Monomial inputs take the combinatorial routes of ``monomial``, the layer
+below this one; the predicate's report and witness types are defined there
+and re-exported here.
 """
 
 from __future__ import annotations
@@ -19,33 +23,10 @@ from typing import Sequence
 from .errors import AlgebraError, ContainmentError, HomogeneityError, ImproperIdealError
 from .groebner import Ideal, NFRow, _monomial_exps, colon, contains, saturate
 from .linalg import _primitive, integral
+from .monomial import (DerivativePairWitness, MonomialIdeal, MonomialQuotientWitness,
+                       StronglyGolodReport, saturate_at_irrelevant, squarefree_symbolic_power,
+                       strongly_golod_monomial)
 from .ring import Exps, GradingSpec, Polynomial, axpy_over, mono_mul
-
-
-@dataclass(frozen=True)
-class DerivativePairWitness:
-    """Two derivative-ideal generators whose product escapes the ideal."""
-
-    left: Polynomial
-    right: Polynomial
-    remainder: Polynomial
-
-
-@dataclass(frozen=True)
-class MonomialQuotientWitness:
-    """Generators u, v and variable positions i, j with u*v/(x_i*x_j) outside the ideal."""
-
-    u: tuple[int, ...]
-    v: tuple[int, ...]
-    i: int
-    j: int
-    quotient: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class StronglyGolodReport:
-    verdict: bool
-    witness: DerivativePairWitness | MonomialQuotientWitness | None = None
 
 
 def maximal_ideal(ring: GradingSpec) -> Ideal:
@@ -84,8 +65,6 @@ def strongly_golod(I: Ideal) -> StronglyGolodReport:
         raise ImproperIdealError("the unit ideal is outside the predicate's domain")
     exps = _monomial_exps(I)
     if exps is not None:
-        from .monomial import MonomialIdeal, strongly_golod_monomial
-
         if strongly_golod_monomial(MonomialIdeal(I.ring, exps)).verdict:
             return StronglyGolodReport(True)
     D = derivative_ideal(I)
@@ -183,10 +162,7 @@ def saturated_power(I: Ideal, k: int) -> SymbolicPowerResult:
     """I^k : m^infinity.  Monomial inputs take the combinatorial route."""
     exps = _monomial_exps(I)
     if exps:  # a nonzero monomial ideal
-        from . import monomial
-
-        mi = monomial.MonomialIdeal(I.ring, exps)
-        sat, exponent = monomial.saturate_at_irrelevant(mi.power(k))
+        sat, exponent = saturate_at_irrelevant(MonomialIdeal(I.ring, exps).power(k))
         return SymbolicPowerResult(sat.to_ideal(), exponent)
     res = saturate(power(I, k), maximal_ideal(I.ring))
     return SymbolicPowerResult(res.ideal, res.exponent)
@@ -199,15 +175,13 @@ def symbolic_power(I: Ideal, spec: SymbolicPowerSpec) -> SymbolicPowerResult:
         res = saturate(power(I, spec.k), spec.L)
         return SymbolicPowerResult(res.ideal, res.exponent)
     # squarefree monomial route
-    from . import monomial
-
     exps = _monomial_exps(I)
     if exps is None:
         raise ValueError("mode 'squarefree' needs a monomial ideal")
-    mi = monomial.MonomialIdeal(I.ring, exps)
+    mi = MonomialIdeal(I.ring, exps)
     if not mi.is_squarefree():
         raise ValueError("mode 'squarefree' needs a squarefree monomial ideal")
-    return SymbolicPowerResult(monomial.squarefree_symbolic_power(mi, spec.k).to_ideal(), None)
+    return SymbolicPowerResult(squarefree_symbolic_power(mi, spec.k).to_ideal(), None)
 
 
 def check_colon_condition(I: Ideal, J: Ideal) -> bool:
@@ -309,8 +283,6 @@ def _entry(name, ring, texts, description, monomial, sweep=True) -> CorpusEntry:
 
 
 def _random_monomial_entry(rng: Random, idx: int, ring: GradingSpec) -> CorpusEntry:
-    from .monomial import MonomialIdeal
-
     n = ring.n
     vecs: list[tuple[int, ...]] = []
     # pure powers in all but the last variable keep the quotient small while

@@ -78,6 +78,7 @@ from .ring import (
     mono_lcm,
     mono_mul,
     monomials_of_degree,
+    parse_polynomial,
 )
 
 
@@ -412,8 +413,6 @@ class Ideal:
 
     @classmethod
     def from_strings(cls, ring: GradingSpec, texts: Sequence[str]) -> "Ideal":
-        from .ring import parse_polynomial
-
         return cls(ring, [parse_polynomial(ring, t) for t in texts])
 
     def is_zero(self) -> bool:

@@ -6,6 +6,10 @@ subtraction.  The module also holds the graph machinery for vertex cover
 ideals, symbolic powers of squarefree ideals via minimal primes, primary
 decomposition, the quotient form of the strongly Golod test, and integral
 closure through the Newton polyhedron.
+
+This is the layer below ``calculus``: it imports nothing from it, and
+defines the predicate's report and witness types, which ``calculus``
+re-exports.  The functions here build on ``MonomialIdeal``'s own operations.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from math import lcm
 
-from .calculus import MonomialQuotientWitness, StronglyGolodReport
 from .errors import AlgebraError, ImproperIdealError, ParseError, RingMismatchError
 from .groebner import Ideal, _monomial_exps
 from .ring import (
@@ -30,6 +33,44 @@ from .ring import (
 )
 
 
+@dataclass(frozen=True)
+class DerivativePairWitness:
+    """Two derivative-ideal generators whose product escapes the ideal."""
+
+    left: Polynomial
+    right: Polynomial
+    remainder: Polynomial
+
+
+@dataclass(frozen=True)
+class MonomialQuotientWitness:
+    """Generators u, v and variable positions i, j with u*v/(x_i*x_j) outside the ideal."""
+
+    u: tuple[int, ...]
+    v: tuple[int, ...]
+    i: int
+    j: int
+    quotient: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class StronglyGolodReport:
+    verdict: bool
+    witness: DerivativePairWitness | MonomialQuotientWitness | None = None
+
+
+def _exponents(ring: GradingSpec, v) -> Exps:
+    """v as an exponent vector of ring; ValueError if it is not one."""
+    v = tuple(v)
+    if len(v) != ring.n or any(e < 0 for e in v):
+        raise ValueError(f"bad exponent vector {v}")
+    return v
+
+
+def _unit(n: int, i: int) -> Exps:
+    return tuple(int(t == i) for t in range(n))
+
+
 class MonomialIdeal:
     """Monomial ideal stored by its minimal generating exponent vectors,
     sorted by (weighted degree, exponent tuple)."""
@@ -37,10 +78,7 @@ class MonomialIdeal:
     __slots__ = ("ring", "gens")
 
     def __init__(self, ring: GradingSpec, vecs):
-        vecs = [tuple(v) for v in vecs]
-        for v in vecs:
-            if len(v) != ring.n or any(e < 0 for e in v):
-                raise ValueError(f"bad exponent vector {v}")
+        vecs = [_exponents(ring, v) for v in vecs]
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "gens", self._sorted(minimal_exps(vecs)))
 
@@ -92,11 +130,11 @@ class MonomialIdeal:
 
     def contains_exponents(self, u: Exps) -> bool:
         """Membership of the monomial x^u: some generator must divide it."""
-        return mono_in_ideal(u, self.gens)
+        return mono_in_ideal(_exponents(self.ring, u), self.gens)
 
     def contains(self, other: "MonomialIdeal") -> bool:
         self._check_ring(other)
-        return all(self.contains_exponents(g) for g in other.gens)
+        return all(mono_in_ideal(g, self.gens) for g in other.gens)
 
     def _check_ring(self, other: "MonomialIdeal"):
         if self.ring != other.ring:
@@ -118,7 +156,7 @@ class MonomialIdeal:
         return MonomialIdeal._from_minimal(self.ring, intersect_exps(self.gens, other.gens))
 
     def colon_monomial(self, w: Exps) -> "MonomialIdeal":
-        return MonomialIdeal._from_minimal(self.ring, colon_exps(self.gens, [tuple(w)]))
+        return self.colon(MonomialIdeal(self.ring, [w]))
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_ring(other)
@@ -141,6 +179,8 @@ class MonomialIdeal:
     def saturate_variables(self, var_indices) -> "MonomialIdeal":
         """Saturation by the product of the given variables: kill those exponents."""
         idx = set(var_indices)
+        if not idx <= set(range(self.ring.n)):
+            raise ValueError(f"bad variable indices {sorted(idx)}")
         vecs = [tuple(0 if i in idx else e for i, e in enumerate(g)) for g in self.gens]
         return MonomialIdeal(self.ring, vecs)
 
@@ -149,11 +189,11 @@ def saturate_at_irrelevant(I: MonomialIdeal) -> tuple[MonomialIdeal, int]:
     """Iterate I : m until stable; returns the saturation and the exponent."""
     if I.is_zero():
         return I, 0
-    variables = [tuple(int(j == i) for j in range(I.ring.n)) for i in range(I.ring.n)]
+    m = MonomialIdeal(I.ring, [_unit(I.ring.n, i) for i in range(I.ring.n)])
     current = I
     exponent = 0
     while True:
-        nxt = MonomialIdeal._from_minimal(I.ring, colon_exps(current.gens, variables))
+        nxt = current.colon(m)
         if nxt == current:
             return current, exponent
         current = nxt
@@ -191,7 +231,7 @@ def strongly_golod_monomial(I: MonomialIdeal) -> StronglyGolodReport:
                     q = tuple(q)
                     if q in inside:
                         continue
-                    if not I.contains_exponents(q):
+                    if not mono_in_ideal(q, I.gens):
                         return StronglyGolodReport(
                             False, MonomialQuotientWitness(u, v, i, j, q))
                     inside.add(q)
@@ -280,12 +320,8 @@ def vertex_cover_ideal(G: Graph, ring: GradingSpec | None = None) -> MonomialIde
         ring = ring_for_vertices(G.n)
     elif ring.n != G.n:
         raise RingMismatchError("ring has the wrong number of variables")
-
-    def unit(i: int) -> Exps:
-        return tuple(1 if t == i else 0 for t in range(G.n))
-
-    return reduce(MonomialIdeal.intersect,
-                  (MonomialIdeal(ring, [unit(i), unit(j)]) for i, j in sorted(G.edges)))
+    primes = (MonomialIdeal(ring, [_unit(G.n, i), _unit(G.n, j)]) for i, j in sorted(G.edges))
+    return reduce(MonomialIdeal.intersect, primes)
 
 
 def minimal_vertex_covers(G: Graph) -> list[tuple[int, ...]]:
@@ -322,17 +358,6 @@ def minimal_primes(I: MonomialIdeal) -> list[tuple[int, ...]]:
     return sorted(tuple(i for i, e in enumerate(c) if e) for c in covers)
 
 
-def variable_power_ideal(ring: GradingSpec, var_indices, k: int) -> MonomialIdeal:
-    """P^k for the prime P generated by the given variables."""
-    vecs = []
-    for combo in combinations_with_replacement(sorted(var_indices), k):
-        e = [0] * ring.n
-        for i in combo:
-            e[i] += 1
-        vecs.append(tuple(e))
-    return MonomialIdeal(ring, vecs)
-
-
 def squarefree_symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     """Intersection of P^k over the minimal primes; needs a squarefree input."""
     if k < 1:
@@ -341,8 +366,9 @@ def squarefree_symbolic_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
         raise ValueError("symbolic powers via minimal primes need a squarefree ideal")
     if I.is_zero():
         return I
-    return reduce(MonomialIdeal.intersect,
-                  (variable_power_ideal(I.ring, P, k) for P in minimal_primes(I)))
+    n = I.ring.n
+    powers = (MonomialIdeal(I.ring, [_unit(n, i) for i in P]).power(k) for P in minimal_primes(I))
+    return reduce(MonomialIdeal.intersect, powers)
 
 
 @dataclass(frozen=True)

@@ -70,3 +70,30 @@ def test_the_strand_layer_builds_fractions_only_for_public_cycle_reps():
     inside = _fraction_calls(summarize)
     assert inside and _fraction_calls(koszul) == inside
     assert _fraction_calls(_tree("poincare")) == set()
+
+
+def _sources() -> list[Path]:
+    return sorted(Path(golodkit.__file__).parent.glob("*.py"))
+
+
+def test_imports_are_at_module_level_and_monomial_sits_below_calculus():
+    # a deferred import hides an import cycle; monomial is the layer below
+    # calculus, which imports it once at the top
+    nested = set()
+    for path in _sources():
+        for scope in ast.walk(ast.parse(path.read_text())):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                nested |= {f"{path.name}:{node.lineno}" for node in ast.walk(scope)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert nested == set()
+    imported = [node.module for node in ast.walk(_tree("monomial"))
+                if isinstance(node, ast.ImportFrom)]
+    assert "groebner" in imported and "calculus" not in imported
+    assert "monomial" in [node.module for node in _tree("calculus").body
+                          if isinstance(node, ast.ImportFrom)]
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    # pyproject.toml declares requires-python >= 3.10
+    for path in _sources():
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -97,6 +97,33 @@ def test_membership_by_divisibility(r3):
         assert I.contains_exponents(u) == oracle_monomial_member(list(I.gens), u)
 
 
+@pytest.mark.parametrize("u", [(5,), (1, 1, 0), (1, -1)])
+def test_vector_arguments_are_checked_like_generators(r2, u):
+    # unchecked, zip would truncate (5,) to a monomial that (1, 1) divides,
+    # and a colon by it would build an ideal whose repr fails
+    I = MonomialIdeal(r2, [(1, 1)])
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        MonomialIdeal(r2, [u])
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        I.contains_exponents(u)
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        I.colon_monomial(u)
+
+
+@pytest.mark.parametrize("indices", [[5], [2], [-1], [0, 2]])
+def test_saturate_variables_rejects_indices_outside_the_ring(r2, indices):
+    with pytest.raises(ValueError, match="bad variable indices"):
+        MonomialIdeal(r2, [(2, 0), (0, 2)]).saturate_variables(indices)
+
+
+def test_checked_arguments_accept_any_sequence(r2):
+    I = MonomialIdeal(r2, [(2, 0), (0, 2)])
+    assert I.contains_exponents([1, 1]) is False and I.contains_exponents((3, 0))
+    assert I.colon_monomial([1, 0]) == MonomialIdeal(r2, [(1, 0), (0, 2)])
+    assert I.saturate_variables([0]) == MonomialIdeal(r2, [(0, 0)])
+    assert I.saturate_variables([]) == I
+
+
 def test_power_matches_brute_force(r2):
     I = MonomialIdeal(r2, [(2, 0), (1, 1), (0, 3)])
     for k in (2, 3):
