@@ -224,7 +224,7 @@ def _cmd_vertex_cover_ideal(args, session):
 
 
 def _cmd_odd_cycle_suite(args, session):
-    rep = monomial.odd_cycle_suite(args.n, max(args.k, 3))
+    rep = monomial.odd_cycle_suite(args.n, args.k)
     checks = {
         "symbolic-square-is-square-plus-product": rep.symbolic_square_is_square_plus_product,
         "symbolic-square-squared-in-cube": rep.symbolic_square_squared_in_cube,
@@ -284,6 +284,8 @@ def _cmd_trivial_multiplication(args, session):
     I = _get_ideal(session, args.ideal)
     rep = koszul.trivial_multiplication_check(I, args.homological, args.internal)
     lines = [f"trivial multiplication: {rep.verdict}"]
+    if rep.truncated:
+        lines.append("truncated: True")
     payload = {"ideal": args.ideal, "verdict": rep.verdict, "truncated": rep.truncated,
                "failing_pair": list(rep.failing_pair) if rep.failing_pair else None}
     if rep.failing_pair:

@@ -15,9 +15,11 @@ once, by ``linalg.kernel_of_columns``, which gives the boundary span one step
 down and the cycles as primitive integer rows; products of classes multiply
 these rows.  Only ``_summarize`` builds Fractions, for the public
 ``cycle_reps``.  Koszul homology dimensions are the graded Betti numbers of
-S/I and vanish off the strands of ``_lcm_strands``, so ``_dims`` visits only
-those, and ``_betti_dims`` reads the Betti numbers, and the resolution's top
-shift, off them.
+S/I and vanish off the strands of ``_lcm_strands``.  ``_scan`` is the one
+visit of those strands: it gives the dimensions inside a window and whether
+any strand outside it carries homology, so a window's ``truncated`` is exact.
+``_betti_dims`` is the scan without bounds, and ``_window`` reads the default
+internal bound off its top shift.
 
 ``derivative_cycle_check`` reads the exact sequence 0 -> d(I)K -> K ->
 K(S/J) -> 0, J = I + d(I), off a second ``_koszul``, over J.
@@ -148,12 +150,12 @@ def _koszul(I: Ideal) -> _Complex:
     return _Complex(I, shifts, images)
 
 
-def _lcm_strands(cx: _Complex, l_max: int):
-    """The strands (l, d), l <= l_max, where d is the degree of an lcm of at
-    most l leading terms of the reduced basis, for l up to the length of the
-    Taylor resolution, in order of l and then d.  The lcms are built level by
-    level, each new one the lcm of a new one of the level below and a lead;
-    no subset of the leads is enumerated.
+def _lcm_strands(cx: _Complex):
+    """The strands (l, d) where d is the degree of an lcm of at most l leading
+    terms of the reduced basis, for l up to the length of the Taylor
+    resolution, in order of l and then d.  The lcms are built level by level,
+    each new one the lcm of a new one of the level below and a lead; no
+    subset of the leads is enumerated.
 
     Upper semicontinuity bounds each Betti number of S/I by that of S/in(I),
     and the Taylor resolution of S/in(I) has its generators of homological
@@ -162,47 +164,49 @@ def _lcm_strands(cx: _Complex, l_max: int):
     """
     leads = {g.terms[0][0] for g in cx.I.groebner_basis()}
     lcms = fresh = {(0,) * cx.n}  # the lcms of at most l leads; those new at level l
-    for l in range(min(cx.n, len(leads), l_max) + 1):
+    for l in range(min(cx.n, len(leads)) + 1):
         if l:
             fresh = {mono_lcm(m, g) for m in fresh for g in leads} - lcms
             lcms = lcms | fresh
         yield from ((l, d) for d in sorted({cx.ring.weighted_degree(m) for m in lcms}))
 
 
-def _dims(cx: _Complex, l_max: int, d_max: int | None = None) -> dict[tuple[int, int], int]:
+def _scan(cx: _Complex, l_max: int | None = None,
+          d_max: int | None = None) -> tuple[dict[tuple[int, int], int], bool]:
     """The nonzero homology dimensions on the strands of ``_lcm_strands`` with
-    l <= l_max and d <= d_max (every d when d_max is None), in their order."""
+    l <= l_max and d <= d_max (no bound where None), in their order, and
+    whether a strand outside these bounds carries homology.  The outside
+    strands are visited only until one does."""
     dims: dict[tuple[int, int], int] = {}
-    for l, d in _lcm_strands(cx, l_max):
-        if (d_max is None or d <= d_max) and cx.basis(l, d)[0]:
-            dim = cx.homology(l, d)[0]
-            if dim:
+    outside = []
+    for l, d in _lcm_strands(cx):
+        if (l_max is None or l <= l_max) and (d_max is None or d <= d_max):
+            if cx.basis(l, d)[0] and (dim := cx.homology(l, d)[0]):
                 dims[(l, d)] = dim
-    return dims
+        else:
+            outside.append((l, d))
+    return dims, any(cx.basis(l, d)[0] and cx.homology(l, d)[0] for l, d in outside)
 
 
 def _betti_dims(cx: _Complex) -> dict[tuple[int, int], int]:
     """Every graded Betti number of S/I, as Koszul homology dimensions."""
     if not cx.I.is_proper():
         raise ImproperIdealError("S/I vanishes for the unit ideal")
-    return _dims(cx, cx.n)
+    return _scan(cx)[0]
 
 
-def _top_shift(cx: _Complex) -> int:
-    """Largest generator degree in the minimal free resolution of S/I."""
-    return max(d for _, d in _betti_dims(cx))
-
-
-def _window(cx: _Complex, l_max: int | None, d_max: int | None) -> tuple[int, int]:
-    """Fill in missing bounds (l up to the variable count, d up to the top
-    resolution shift plus a margin) and reject negative ones."""
+def _window(cx: _Complex, l_max: int | None,
+            d_max: int | None) -> tuple[int, int, dict[tuple[int, int], int], bool]:
+    """(l_max, d_max, dims, truncated): the bounds, with missing ones filled
+    in (l up to the variable count, d up to the top resolution shift plus a
+    margin) and negative ones rejected, then the ``_scan`` of that window."""
     if l_max is None:
         l_max = cx.n
     if d_max is None:
-        d_max = _top_shift(cx) + max(cx.ring.weights)
+        d_max = max(d for _, d in _betti_dims(cx)) + max(cx.ring.weights)
     if l_max < 0 or d_max < 0:
         raise ValueError("bounds must be non-negative")
-    return l_max, d_max
+    return (l_max, d_max, *_scan(cx, l_max, d_max))
 
 
 @dataclass(frozen=True)
@@ -227,13 +231,8 @@ class HomologySummary:
         }
 
 
-def _truncated(cx: _Complex, dims, l_max: int, d_max: int) -> bool:
-    """Whether homology reaches an edge of the window that the complex does not."""
-    return any(d == d_max or 0 < l == l_max < cx.n for l, d in dims)
-
-
-def _summarize(cx: _Complex, l_max: int, d_max: int) -> HomologySummary:
-    dims = _dims(cx, l_max, d_max)
+def _summarize(cx: _Complex, l_max: int, d_max: int, dims: dict[tuple[int, int], int],
+               truncated: bool) -> HomologySummary:
     reps: dict[tuple[int, int], list[dict[StrandKey, Fraction]]] = {}
     for l, d in dims:
         keys, _ = cx.basis(l, d)
@@ -241,14 +240,13 @@ def _summarize(cx: _Complex, l_max: int, d_max: int) -> HomologySummary:
         for v in cx.homology(l, d)[1]:
             top = v[max(v)]  # a kernel row ends at its own column
             reps[(l, d)].append({keys[idx]: Fraction(c, top) for idx, c in sorted(v.items())})
-    return HomologySummary(l_max, d_max, dims, reps, _truncated(cx, dims, l_max, d_max))
+    return HomologySummary(l_max, d_max, dims, reps, truncated)
 
 
 def koszul_homology(I: Ideal, l_max: int | None = None, d_max: int | None = None) -> HomologySummary:
     """Bigraded Koszul homology dimensions and representatives within bounds."""
     cx = _koszul(I)
-    l_max, d_max = _window(cx, l_max, d_max)
-    return _summarize(cx, l_max, d_max)
+    return _summarize(cx, *_window(cx, l_max, d_max))
 
 
 @dataclass(frozen=True)
@@ -287,9 +285,7 @@ def trivial_multiplication_check(
     The classes are the integer cycles of ``_Complex.homology``, positive
     multiples of ``cycle_reps``, so each product's membership is theirs."""
     cx = _koszul(I)
-    l_max, d_max = _window(cx, l_max, d_max)
-    dims = _dims(cx, l_max, d_max)
-    truncated = _truncated(cx, dims, l_max, d_max)
+    l_max, d_max, dims, truncated = _window(cx, l_max, d_max)
     spots = sorted(k for k in dims if k[0] >= 1)
     classes = {(l, d): [_element(cx, l, d, z) for z in cx.homology(l, d)[1]] for l, d in spots}
     for a, (l1, d1) in enumerate(spots):
@@ -318,10 +314,10 @@ def derivative_cycle_check(
     if not strongly_golod(I).verdict:
         raise AlgebraError("derivative cycle check needs a strongly Golod ideal")
     cx = _koszul(I)
-    l_max, d_max = _window(cx, l_max, d_max)
+    l_max, d_max, dims, _ = _window(cx, l_max, d_max)
     J = Ideal(I.ring, I.generators + derivative_ideal(I).generators)
     cy = _koszul(J)
-    for l, d in sorted(k for k in _dims(cx, l_max, d_max) if k[0] >= 1):
+    for l, d in sorted(k for k in dims if k[0] >= 1):
         _, index = cy.basis(l, d)
         for z in cx.homology(l, d)[1]:
             image, _ = _coordinates(J, _element(cx, l, d, z), index, (0,) * cx.n)

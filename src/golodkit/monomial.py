@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, combinations_with_replacement
-from math import lcm
 
 from .errors import AlgebraError, ImproperIdealError, ParseError, RingMismatchError
 from .groebner import Ideal, _monomial_exps
@@ -382,9 +381,12 @@ class OddCycleReport:
 
 
 def odd_cycle_suite(n: int, k_max: int = 3) -> OddCycleReport:
-    """Cover-ideal checks for the odd cycle on n vertices."""
+    """Cover-ideal checks for the odd cycle on n vertices, with J its cover
+    ideal: among them, for k = 2..k_max, whether (J^(k-1))^2 lies in J^k."""
     if n < 3 or n % 2 == 0:
         raise ValueError("need an odd cycle on at least 3 vertices")
+    if k_max < 2:
+        raise ValueError(f"need k_max >= 2, got {k_max}")
     G = cycle_graph(n)
     I = vertex_cover_ideal(G)
     u = (1,) * n
@@ -548,15 +550,13 @@ def _feasible_combination(gens: list[Exps], u: Exps) -> list[Fraction] | None:
     return lam
 
 
-INTEGRAL_WITNESS_CAP = 32
-
-
 def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
     """Monomials in the Newton polyhedron of I, up to the generator bounding box.
 
-    Each monomial admitted by the exact rational feasibility test is
-    revalidated by exhibiting r with u^r in I^r, read off the feasible
-    combination's denominators.
+    Each monomial u admitted by the exact rational feasibility test is
+    revalidated on the combination it returns: every lambda_j >= 0,
+    sum lambda_j = 1 and sum lambda_j * g_j <= u, which is u^r in I^r for r
+    the lcm of the denominators.
     """
     if not I.is_proper():
         raise ImproperIdealError("integral closure of the unit ideal is improper")
@@ -580,17 +580,9 @@ def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
         lam = _feasible_combination(gens, u)
         if lam is None:
             continue
-        r = lcm(*(f.denominator for f in lam)) if lam else 1
-        if r > INTEGRAL_WITNESS_CAP:
-            raise AlgebraError(f"integral closure witness exponent {r} exceeds the cap")
-        counts = [f * r for f in lam]
-        if not (all(c.denominator == 1 for c in counts) and sum(counts) == r):
+        if any(f < 0 for f in lam) or sum(lam) != 1:
             raise AlgebraError("integral closure witness is not an integral combination")
-        total = [0] * I.ring.n
-        for c, g in zip(counts, gens):
-            for i, e in enumerate(g):
-                total[i] += int(c) * e
-        if not all(total[i] <= r * u[i] for i in range(I.ring.n)):
+        if any(sum(f * g[i] for f, g in zip(lam, gens)) > u[i] for i in range(I.ring.n)):
             raise AlgebraError("witness check failed")
         accepted.append(u)
     return MonomialIdeal(I.ring, accepted)

@@ -17,10 +17,12 @@ operations that also rewrite the neighboring matrices).
 helpers and the engine's earlier combine, a shifted copy of the source added
 by ``axpy``.
 ``full_window_dims`` visits every strand of a Koszul window, where the
-package visits only the lead-lcm strands; ``full_window_koszul_homology`` and
-``fraction_trivial_multiplication_check`` build on it the summary and the
+package visits only the lead-lcm strands, and ``lcm_window_dims`` runs it on
+every strand up to the degree of the lcm of all leading terms, past which
+Koszul homology vanishes; ``full_window_koszul_homology`` and
+``fraction_trivial_multiplication_check`` build on them the summary and the
 multiplication check with Fraction cycle representatives, whose products
-are summed in Fractions.
+are summed in Fractions, and with ``truncated`` read off that full scan.
 ``subcomplex_derivative_cycle_check`` decides the derivative cycle check
 inside K itself: it spans the cycles whose coefficients lie in d(I)R, where
 the package reads the same answer off the Koszul complex of S/(I + d(I)).
@@ -66,7 +68,7 @@ from golodkit.koszul import (
 from golodkit.linalg import Span, integral, kernel_of_columns
 from golodkit.poincare import _tor_series
 from golodkit.resolution import Matrix, _is_unit
-from golodkit.ring import axpy, axpy_over, mono_mul, monomials_of_degree as weighted_monomials
+from golodkit.ring import axpy, axpy_over, mono_lcm, mono_mul, monomials_of_degree as weighted_monomials
 
 
 def monomials_of_degree(ring: GradingSpec, d: int) -> list[tuple[int, ...]]:
@@ -286,7 +288,7 @@ def subcomplex_derivative_cycle_check(I: Ideal, l_max: int | None = None,
     substitute another ideal for d(I).  No strongly Golod precondition.
     """
     cx = _koszul(I)
-    l_max, d_max = _window(cx, l_max, d_max)
+    l_max, d_max, _, _ = _window(cx, l_max, d_max)
     dgens = [({((), u): c for u, c in integral(dict(f.terms))[0].items()},
               f.homogeneity().degree)
              for f in koszul.derivative_ideal(I).minimal_generators()]
@@ -348,6 +350,13 @@ def full_window_dims(cx, l_max: int, d_max: int) -> dict[tuple[int, int], int]:
     return dims
 
 
+def lcm_window_dims(cx) -> dict[tuple[int, int], int]:
+    """``full_window_dims`` on every strand up to the degree of the lcm of all
+    leading terms of the reduced basis."""
+    lead_lcm = reduce(mono_lcm, (g.terms[0][0] for g in cx.I.groebner_basis()), (0,) * cx.n)
+    return full_window_dims(cx, cx.n, cx.ring.weighted_degree(lead_lcm))
+
+
 def _full_window_summary(cx, l_max: int, d_max: int) -> HomologySummary:
     dims = full_window_dims(cx, l_max, d_max)
     reps = {}
@@ -357,9 +366,7 @@ def _full_window_summary(cx, l_max: int, d_max: int) -> HomologySummary:
         for v in cx.homology(l, d)[1]:
             top = v[max(v)]
             reps[(l, d)].append({keys[idx]: Fraction(c, top) for idx, c in sorted(v.items())})
-    truncated = any(d == d_max for (_, d) in dims)
-    if l_max < cx.n:
-        truncated = truncated or any(l == l_max and l > 0 for (l, _) in dims)
+    truncated = any(l > l_max or d > d_max for l, d in lcm_window_dims(cx))
     return HomologySummary(l_max, d_max, dims, reps, truncated)
 
 
@@ -367,7 +374,7 @@ def full_window_koszul_homology(I: Ideal, l_max: int | None = None,
                                 d_max: int | None = None) -> HomologySummary:
     """``koszul_homology`` from a scan of every strand of the window."""
     cx = _koszul(I)
-    return _full_window_summary(cx, *_window(cx, l_max, d_max))
+    return _full_window_summary(cx, *_window(cx, l_max, d_max)[:2])
 
 
 def fraction_trivial_multiplication_check(I: Ideal, l_max: int | None = None,
@@ -376,7 +383,7 @@ def fraction_trivial_multiplication_check(I: Ideal, l_max: int | None = None,
     of the full-window summary, each product summed in Fractions from the
     normal-form memo and tested as the integer form of that sum."""
     cx = _koszul(I)
-    l_max, d_max = _window(cx, l_max, d_max)
+    l_max, d_max, _, _ = _window(cx, l_max, d_max)
     summary = _full_window_summary(cx, l_max, d_max)
     spots = sorted(k for k in summary.dims if k[0] >= 1)
     for a, (l1, d1) in enumerate(spots):

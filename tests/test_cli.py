@@ -186,6 +186,18 @@ def test_graph_commands(session_file, capsys):
     assert all(obj["checks"].values())
 
 
+def test_odd_cycle_suite_runs_the_k_it_is_given(capsys):
+    assert main(["odd-cycle-suite", "5", "--k", "2", "--json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [k for k in checks if k.startswith("previous-")] == [
+        "previous-symbolic-squared-in-power-2"]
+    for k in ("1", "-3"):
+        assert main(["odd-cycle-suite", "5", "--k", k]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need k_max >= 2, got {k}\n"
+
+
 def test_monomial_only_commands(session_file, capsys):
     assert main(["squarefree-symbolic", "I", "--k", "2", "--session", session_file]) == 0
     capsys.readouterr()
@@ -228,6 +240,16 @@ def test_golod_verdict_window_too_small_for_i_max_is_inconclusive(session_file, 
     assert main(["golod-verdict", "M2", "--session", session_file,
                  "--homological", "2", "--internal", "1"]) == 0
     assert "status: INCONCLUSIVE" in capsys.readouterr().out.splitlines()
+
+
+def test_trivial_multiplication_text_names_a_truncated_window(tmp_path, capsys):
+    # H_2 of (x^2, y^2) in x, y, z sits at degree 4, outside --internal 3
+    f = tmp_path / "ci.golod"
+    f.write_text("ring x, y, z weights 1, 1, 1\nideal A = x^2, y^2\n")
+    assert main(["trivial-multiplication", "A", "--session", str(f), "--internal", "3"]) == 0
+    assert capsys.readouterr().out == "trivial multiplication: True\ntruncated: True\n"
+    assert main(["trivial-multiplication", "A", "--session", str(f)]) == 1
+    assert "truncated" not in capsys.readouterr().out
 
 
 def test_negative_koszul_bound_exits_two(session_file, capsys):

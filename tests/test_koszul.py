@@ -3,7 +3,6 @@
 import ast
 import inspect
 from collections import Counter
-from functools import reduce
 from random import Random
 
 import pytest
@@ -13,9 +12,9 @@ from hypothesis import strategies as st
 from conftest import (
     corpus_powers,
     fraction_trivial_multiplication_check,
-    full_window_dims,
     full_window_koszul_homology,
     hochster_betti,
+    lcm_window_dims,
     random_homogeneous,
     subcomplex_derivative_cycle_check,
 )
@@ -39,7 +38,7 @@ from golodkit import (
     trivial_multiplication_check,
 )
 from golodkit import koszul, linalg, poincare
-from golodkit.koszul import _Complex, _betti_dims, _koszul, _top_shift
+from golodkit.koszul import _Complex, _betti_dims, _koszul
 from golodkit.linalg import Span, integral
 from golodkit.ring import axpy, axpy_over, mono_lcm
 
@@ -115,6 +114,13 @@ def test_truncation_flag(r2):
     assert not full.truncated
     clipped = koszul_homology(I, l_max=2, d_max=2)
     assert clipped.truncated
+
+
+def test_truncated_sees_homology_past_a_gap_and_none_at_the_edge(r3):
+    # H_2 of (x^2, y^2) sits at degree 4, past degree 3 where no homology is;
+    # (x*z, y*z) has H_2 at degree 3, the window's edge, and nothing beyond
+    assert koszul_homology(Ideal.from_strings(r3, ["x^2", "y^2"]), d_max=3).truncated
+    assert not koszul_homology(Ideal.from_strings(r3, ["x*z", "y*z"]), d_max=3).truncated
 
 
 def test_trivial_multiplication_verdicts(r2):
@@ -220,7 +226,7 @@ def test_top_shift_is_read_below_a_loose_lcm_bound(r2):
     for g in I.groebner_basis():
         lead_lcm = mono_lcm(lead_lcm, g.terms[0][0])
     assert lead_lcm == (2, 2)
-    assert _top_shift(_koszul(I)) == 3
+    assert max(d for _, d in _betti_dims(_koszul(I))) == 3
     assert koszul_homology(I).d_max == 3 + 1
 
 
@@ -256,17 +262,11 @@ def test_koszul_dims_equal_betti_numbers_on_random_ideals(name, data):
     assert koszul_homology(I).dims == bt.entries
 
 
-def _lcm_window_dims(I):
-    """Reference: every strand up to the degree of the lcm of all leading terms."""
-    lead_lcm = reduce(mono_lcm, (g.terms[0][0] for g in I.groebner_basis()), (0,) * I.ring.n)
-    return full_window_dims(_koszul(I), I.ring.n, I.ring.weighted_degree(lead_lcm))
-
-
 def test_betti_dims_equal_the_lcm_window_on_the_corpus_and_its_squares():
     checked = 0
     for e in builtin_corpus():
         for I in (e.ideal, power(e.ideal, 2)):
-            assert _betti_dims(_koszul(I)) == _lcm_window_dims(I), e.name
+            assert _betti_dims(_koszul(I)) == lcm_window_dims(_koszul(I)), e.name
             checked += 1
     assert checked == 2 * len(builtin_corpus())
 
@@ -279,7 +279,7 @@ def test_betti_dims_equal_the_lcm_window_on_random_ideals(name, data):
     rng = Random(data.draw(st.integers(0, 2 ** 32)))
     I = Ideal(ring, [random_homogeneous(ring, d, rng) for d in degrees])
     assume(not all(g.is_monomial() for g in I.generators))
-    assert _betti_dims(_koszul(I)) == _lcm_window_dims(I)
+    assert _betti_dims(_koszul(I)) == lcm_window_dims(_koszul(I))
 
 
 def test_koszul_dims_equal_hochster_betti_numbers_on_the_monomial_corpus():
@@ -305,6 +305,28 @@ def test_koszul_dims_equal_hochster_betti_numbers_on_random_monomial_ideals(name
         return
     I = Ideal(ring, [Polynomial.monomial(ring, e) for e in exps])
     assert koszul_homology(I).dims == hochster_betti(ring, exps)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(_RINGS)), monomial=st.booleans(),
+       l_max=st.integers(0, 3), d_max=st.integers(0, 8), data=st.data())
+def test_truncated_is_true_exactly_when_a_betti_number_lies_outside_the_window(
+        name, monomial, l_max, d_max, data):
+    ring, (lo, hi) = _RINGS[name]
+    if monomial:
+        exps = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * ring.n), min_size=1,
+                                  max_size=4).filter(lambda gens: all(map(any, gens))))
+        I = Ideal(ring, [Polynomial.monomial(ring, e) for e in exps])
+        betti = hochster_betti(ring, exps)
+        assert betti == betti_table(minimal_free_resolution(I)).entries
+    else:
+        degrees = data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=3))
+        rng = Random(data.draw(st.integers(0, 2 ** 32)))
+        I = Ideal(ring, [random_homogeneous(ring, d, rng) for d in degrees])
+        betti = betti_table(minimal_free_resolution(I)).entries
+    outside = any(l > l_max or d > d_max for l, d in betti)
+    assert koszul_homology(I, l_max, d_max).truncated == outside
+    assert trivial_multiplication_check(I, l_max, d_max).truncated == outside
 
 
 @pytest.mark.parametrize("stand_in", ["first generator", "its square"])
@@ -342,7 +364,7 @@ def test_lcm_strands_and_integer_products_equal_the_full_window_references(name,
         I = Ideal(ring, [random_homogeneous(ring, d, rng) for d in degrees])
     else:
         I = Ideal.from_strings(ring, [] if kind == "zero" else ["1"])
-    top = _top_shift(_koszul(I)) if I.is_proper() else 0
+    top = max(d for _, d in _betti_dims(_koszul(I))) if I.is_proper() else 0
     for window in ((None, None), (0, 0), (2, 3), (ring.n, top + 3)):
         assert (_outcome(koszul_homology, I, *window)
                 == _outcome(full_window_koszul_homology, I, *window)), window

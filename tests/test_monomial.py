@@ -207,6 +207,13 @@ def test_odd_cycle_suite_contents():
         odd_cycle_suite(1)
 
 
+def test_odd_cycle_suite_needs_k_max_at_least_two():
+    assert list(odd_cycle_suite(5, 2).higher_squares_contained) == [2]
+    for k_max in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"need k_max >= 2, got {k_max}"):
+            odd_cycle_suite(5, k_max)
+
+
 def test_even_cycle_has_no_symbolic_gap():
     # bipartite graphs have packing equality: I^(2) equals I^2 for C4
     G = cycle_graph(4)
@@ -307,6 +314,14 @@ def test_integral_closure_certificates(r2):
     v = (1, 1)
     for r in (1, 2, 3, 4):
         assert not I.power(r).contains_exponents(tuple(r * e for e in v))
+
+
+@pytest.mark.parametrize("a, b", [(3, 3), (5, 7), (33, 34)])
+def test_integral_closure_of_two_pure_powers(r2, a, b):
+    # the Newton polyhedron of (x^a, y^b) is b*i + a*j >= a*b; the witness
+    # exponent r, the lcm of the combination's denominators, is not capped
+    want = [(i, j) for i in range(a + 1) for j in range(b + 1) if b * i + a * j >= a * b]
+    assert integral_closure(MonomialIdeal(r2, [(a, 0), (0, b)])) == MonomialIdeal(r2, want)
 
 
 def test_closure_is_idempotent_and_monotone(r2):
