@@ -7,6 +7,16 @@ witness on failure and implements the constructions that preserve it:
 powers, symbolic and saturated powers, colon ideals under the stabilization
 condition I : J = I : J^2, and sums with powers of a containing prime.
 
+The predicate reads I's reduced basis, not its stored generators: the
+partials of any generating set of I generate d(I) together with I, so the
+square of their ideal lies in I exactly when d(I)^2 does.  A reduced basis
+of single terms makes I a monomial ideal, decided by the combinatorial test
+of ``monomial``; any other basis is differentiated as integer rows, trimmed
+to a minimal subset by ``groebner.minimal_rows`` (graded Nakayama, the
+routine behind ``Ideal.minimal_generators``) and scanned pair by pair.  Only
+a failure reads the stored generators: its witness is the first failing
+pair of their derivative list.
+
 Monomial inputs take the combinatorial routes of ``monomial``, the layer
 below this one; the predicate's report and witness types are defined there
 and re-exported here.
@@ -21,8 +31,9 @@ from random import Random
 from typing import Sequence
 
 from .errors import AlgebraError, ContainmentError, HomogeneityError, ImproperIdealError
-from .groebner import Ideal, NFRow, _monomial_exps, colon, contains, saturate
-from .linalg import _primitive, integral
+from .groebner import (Ideal, NFRow, _monomial_exps, _primitive_row, colon, contains, minimal_rows,
+                       saturate)
+from .linalg import _primitive
 from .monomial import (DerivativePairWitness, MonomialIdeal, MonomialQuotientWitness,
                        StronglyGolodReport, saturate_at_irrelevant, squarefree_symbolic_power,
                        strongly_golod_monomial)
@@ -52,57 +63,77 @@ def derivative_ideal(I: Ideal) -> Ideal:
 def strongly_golod(I: Ideal) -> StronglyGolodReport:
     """Decide whether the square of the derivative ideal lies in I.
 
-    Products of any generating set of the derivative ideal generate its
-    square, so the verdict is decided on a minimal one; a monomial ideal is
-    decided by ``strongly_golod_monomial`` instead, with no normal form.  The
-    zero ideal passes vacuously; the unit ideal is rejected.  On failure the
-    first offending pair of the full derivative list is reported, in
-    generator order, together with the nonzero normal form of its product.
+    Since d(f*g) = f*dg + g*df, the partials of any generating set G of I
+    generate d(I) together with I, so (dG)^2 in I decides the predicate
+    whatever G is.  It is decided on I's reduced basis: when every basis
+    element is a single term, I is a monomial ideal and
+    ``strongly_golod_monomial`` decides it with no normal form; otherwise a
+    minimal subset of the partials of the basis is scanned
+    (``_derivative_rows``, ``minimal_rows``).  The zero ideal passes
+    vacuously; the unit ideal is rejected.  On failure the first offending
+    pair of the full derivative list of the stored generators is reported,
+    in generator order, together with the nonzero normal form of its product.
     """
     if not I.is_homogeneous:
         raise HomogeneityError("the strongly Golod predicate needs a homogeneous ideal")
     if not I.is_proper():
         raise ImproperIdealError("the unit ideal is outside the predicate's domain")
-    exps = _monomial_exps(I)
-    if exps is not None:
-        if strongly_golod_monomial(MonomialIdeal(I.ring, exps)).verdict:
-            return StronglyGolodReport(True)
-    D = derivative_ideal(I)
-    if exps is None and _escaping_pair(I, D.minimal_generators()) is None:
+    basis = I.groebner_basis()
+    if all(g.is_monomial() for g in basis):
+        exps = [g.terms[0][0] for g in basis]
+        passes = strongly_golod_monomial(MonomialIdeal(I.ring, exps)).verdict
+    else:
+        rows = _derivative_rows(I)
+        kept = minimal_rows(I.ring.weights, rows)
+        passes = _escaping_pair(I, [rows[k][1] for k in kept]) is None
+    if passes:
         return StronglyGolodReport(True)
-    a, b = _escaping_pair(I, D.generators)
-    left, right = D.generators[a], D.generators[b]
-    witness = DerivativePairWitness(left, right, I.normal_form(left * right).remainder)
+    D = derivative_ideal(I).generators
+    a, b = _escaping_pair(I, [_primitive_row(g) for g in D])
+    witness = DerivativePairWitness(D[a], D[b], I.normal_form(D[a] * D[b]).remainder)
     return StronglyGolodReport(False, witness)
 
 
-def _escaping_pair(I: Ideal, gens: Sequence[Polynomial]) -> tuple[int, int] | None:
-    """The first (a, b), a <= b, with gens[a] * gens[b] outside I; None if none.
+def _derivative_rows(I: Ideal) -> list[tuple[int, dict[Exps, int]]]:
+    """The nonzero partials of the primitive integer forms of I's reduced basis
+    elements (``Ideal._reducer_list``), as (degree, primitive integer row),
+    stably sorted by degree."""
+    ring = I.ring
+    out = []
+    for lead, lc, tail in I._reducer_list():
+        terms = [(lead, lc), *((t, -c) for t, c in tail)]
+        d = ring.weighted_degree(lead)
+        for i, w in enumerate(ring.weights):
+            row = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in terms if e[i]}
+            if row:
+                out.append((d - w, _primitive(row, next(iter(row)))[0]))
+    out.sort(key=lambda dr: dr[0])
+    return out
 
-    Scaling a generator changes no product's membership, so each enters as
-    its primitive integer row, and every sum below is int arithmetic over
-    the memo's integer normal-form rows, kept over a common denominator
+
+def _escaping_pair(I: Ideal, rows: Sequence[dict[Exps, int]]) -> tuple[int, int] | None:
+    """The first (a, b), a <= b, with rows[a] * rows[b] outside I; None if none.
+
+    The rows are primitive integer rows: scaling a generator changes no
+    product's membership.  Every sum below is int arithmetic over the memo's
+    integer normal-form rows, kept over a common denominator
     (``axpy_over``).  Normal forms modulo a reduced basis are linear, so
     NF(d_a * d_b) is the sum of c * NF(x^e * d_a) over the terms c*x^e of
     d_b.  The normal forms of the monomial multiples of d_a are kept for
     every b >= a.
     """
-    rows = []
-    for g in gens:
-        row, _ = integral(dict(g.terms))
-        rows.append(list(_primitive(row, min(row))[0].items()))
     nf_row = I._nf_row
     for a, row_a in enumerate(rows):
         multiples: dict[Exps, NFRow] = {}
         for b in range(a, len(rows)):
             rem: dict[Exps, int] = {}
             den = 1
-            for e2, c2 in rows[b]:
+            for e2, c2 in rows[b].items():
                 multiple = multiples.get(e2)
                 if multiple is None:
                     acc: dict[Exps, int] = {}
                     acc_den = 1
-                    for e1, c1 in row_a:
+                    for e1, c1 in row_a.items():
                         acc_den = axpy_over(acc, acc_den, c1, *nf_row(mono_mul(e1, e2)))
                     multiple = multiples[e2] = (acc, acc_den)
                 den = axpy_over(rem, den, c2, *multiple)

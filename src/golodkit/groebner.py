@@ -442,8 +442,7 @@ class Ideal:
             self._reducers = []
             self._nf, self._std = {}, {}
             for g in self.groebner_basis():
-                row, _ = integral(dict(g.terms))
-                row, _ = _primitive(row, g.terms[0][0])
+                row = _primitive_row(g)
                 lead, lc = g.terms[0][0], row.pop(g.terms[0][0])
                 self._reducers.append((lead, lc, [(t, -c) for t, c in row.items()]))
         return self._reducers
@@ -514,11 +513,8 @@ class Ideal:
         return memo[e]
 
     def minimal_generators(self) -> list[Polynomial]:
-        """Minimal generating subset, scanned in (degree, leading term) order.
-
-        By graded Nakayama a generator of degree d is redundant exactly when it
-        lies in the span of the degree-d monomial multiples of the kept ones.
-        """
+        """Minimal generating subset, scanned in (degree, leading term) order
+        by ``minimal_rows``."""
         reports = [g.homogeneity() for g in self.generators]
         if not all(h.is_homogeneous for h in reports):
             raise HomogeneityError("minimal generators need a homogeneous ideal")
@@ -527,20 +523,8 @@ class Ideal:
             zip((h.degree for h in reports), self.generators),
             key=lambda dg: (dg[0], order.key(dg[1].terms[0][0])),
         )
-        kept: list[tuple[int, Polynomial, dict[Exps, int]]] = []
-        one = (0,) * self.ring.n
-        span_degree = None
-        for d, g in gens:
-            row, _ = integral(dict(g.terms))
-            if d != span_degree:
-                span, index, span_degree = Span(), {}, d
-                for kd, _, k in kept:
-                    for m in monomials_of_degree(self.ring.weights, d - kd):
-                        span.add(_coordinates(k, m, index))
-            # a kept g is its own only degree-d multiple, so the span stays current
-            if span.add(_coordinates(row, one, index)):
-                kept.append((d, g, row))
-        return [g for _, g, _ in kept]
+        rows = [(d, integral(dict(g.terms))[0]) for d, g in gens]
+        return [gens[k][1] for k in minimal_rows(self.ring.weights, rows)]
 
     def normal_form(self, p: Polynomial) -> NormalForm:
         if p.ring != self.ring:
@@ -573,6 +557,35 @@ class Ideal:
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators) or "0"
         return f"Ideal({gens})"
+
+
+def minimal_rows(weights: Sequence[int], rows: Sequence[tuple[int, dict[Exps, int]]]) -> list[int]:
+    """The indices of a minimal generating subset of homogeneous integer rows.
+
+    Each row comes as (degree, row), in ascending degree.  By graded Nakayama
+    a row of degree d is redundant exactly when it lies in the span of the
+    degree-d monomial multiples of the rows kept before it.
+    """
+    kept: list[int] = []
+    one = (0,) * len(weights)
+    span_degree = None
+    for i, (d, row) in enumerate(rows):
+        if d != span_degree:
+            span, index, span_degree = Span(), {}, d
+            for k in kept:
+                kd, kept_row = rows[k]
+                for m in monomials_of_degree(weights, d - kd):
+                    span.add(_coordinates(kept_row, m, index))
+        # a kept row is its own only degree-d multiple, so the span stays current
+        if span.add(_coordinates(row, one, index)):
+            kept.append(i)
+    return kept
+
+
+def _primitive_row(p: Polynomial) -> dict[Exps, int]:
+    """p scaled to a primitive integer row, positive at its leading term."""
+    row, _ = integral(dict(p.terms))
+    return _primitive(row, p.terms[0][0])[0]
 
 
 def _coordinates(row: dict[Exps, int], m: Exps, index: dict[Exps, int]) -> dict[int, int]:

@@ -171,21 +171,32 @@ def _lcm_strands(cx: _Complex):
         yield from ((l, d) for d in sorted({cx.ring.weighted_degree(m) for m in lcms}))
 
 
-def _scan(cx: _Complex, l_max: int | None = None,
-          d_max: int | None = None) -> tuple[dict[tuple[int, int], int], bool]:
-    """The nonzero homology dimensions on the strands of ``_lcm_strands`` with
-    l <= l_max and d <= d_max (no bound where None), in their order, and
-    whether a strand outside these bounds carries homology.  The outside
-    strands are visited only until one does."""
-    dims: dict[tuple[int, int], int] = {}
-    outside = []
+def _split(cx: _Complex, l_max: int | None,
+           d_max: int | None) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The strands of ``_lcm_strands`` with l <= l_max and d <= d_max (no bound
+    where None), and those outside these bounds, each in their order."""
+    inside, outside = [], []
     for l, d in _lcm_strands(cx):
         if (l_max is None or l <= l_max) and (d_max is None or d <= d_max):
-            if cx.basis(l, d)[0] and (dim := cx.homology(l, d)[0]):
-                dims[(l, d)] = dim
+            inside.append((l, d))
         else:
             outside.append((l, d))
-    return dims, any(cx.basis(l, d)[0] and cx.homology(l, d)[0] for l, d in outside)
+    return inside, outside
+
+
+def _dims(cx: _Complex, strands: list[tuple[int, int]]) -> dict[tuple[int, int], int]:
+    """The nonzero homology dimensions on the strands, in their order."""
+    return {(l, d): dim for l, d in strands
+            if cx.basis(l, d)[0] and (dim := cx.homology(l, d)[0])}
+
+
+def _scan(cx: _Complex, l_max: int | None = None,
+          d_max: int | None = None) -> tuple[dict[tuple[int, int], int], bool]:
+    """The ``_dims`` of the strands inside the bounds, and whether a strand
+    outside them carries homology.  The outside strands are visited only
+    until one does."""
+    inside, outside = _split(cx, l_max, d_max)
+    return _dims(cx, inside), any(cx.basis(l, d)[0] and cx.homology(l, d)[0] for l, d in outside)
 
 
 def _betti_dims(cx: _Complex) -> dict[tuple[int, int], int]:
@@ -195,17 +206,24 @@ def _betti_dims(cx: _Complex) -> dict[tuple[int, int], int]:
     return _scan(cx)[0]
 
 
-def _window(cx: _Complex, l_max: int | None,
-            d_max: int | None) -> tuple[int, int, dict[tuple[int, int], int], bool]:
-    """(l_max, d_max, dims, truncated): the bounds, with missing ones filled
-    in (l up to the variable count, d up to the top resolution shift plus a
-    margin) and negative ones rejected, then the ``_scan`` of that window."""
+def _bounds(cx: _Complex, l_max: int | None, d_max: int | None) -> tuple[int, int]:
+    """The window's bounds, with missing ones filled in (l up to the variable
+    count, d up to the top resolution shift plus a margin) and negative ones
+    rejected."""
     if l_max is None:
         l_max = cx.n
     if d_max is None:
         d_max = max(d for _, d in _betti_dims(cx)) + max(cx.ring.weights)
     if l_max < 0 or d_max < 0:
         raise ValueError("bounds must be non-negative")
+    return l_max, d_max
+
+
+def _window(cx: _Complex, l_max: int | None,
+            d_max: int | None) -> tuple[int, int, dict[tuple[int, int], int], bool]:
+    """(l_max, d_max, dims, truncated): the ``_bounds``, then the ``_scan`` of
+    that window."""
+    l_max, d_max = _bounds(cx, l_max, d_max)
     return (l_max, d_max, *_scan(cx, l_max, d_max))
 
 
@@ -314,7 +332,8 @@ def derivative_cycle_check(
     if not strongly_golod(I).verdict:
         raise AlgebraError("derivative cycle check needs a strongly Golod ideal")
     cx = _koszul(I)
-    l_max, d_max, dims, _ = _window(cx, l_max, d_max)
+    # no truncated is reported, so no strand outside the window is visited
+    dims = _dims(cx, _split(cx, *_bounds(cx, l_max, d_max))[0])
     J = Ideal(I.ring, I.generators + derivative_ideal(I).generators)
     cy = _koszul(J)
     for l, d in sorted(k for k in dims if k[0] >= 1):

@@ -1,6 +1,7 @@
 """Derivative ideals, the strongly Golod predicate, and ideal power calculus."""
 
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -102,34 +103,79 @@ def test_strongly_golod_multi_term_witnesses(r3, gens, left, right, remainder):
     assert rep == full_pair_scan(I)
 
 
+def _is_primitive_row_of(row, g) -> bool:
+    """Whether row is g scaled to coprime integers."""
+    lead, lc = g.terms[0]
+    scaled = g * (Fraction(row.get(lead, 0)) / lc)
+    return (all(isinstance(c, int) for c in row.values()) and gcd(*row.values()) == 1
+            and scaled == Polynomial(g.ring, {e: Fraction(c) for e, c in row.items()}))
+
+
 def test_strongly_golod_scans_the_full_list_only_on_failure(r3, monkeypatch):
     calls = []
     scan = calculus._escaping_pair
 
-    def counted(I, gens):
-        calls.append(list(gens))
-        return scan(I, gens)
+    def counted(I, rows):
+        calls.append(list(rows))
+        return scan(I, rows)
 
     monkeypatch.setattr(calculus, "_escaping_pair", counted)
+    # a passing ideal scans a minimal generating set of the basis's partials once;
+    # its size is the minimal number of generators of d(I), an invariant
     I = power(Ideal.from_strings(r3, ["x*y + z^2", "x*z"]), 2)
-    D = derivative_ideal(I)
-    t = len(D.minimal_generators())
-    assert t < len(D.generators)
+    t = len(derivative_ideal(Ideal(r3, I.groebner_basis())).minimal_generators())
+    assert t < len(derivative_ideal(I).generators)
+    partials = []
+    partial = Polynomial.partial
+    monkeypatch.setattr(Polynomial, "partial", lambda p, i: partials.append(i) or partial(p, i))
     assert strongly_golod(I).verdict
-    assert [len(gens) for gens in calls] == [t]
+    assert [len(rows) for rows in calls] == [t]
+    assert partials == []  # no derivative is built as a Polynomial
+    monkeypatch.setattr(Polynomial, "partial", partial)
+    # a failing one scans the full derivative list of its generators, as rows
+    calls.clear()
+    J = Ideal.from_strings(r3, ["x^2+y^2+z^2", "x*y"])
+    assert not strongly_golod(J).verdict
+    D = derivative_ideal(J).generators
+    assert len(calls) == 2 and len(calls[1]) == len(D)
+    assert all(_is_primitive_row_of(row, g) for row, g in zip(calls[1], D))
+    # a monomial ideal is decided by the quotient scan, and only a failure
+    # scans the derivative list, for the witness
     calls.clear()
     J = Ideal.from_strings(r3, ["x*z", "y*z", "2*x*z + y*z"])
     assert not strongly_golod(J).verdict
-    assert len(calls) == 2
-    assert calls[1] == list(derivative_ideal(J).generators)
-    # a monomial ideal is decided by the quotient scan, and only a failure
-    # scans the derivative list, for the witness
+    D = derivative_ideal(J).generators
+    assert len(calls) == 1 and len(calls[0]) == len(D)
+    assert all(_is_primitive_row_of(row, g) for row, g in zip(calls[0], D))
     calls.clear()
     assert strongly_golod(power(Ideal.from_strings(r3, ["x*z", "2*y*z"]), 2)).verdict
     assert calls == []
     K = Ideal.from_strings(r3, ["x*z", "2*y*z", "-1/2*x*y*z"])
     assert not strongly_golod(K).verdict
-    assert calls == [list(derivative_ideal(K).generators)]
+    D = derivative_ideal(K).generators
+    assert len(calls) == 1 and len(calls[0]) == len(D)
+    assert all(_is_primitive_row_of(row, g) for row, g in zip(calls[0], D))
+
+
+@pytest.mark.parametrize("gens", [
+    ["x^2 + x*y", "x*y"],
+    ["x^2 + x*y", "x*y", "y*z - z^2", "z^2"],
+])
+def test_strongly_golod_takes_the_monomial_route_by_reduced_basis(r3, monkeypatch, gens):
+    # generators that are not monomials, with a monomial reduced basis
+    I = Ideal.from_strings(r3, gens)
+    assert not all(g.is_monomial() for g in I.generators)
+    assert all(g.is_monomial() for g in I.groebner_basis())
+    rep = strongly_golod(I)
+    assert not rep.verdict
+    w = rep.witness
+    assert (str(w.left), str(w.right), str(w.remainder)) == ("2*x + y", "2*x + y", "y^2")
+    assert rep == full_pair_scan(I)
+    # its square passes on the monomial route, with no derivative scan
+    calls = []
+    monkeypatch.setattr(calculus, "_escaping_pair", lambda *args: calls.append(args))
+    assert strongly_golod(power(I, 2)).verdict
+    assert calls == []
 
 
 _RINGS = {
@@ -173,6 +219,15 @@ def _redundant_ideals(draw):
 @given(I=_redundant_ideals())
 def test_strongly_golod_matches_the_full_pair_scan(I):
     assert strongly_golod(I) == full_pair_scan(I)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(I=_redundant_ideals())
+def test_strongly_golod_verdict_does_not_depend_on_the_generating_set(I):
+    B = Ideal(I.ring, I.groebner_basis())
+    rep = strongly_golod(B)
+    assert rep == full_pair_scan(B)
+    assert rep.verdict == strongly_golod(I).verdict
 
 
 def _non_integral(I: Ideal) -> bool:

@@ -345,6 +345,23 @@ def test_derivative_cycle_check_agrees_with_the_subcomplex_reference(stand_in, m
     assert False in answers
 
 
+def test_derivative_cycle_check_visits_no_strand_outside_an_explicit_window(monkeypatch):
+    visited = []
+    homology = _Complex.homology
+
+    def spy(self, l, d):
+        visited.append((l, d))
+        return homology(self, l, d)
+
+    monkeypatch.setattr(_Complex, "homology", spy)
+    for e in builtin_corpus():
+        I = power(e.ideal, 2)
+        visited.clear()
+        answer = derivative_cycle_check(I, 1, 3)
+        assert all(l <= 1 and d <= 3 for l, d in visited), e.name
+        assert answer == subcomplex_derivative_cycle_check(I, 1, 3), e.name
+
+
 def _outcome(check, *args):
     """check(*args), or the type and message of the ImproperIdealError it raises."""
     try:
