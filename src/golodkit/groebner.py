@@ -320,8 +320,12 @@ class _Engine:
         self.reps = [self.reps[i] for i in keep]
         # interreduce tails: a lead divides no smaller monomial, so no element
         # reduces its own tail, and no lead moves, the kept leads being
-        # pairwise irreducible
+        # pairwise irreducible.  A position-over-term run is read only in its
+        # last component (``_last_component``), whose elements have all their
+        # terms there and reduce only by its leads: the others stay as they are
         for i, (lead, poly) in enumerate(zip(self.leads, self.polys)):
+            if self.pot and lead[0] != self.ncomp - 1:
+                continue
             rem, steps = self.nf({t: c for t, c in poly.items() if t != lead})
             if not steps:
                 continue

@@ -13,7 +13,8 @@ homological step at a time.  Homology, cycles and the multiplication checks
 are linear algebra on integer rows: each differential strand is eliminated
 once, by ``linalg.kernel_of_columns``, which gives the boundary span one step
 down and the cycles as primitive integer rows; products of classes multiply
-these rows.  Only ``_summarize`` builds Fractions, for the public
+these rows.  The resolution eliminates only some columns of a strand, with
+``_Complex.kernel_at``.  Only ``_summarize`` builds Fractions, for the public
 ``cycle_reps``.  Koszul homology dimensions are the graded Betti numbers of
 S/I and vanish off the strands of ``_lcm_strands``.  ``_scan`` is the one
 visit of those strands: it gives the dimensions inside a window and whether
@@ -124,6 +125,15 @@ class _Complex:
         if l == 0:
             return [{t: 1} for t in range(len(self.basis(l, d)[0]))]
         return self.echelon(l, d)[1]
+
+    def kernel_at(self, l: int, d: int, coords: list[int]) -> list[IntVec]:
+        """Kernel rows, in (l, d) coordinates, of the (l, d) differential
+        restricted to the basis vectors at coords; uncached, unlike ``echelon``."""
+        if l == 0:
+            return [{k: 1} for k in coords]
+        cols = self.differential_columns(l, d)
+        rows = kernel_of_columns([cols[k] for k in coords])[1]
+        return [{coords[s]: c for s, c in row.items()} for row in rows]
 
     def boundary_span(self, l: int, d: int) -> Span:
         return self.echelon(l + 1, d)[0]

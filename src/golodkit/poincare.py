@@ -10,7 +10,11 @@ Serre's inequality holds coefficient by coefficient, so the resolution has
 no generator where the bound is 0.  Homological step i therefore visits
 internal degrees only up to the last nonzero bound coefficient in t^i; the
 strands above it are never built, and the series is the same as on the
-full window.
+full window.  So each step completes its module, and by exactness every
+kernel dimension of the next differential is an alternating sum of strand
+sizes: a strand is eliminated only where the variable multiples of lower
+kernel elements fall short of it, on the coordinates that are not their
+pivots, and its kernel rows there are the new generators.
 
 The bound's denominator and the default window's top shift are both read
 off the Koszul complex; no resolution of S/I is computed.  The resolution
@@ -143,12 +147,19 @@ def _tor_series(I: Ideal, i_max: int, d_max: int, caps: dict[int, int]) -> Bigra
     internal degrees 0..caps[i] (none when i is missing from caps).
 
     The resolution is a ``koszul._Complex`` whose tables grow one step at a
-    time.  Step i reads, per internal degree, the kernel of the differential
-    out of F_{i-1}; F_i's generators are kernel vectors independent of the
-    span of variable multiples of lower-degree kernel elements.  A step
-    reads only its own lower degrees and the previous step's generators, so
-    the numbers at every visited bidegree are the same as on the full window
-    (caps[i] = d_max for every i).
+    time.  Each step visits its cap, above which Serre's inequality leaves no
+    generator, so F_{i-1} is complete when step i starts and, by exactness,
+    the kernel K of the differential out of F_{i-1} has in degree d the
+    alternating sum of the degree-d strand sizes of F_{i-1}, ..., F_0, less
+    dim K_d = [d = 0].  Variable multiples of lower kernel elements lie in K
+    (an R-submodule); they are added to a span M until it reaches dim K.
+    Where M falls short, K = M + (K ∩ C) with C the coordinates that are not
+    pivots of M, and the kernel of the differential restricted to C holds
+    exactly the new generators of F_i in degree d.  At i = i_max a degree
+    that no later degree reads is only counted.  A step reads only its own
+    lower degrees and the previous steps' generators, so the numbers at every
+    visited bidegree are the same as on the full window (caps[i] = d_max for
+    every i).
     """
     ring = I.ring
     unit = [tuple(int(p == t) for p in range(ring.n)) for t in range(ring.n)]
@@ -159,30 +170,38 @@ def _tor_series(I: Ideal, i_max: int, d_max: int, caps: dict[int, int]) -> Bigra
         kernels: dict[int, list[Element]] = {}
         new_shifts = cx.shifts[i] = {}
         new_images = cx.images[i] = {}
-        for d in range(0, caps.get(i, -1) + 1):
-            _, index = cx.basis(i - 1, d)
-            # R_0 -> K is injective; above degree 0, F_0 -> K is zero
-            kern = cx.kernel(i - 1, d) if (i, d) != (1, 0) else []
-            kernels[d] = [_element(cx, i - 1, d, row) for row in kern]
-            if not kern:
-                continue
-            # Variable multiples of lower kernels lie in this kernel (it is an
-            # R-submodule), so once they span it nothing here is a new generator.
+        cap = caps.get(i, -1)
+        for d in range(cap + 1):
+            keys, index = cx.basis(i - 1, d)
+            need = int(d == 0)  # dim K_d, then dim ker out of F_0, ..., F_{i-1}
+            for j in range(i):
+                need = len(cx.basis(j, d)[0]) - need
             span = Span()
+            found = kernels[d] = []
             lower = ((t_var, w) for t_var in range(ring.n)
                      for w in kernels.get(d - ring.weights[t_var], []))
             for t_var, w in lower:
-                if span.dim == len(kern):
+                if span.dim == need:
                     break
-                span.add(_coordinates(I, w, index, unit[t_var])[0])
-            for row, w in zip(kern, kernels[d]):
-                if span.dim == len(kern):
-                    break
-                if not span.add(row):
-                    continue
+                row = _coordinates(I, w, index, unit[t_var])[0]
+                if span.add(row):
+                    found.append(_element(cx, i - 1, d, row))
+            born = need - span.dim
+            if not born:
+                continue
+            coeffs[(i, d)] = born
+            if i == i_max and d + min(ring.weights) > cap:
+                continue
+            rest = [k for k in range(len(keys)) if k not in span.pivots]
+            rows = cx.kernel_at(i - 1, d, rest)
+            if len(rows) != born:
+                raise AlgebraError(f"the resolution is not exact at ({i}, {d}): "
+                                   f"{len(rows)} new generators, {born} expected")
+            for row in rows:
+                w = _element(cx, i - 1, d, row)
                 if not all(any(m) for (_, m) in w):
                     raise AlgebraError("unit entry would make the resolution non-minimal")
-                coeffs[(i, d)] = coeffs.get((i, d), 0) + 1
+                found.append(w)
                 g = len(new_shifts)
                 new_shifts[g], new_images[g] = d, w
         if not new_shifts:

@@ -4,10 +4,12 @@ The oracles below deliberately avoid the package's Groebner and linear
 algebra machinery: ideal membership is decided degreewise with a local
 Gaussian elimination over Fraction, and monomial membership by raw
 divisibility.  Tests cross-check the fast implementations against these.
-The references ``full_window_series``, ``full_pair_scan``,
-``ordered_monomial_scan``, ``intersection_loop_components`` and
-``unit_clearing_minimize`` run the package's own arithmetic without its
-shortcuts: the Tor window cap, the trim of the derivative list to a minimal
+The references ``reference_tor_series``, ``full_window_series``,
+``full_pair_scan``, ``ordered_monomial_scan``, ``intersection_loop_components``
+and ``unit_clearing_minimize`` run the package's own arithmetic without its
+shortcuts: the Tor kernel dimensions read off exactness and the partial
+eliminations they allow, the Tor window cap (``full_window_series``, which
+visits every degree), the trim of the derivative list to a minimal
 generating set, the scan over unordered pairs of monomial generators, the
 pairwise containment test that prunes irreducible components, and the Schur
 split-off of unit entries (the reference clears them by row and column
@@ -61,12 +63,13 @@ from golodkit.koszul import (
     HomologySummary,
     TrivialMultiplicationReport,
     _coordinates,
+    _element,
     _koszul,
     _merge_sign,
     _window,
 )
 from golodkit.linalg import Span, integral, kernel_of_columns
-from golodkit.poincare import _tor_series
+from golodkit.poincare import BigradedSeries
 from golodkit.resolution import Matrix, _is_unit
 from golodkit.ring import axpy, axpy_over, mono_lcm, mono_mul, monomials_of_degree as weighted_monomials
 
@@ -243,10 +246,42 @@ def oracle_ideal_powers(gens, k):
     return out
 
 
+def reference_tor_series(I: Ideal, i_max: int, d_max: int, caps: dict[int, int]):
+    """The Tor series from a resolution loop that eliminates the whole
+    differential at every visited strand (i-1, d), d <= caps[i]: F_i's
+    generators are the kernel rows independent of the variable multiples of
+    the lower kernels.  No dimension is read off exactness."""
+    ring = I.ring
+    unit = [tuple(int(p == t) for p in range(ring.n)) for t in range(ring.n)]
+    coeffs = {(0, 0): 1}
+    cx = koszul._Complex(I, {0: {0: 0}}, {})
+    for i in range(1, i_max + 1):
+        kernels = {}
+        new_shifts = cx.shifts[i] = {}
+        new_images = cx.images[i] = {}
+        for d in range(0, caps.get(i, -1) + 1):
+            _, index = cx.basis(i - 1, d)
+            kern = cx.kernel(i - 1, d) if (i, d) != (1, 0) else []
+            kernels[d] = [_element(cx, i - 1, d, row) for row in kern]
+            span = Span()
+            for t_var in range(ring.n):
+                for w in kernels.get(d - ring.weights[t_var], []):
+                    span.add(_coordinates(I, w, index, unit[t_var])[0])
+            for row, w in zip(kern, kernels[d]):
+                if span.add(row):
+                    coeffs[(i, d)] = coeffs.get((i, d), 0) + 1
+                    g = len(new_shifts)
+                    new_shifts[g], new_images[g] = d, w
+        if not new_shifts:
+            break
+    truncated = any(d == d_max for i, d in coeffs if i)
+    return BigradedSeries(coeffs, i_max, d_max, truncated=truncated)
+
+
 def full_window_series(I: Ideal, i_max: int, d_max: int):
-    """The Tor series from the resolution loop run on every internal degree
-    0..d_max at every step, without the cap read off Serre's bound."""
-    return _tor_series(I, i_max, d_max, {i: d_max for i in range(1, i_max + 1)})
+    """``reference_tor_series`` on every internal degree 0..d_max at every
+    step, without the cap read off Serre's bound."""
+    return reference_tor_series(I, i_max, d_max, {i: d_max for i in range(1, i_max + 1)})
 
 
 def full_pair_scan(I: Ideal) -> StronglyGolodReport:

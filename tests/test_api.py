@@ -97,3 +97,13 @@ def test_sources_parse_as_the_oldest_supported_python():
     # pyproject.toml declares requires-python >= 3.10
     for path in _sources():
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_only_the_strand_complex_eliminates_columns():
+    # every tracked elimination runs inside koszul._Complex, on its cached columns
+    callers = {path.name for path in _sources()
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call)
+               and "kernel_of_columns" in (getattr(node.func, "id", None),
+                                           getattr(node.func, "attr", None))}
+    assert callers == {"koszul.py"}

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import full_window_series, random_homogeneous
+from conftest import full_window_series, random_homogeneous, reference_tor_series
 from golodkit import (
     AlgebraError,
     GradingSpec,
@@ -23,13 +23,15 @@ from golodkit import (
     golod_verdict,
     serre_bound_series,
 )
-from golodkit import poincare, resolution
+from golodkit import koszul, poincare, resolution
 from golodkit.poincare import (
     GOLOD,
     INCONCLUSIVE,
     NOT_GOLOD,
     BigradedSeries,
     _geometric_inverse,
+    _support_caps,
+    _tor_series,
 )
 
 
@@ -284,6 +286,7 @@ def test_tor_strands_stop_at_the_bound_support(r3, monkeypatch):
     assert [max(step) for step in _steps(seen)] == [caps[i] for i in range(1, 5)]
     # the reference loop does build the strands above the support
     seen.clear()
+    monkeypatch.setattr(koszul, "_Complex", Recording)
     assert full_window_series(I, 4, bound.d_max) == v.actual
     assert [max(step) for step in _steps(seen)] == [bound.d_max] * 4
     assert all(caps[i] < bound.d_max for i in range(1, 5))
@@ -302,6 +305,62 @@ def test_capped_series_equals_full_window_on_random_ideals(name, data):
     degrees = data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=3))
     rng = Random(data.draw(st.integers(0, 2 ** 32)))
     I = Ideal(ring, [random_homogeneous(ring, d, rng) for d in degrees])
-    for i_max in (3, 4):
-        actual = actual_poincare(I, i_max)
-        assert actual == full_window_series(I, i_max, actual.d_max), i_max
+    for i_max, d_max in ((3, None), (4, None), (4, 3)):
+        actual = actual_poincare(I, i_max, d_max)
+        assert actual == full_window_series(I, i_max, actual.d_max), (i_max, d_max)
+        full_caps = {i: actual.d_max for i in range(1, i_max + 1)}
+        assert _tor_series(I, i_max, actual.d_max, full_caps) == actual, (i_max, d_max)
+
+
+def test_series_on_four_variable_corpus_entries_match_the_reference():
+    entries = [e for e in builtin_corpus() if e.ideal.ring.n == 4]
+    assert len(entries) == 5
+    for e in entries:
+        bound = serre_bound_series(e.ideal, 3)
+        caps = _support_caps(bound)
+        assert actual_poincare(e.ideal, 3) == reference_tor_series(
+            e.ideal, 3, bound.d_max, caps), e.name
+
+
+_NOT_EXACT = "the resolution is not exact at (3, 3): 2 new generators, 1 expected"
+
+
+def test_exactness_violation_raises(r2, monkeypatch):
+    # with step 2 stopped below its cap, F_2 misses the generator at degree 3,
+    # and the kernel out of F_2 at degree 3 exceeds what exactness predicts
+    I = Ideal.from_strings(r2, ["x^3", "y^2"])
+    assert _support_caps(serre_bound_series(I))[2] == 3
+    real = poincare._support_caps
+
+    def short(bound):
+        caps = real(bound)
+        caps[2] -= 1
+        return caps
+
+    monkeypatch.setattr(poincare, "_support_caps", short)
+    with pytest.raises(AlgebraError, match=re.escape(_NOT_EXACT)):
+        golod_verdict(I)
+
+
+def test_exactness_check_survives_python_O():
+    code = (
+        "from golodkit import GradingSpec, Ideal, golod_verdict, poincare\n"
+        "from golodkit.errors import AlgebraError\n"
+        "real = poincare._support_caps\n"
+        "def short(bound):\n"
+        "    caps = real(bound)\n"
+        "    caps[2] -= 1\n"
+        "    return caps\n"
+        "poincare._support_caps = short\n"
+        "I = Ideal.from_strings(GradingSpec(('x', 'y'), (1, 1)), ['x^3', 'y^2'])\n"
+        "try:\n"
+        "    golod_verdict(I)\n"
+        "except AlgebraError as e:\n"
+        "    print(e)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == _NOT_EXACT
