@@ -1,8 +1,14 @@
 """Minimal graded free resolutions over the polynomial ring.
 
-The resolution of S/I is built by iterating syzygy computations, then
-minimized by splitting off each unit entry as a Schur complement.
-Betti numbers are read off the shifts of the minimized complex.
+The resolution of S/I is built by iterating ``module_syzygies`` and then
+minimized on integer columns: a matrix maps each column id to (vec, den),
+the column vec / den, with vec an int dict keyed by (row id, exponents).
+Ids are the original positions, so deleting one renumbers nothing.  The
+first matrix holds the minimal generators, each later one the primitive
+integer syzygy rows, read once.  Each unit entry is split off as a Schur
+complement, and ``_image`` (the engine's shifted combine) checks exactness
+at each split-off and d∘d = 0 at the end.  Polynomials are built once, from
+the minimized columns; Betti numbers are read off their shifts.
 """
 
 from __future__ import annotations
@@ -10,12 +16,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import AlgebraError, HomogeneityError, ImproperIdealError
-from .groebner import Ideal, module_syzygies
-from .ring import GradingSpec, Polynomial, mono_mul
+from .groebner import Ideal, _axpy_shifted, module_syzygies
+from .linalg import integral
+from .ring import Exps, GradingSpec, Polynomial
 
-Matrix = list[list[Polynomial]]
+Vec = dict[tuple[int, Exps], int]  # (row id, exponents) -> nonzero int
+Columns = dict[int, tuple[Vec, int]]  # column id -> (vec, den > 0), the column vec / den
 
 
 @dataclass(frozen=True)
@@ -82,86 +91,95 @@ class BettiTable:
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
-def _is_unit(p: Polynomial) -> bool:
-    return p.is_constant() and not p.is_zero()
+def _integer_column(row: tuple[Polynomial, ...]) -> Vec:
+    """A module_syzygies row, a primitive integer row, as one integer vector."""
+    vec: Vec = {}
+    for r, p in enumerate(row):
+        for e, c in p.terms:
+            if c.denominator != 1:
+                raise AlgebraError("syzygy rows must be integral")
+            vec[r, e] = c.numerator
+    return vec
 
 
-def _column_degree(ring, col, row_shifts) -> int:
-    deg = None
-    for r, entry in enumerate(col):
-        if entry.is_zero():
-            continue
-        rep = entry.homogeneity()
-        if not rep.is_homogeneous:
-            raise HomogeneityError("inhomogeneous matrix entry in a resolution")
-        d = rep.degree + row_shifts[r]
-        if deg is None:
-            deg = d
-        elif deg != d:
-            raise HomogeneityError("matrix column fails to be homogeneous")
-    if deg is None:
-        raise HomogeneityError("zero syzygy column")
-    return deg
+def _column_degree(ring: GradingSpec, vec: Vec, row_shifts: dict[int, int]) -> int:
+    degs = {ring.weighted_degree(e) + row_shifts[r] for r, e in vec}
+    if len(degs) != 1:
+        raise HomogeneityError("matrix column fails to be homogeneous" if degs else "zero syzygy column")
+    return degs.pop()
 
 
-def _compose_is_zero(A: Matrix, B: Matrix, ring) -> bool:
-    """Whether the product A*B vanishes; each entry is summed in one dict."""
-    for row in A:
-        for c in range(len(B[0]) if B else 0):
-            acc: dict = {}
-            for t in range(len(B)):
-                for e1, c1 in row[t].terms:
-                    for e2, c2 in B[t][c].terms:
-                        e = mono_mul(e1, e2)
-                        acc[e] = acc.get(e, 0) + c1 * c2
-            if any(acc.values()):
-                return False
-    return True
+def _image(cols: Columns, vec: Vec) -> Vec:
+    """A positive multiple of the matrix cols times the column vec."""
+    den = lcm(*{cols[j][1] for j, _ in vec})
+    out: Vec = {}
+    for (j, e), a in vec.items():
+        v, d = cols[j]
+        _axpy_shifted(out, a * (den // d), v, e)
+    return out
 
 
-def _minimize(mats: list[Matrix], shifts: list[list[int]], ring):
+def _minimize(mats: list[Columns], shifts: list[dict[int, int]]) -> None:
     """Split off unit entries in place, one pivot per matrix per sweep.
 
-    A unit M[r][c] = λ splits off a trivial summand: M becomes its Schur
-    complement M[t][k] - M[t][c]·M[r][k]/λ without row r and column c, and
-    the neighbors lose column r of the previous matrix and row c of the next
-    one, which equal prev·M[:, c] and M[r]·next up to the factor 1/λ.
-    Exactness forces both to vanish; nothing else in the neighbors changes.
+    The pivot is the first unit M[r][c] = λ/d_c in row-major order.  Each
+    column k with an entry Σ a_e·x^e / d_k in row r becomes the Schur
+    complement (λ·v_k − Σ a_e·x^e·v_c) / (d_k·λ), which is zero in row r,
+    and column c goes.  The neighbors lose column r of the previous matrix
+    and row c of the next one, which equal prev·M[:, c] and M[r]·next up to
+    a unit.  Exactness forces both to vanish; nothing else in them changes.
     """
     changed = True
     while changed:
         changed = False
         for i, M in enumerate(mats):
-            pivot = next(
-                ((r, c) for r in range(len(M)) for c in range(len(M[0]) if M else 0)
-                 if _is_unit(M[r][c])),
-                None,
-            )
+            pivot = min(((r, c, e) for c, (v, _) in M.items() for r, e in v if not any(e)),
+                        default=None)
             if pivot is None:
                 continue
             changed = True
-            r, c = pivot
-            prv = mats[i - 1] if i > 0 else []
-            nxt = mats[i + 1] if i + 1 < len(mats) else []
-            if not _compose_is_zero(prv, [[row[c]] for row in M], ring):
+            r, c, one = pivot
+            nxt = mats[i + 1] if i + 1 < len(mats) else {}
+            if i and _image(mats[i - 1], M[c][0]):
                 raise AlgebraError("exactness should clear the freed column")
-            if not _compose_is_zero([M[r]], nxt, ring):
+            row = {k: ({(0, e): a for (s, e), a in v.items() if s == r}, d) for k, (v, d) in M.items()}
+            if any(_image(row, w) for w, _ in nxt.values()):
                 raise AlgebraError("exactness should clear the freed row")
-            pivot_row = M.pop(r)
-            inv = Fraction(1) / pivot_row[c].constant_value()
-            quotients = [(k, e * inv) for k, e in enumerate(pivot_row)
-                         if k != c and not e.is_zero()]
-            for row in M:
-                if not row[c].is_zero():
-                    for k, q in quotients:
-                        row[k] = row[k] - q * row[c]
-                del row[c]
-            for row in prv:
-                del row[r]
-            if nxt:
-                del nxt[c]
+            vc, _ = M.pop(c)
+            lam = vc[r, one]
+            for k, (v, d) in M.items():
+                if row[k][0]:
+                    new = {t: lam * a for t, a in v.items()}
+                    for (_, e), a in row[k][0].items():
+                        _axpy_shifted(new, -a, vc, e)
+                    den = d * lam
+                    g = gcd(den, *new.values()) * (1 if den > 0 else -1)
+                    M[k] = ({t: a // g for t, a in new.items()}, den // g)
+            if i:
+                del mats[i - 1][r]
+            for k, (w, d) in nxt.items():
+                nxt[k] = ({t: a for t, a in w.items() if t[0] != c}, d)
             del shifts[i][r]
             del shifts[i + 1][c]
+
+
+def _polynomials(ring: GradingSpec, mats: list[Columns], shifts: list[dict[int, int]]):
+    """The matrices as rows of Polynomials, with one exponent tuple per
+    monomial, one Fraction per value and one zero polynomial among them."""
+    canon: dict = {}  # exponent tuples and Fractions, each to its one copy
+    zero = Polynomial._from_terms(ring, {})
+    steps = []
+    for i, M in enumerate(mats):
+        entries: dict[tuple[int, int], dict] = {}
+        for c, (v, d) in M.items():
+            for (r, e), a in v.items():
+                f = Fraction(a, d)
+                entries.setdefault((r, c), {})[canon.setdefault(e, e)] = canon.setdefault(f, f)
+        steps.append(tuple(
+            tuple(Polynomial._from_terms(ring, entries[r, c]) if (r, c) in entries else zero
+                  for c in shifts[i + 1])
+            for r in shifts[i]))
+    return tuple(steps)
 
 
 def minimal_free_resolution(I: Ideal) -> Resolution:
@@ -176,36 +194,31 @@ def minimal_free_resolution(I: Ideal) -> Resolution:
 
     gens = I.minimal_generators()
     columns: list[tuple[Polynomial, ...]] = [(g,) for g in gens]
-    shifts: list[list[int]] = [[0], [g.homogeneity().degree for g in gens]]
-    mats: list[Matrix] = [[list(gens)]]
+    shifts = [{0: 0}, {j: g.homogeneity().degree for j, g in enumerate(gens)}]
+    mats = [{j: integral({(0, e): c for e, c in g.terms}) for j, g in enumerate(gens)}]
 
     while True:
         syz = module_syzygies(columns, ring)
         if not syz:
             break
-        degs = [_column_degree(ring, col, shifts[-1]) for col in syz]
-        order = sorted(range(len(syz)), key=lambda t: degs[t])
-        syz = [syz[t] for t in order]
-        degs = [degs[t] for t in order]
-        mats.append([[syz[c][r] for c in range(len(syz))] for r in range(len(shifts[-1]))])
-        shifts.append(list(degs))
-        columns = syz
+        vecs = [_integer_column(row) for row in syz]
+        degs = [_column_degree(ring, v, shifts[-1]) for v in vecs]
+        order = sorted(range(len(syz)), key=degs.__getitem__)
+        mats.append({c: (vecs[t], 1) for c, t in enumerate(order)})
+        shifts.append({c: degs[t] for c, t in enumerate(order)})
+        columns = [syz[t] for t in order]
 
-    _minimize(mats, shifts, ring)
+    _minimize(mats, shifts)
     while mats and not shifts[len(mats)]:
         mats.pop()
 
-    for i in range(len(mats) - 1):
-        if not _compose_is_zero(mats[i], mats[i + 1], ring):
+    for A, B in zip(mats, mats[1:]):
+        if any(_image(A, v) for v, _ in B.values()):
             raise AlgebraError("composition must vanish")
-    for M in mats:
-        if any(_is_unit(e) for row in M for e in row):
-            raise AlgebraError("resolution not minimal")
     if len(mats) > ring.n:
         raise AlgebraError("length exceeds the number of variables")
-
-    steps = tuple(tuple(tuple(row) for row in M) for M in mats)
-    return Resolution(ring, steps, tuple(tuple(s) for s in shifts[: len(mats) + 1]))
+    shifts = shifts[: len(mats) + 1]
+    return Resolution(ring, _polynomials(ring, mats, shifts), tuple(tuple(s.values()) for s in shifts))
 
 
 def betti_table(res: Resolution) -> BettiTable:

@@ -14,6 +14,9 @@ generating set, the scan over unordered pairs of monomial generators, the
 pairwise containment test that prunes irreducible components, and the Schur
 split-off of unit entries (the reference clears them by row and column
 operations that also rewrite the neighboring matrices).
+``reference_minimal_free_resolution`` runs that reference on Polynomial
+matrices of the ``module_syzygies`` rows and checks d*d = 0 with
+``polynomial_compose_is_zero``, where the package works on integer columns.
 ``reference_mono_mul``, ``reference_mono_div``, ``reference_mono_lcm`` and
 ``reference_axpy_shifted`` are the earlier generator-expression monomial
 helpers and the engine's earlier combine, a shifted copy of the source added
@@ -70,7 +73,7 @@ from golodkit.koszul import (
 )
 from golodkit.linalg import Span, integral, kernel_of_columns
 from golodkit.poincare import BigradedSeries
-from golodkit.resolution import Matrix, _is_unit
+from golodkit.resolution import Resolution
 from golodkit.ring import axpy, axpy_over, mono_lcm, mono_mul, monomials_of_degree as weighted_monomials
 
 
@@ -630,6 +633,13 @@ def reference_saturate(I: Ideal, J: Ideal, cap: int = 64) -> tuple[Ideal, int]:
     raise AssertionError("the reference saturation did not stabilize")
 
 
+Matrix = list[list[Polynomial]]
+
+
+def _is_unit(p: Polynomial) -> bool:
+    return p.is_constant() and not p.is_zero()
+
+
 def polynomial_compose_is_zero(A: Matrix, B: Matrix, ring) -> bool:
     """Whether A*B vanishes, each entry summed as one Polynomial after another."""
     zero = Polynomial.zero(ring)
@@ -706,6 +716,40 @@ def unit_clearing_minimize(mats: list[Matrix], shifts: list[list[int]], ring):
                 del nxt[c]
             del shifts[i][r]
             del shifts[i + 1][c]
+
+
+def reference_minimal_free_resolution(I: Ideal, minimize=unit_clearing_minimize) -> Resolution:
+    """The resolution of S/I on Polynomial matrices.
+
+    The same ``module_syzygies`` rows as the package's, as Polynomial
+    matrices, minimized by ``minimize`` (the row-and-column reference by
+    default), with d*d = 0 checked by ``polynomial_compose_is_zero``.
+    """
+    ring = I.ring
+    if I.is_zero():
+        return Resolution(ring, (), ((0,),))
+    gens = I.minimal_generators()
+    columns = [(g,) for g in gens]
+    shifts = [[0], [g.homogeneity().degree for g in gens]]
+    mats: list[Matrix] = [[list(gens)]]
+    while True:
+        syz = module_syzygies(columns, ring)
+        if not syz:
+            break
+        degs = []
+        for col in syz:
+            (deg,) = {p.homogeneity().degree + sh for p, sh in zip(col, shifts[-1]) if not p.is_zero()}
+            degs.append(deg)
+        order = sorted(range(len(syz)), key=lambda t: degs[t])
+        columns = [syz[t] for t in order]
+        mats.append([[col[r] for col in columns] for r in range(len(shifts[-1]))])
+        shifts.append([degs[t] for t in order])
+    minimize(mats, shifts, ring)
+    while mats and not shifts[len(mats)]:
+        mats.pop()
+    assert all(polynomial_compose_is_zero(A, B, ring) for A, B in zip(mats, mats[1:]))
+    return Resolution(ring, tuple(tuple(tuple(row) for row in M) for M in mats),
+                      tuple(tuple(s) for s in shifts[: len(mats) + 1]))
 
 
 @pytest.fixture

@@ -1,13 +1,20 @@
 """Minimal graded free resolutions and Betti tables."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golodkit import (
     AlgebraError,
+    GradingSpec,
     HomogeneityError,
     Ideal,
     ImproperIdealError,
@@ -21,11 +28,13 @@ from golodkit import (
 )
 
 from golodkit import resolution
+from golodkit.linalg import integral
 from conftest import (
     _row_reduce,
     monomials_of_degree,
     polynomial_compose_is_zero,
     random_homogeneous,
+    reference_minimal_free_resolution,
     unit_clearing_minimize,
 )
 
@@ -233,22 +242,29 @@ def test_minimal_generators_need_a_homogeneous_ideal(r2):
         Ideal.from_strings(r2, ["x*y", "x + y^2"]).minimal_generators()
 
 
+def _columns(M):
+    """A row-major Polynomial matrix as integer columns {c: (vec, den)}."""
+    ncols = len(M[0]) if M else 0
+    return {c: integral({(r, e): coef for r, row in enumerate(M) for e, coef in row[c].terms})
+            for c in range(ncols)}
+
+
 def test_minimize_checks_the_pivot_row_against_the_next_matrix(r2):
     x = r2.variables()[0]
     one, zero = parse_polynomial(r2, "1"), parse_polynomial(r2, "0")
     # the unit pivot row (1, x) composes with the next column (x, 0) to x, not 0
-    mats = [[[one, x]], [[x], [zero]]]
+    mats = [_columns([[one, x]]), _columns([[x], [zero]])]
     with pytest.raises(AlgebraError, match="exactness should clear the freed row"):
-        resolution._minimize(mats, [[0], [0, 1], [1]], r2)
+        resolution._minimize(mats, [{0: 0}, {0: 0, 1: 1}, {0: 1}])
 
 
 def test_minimize_checks_the_previous_matrix_against_the_pivot_column(r2):
     x, y = r2.variables()
     one, zero = parse_polynomial(r2, "1"), parse_polynomial(r2, "0")
     # the previous row (x, y) composes with the unit pivot column (1, 0) to x, not 0
-    mats = [[[x, y]], [[one], [zero]]]
+    mats = [_columns([[x, y]]), _columns([[one], [zero]])]
     with pytest.raises(AlgebraError, match="exactness should clear the freed column"):
-        resolution._minimize(mats, [[0], [1, 1], [1]], r2)
+        resolution._minimize(mats, [{0: 0}, {0: 1, 1: 1}, {0: 1}])
 
 
 def test_compose_is_zero_matches_the_polynomial_sum(r3):
@@ -284,19 +300,23 @@ def test_compose_is_zero_matches_the_polynomial_sum(r3):
         else:
             ncols = rng.randint(0, 2)
             B = [[small() for _ in range(ncols)] for _ in range(inner)]
-        ours = resolution._compose_is_zero(A, B, r3)
+        cols = _columns(A)
+        ours = not any(resolution._image(cols, vec) for vec, _ in _columns(B).values())
         assert ours == polynomial_compose_is_zero(A, B, r3), (A, B)
         outcomes[ours] += 1
         cancelled += ours and any(not (A[0][t] * B[t][0]).is_zero() for t in range(inner) if B[t])
     assert min(outcomes.values()) > 100 and cancelled > 20, (outcomes, cancelled)
 
 
-def test_schur_split_off_matches_unit_clearing_on_the_corpus(monkeypatch):
+def _corpus_and_squares():
+    return [I for e in builtin_corpus() if e.ideal.ring.n <= 3
+            for I in (e.ideal, power(e.ideal, 2))]
+
+
+def test_schur_split_off_matches_unit_clearing_on_the_corpus():
     """Every corpus entry in at most 3 variables and its square resolve to the
     same matrices and shifts as under the row-and-column reference."""
-    ideals = [I for e in builtin_corpus() if e.ideal.ring.n <= 3
-              for I in (e.ideal, power(e.ideal, 2))]
-    ours = [minimal_free_resolution(I) for I in ideals]
+    ideals = _corpus_and_squares()
     split_off = []
 
     def reference(mats, shifts, ring):
@@ -304,12 +324,95 @@ def test_schur_split_off_matches_unit_clearing_on_the_corpus(monkeypatch):
         unit_clearing_minimize(mats, shifts, ring)
         split_off.append(before - sum(map(len, shifts)))
 
-    monkeypatch.setattr(resolution, "_minimize", reference)
-    for I, res in zip(ideals, ours):
-        ref = minimal_free_resolution(I)
+    for I in ideals:
+        res = minimal_free_resolution(I)
+        ref = reference_minimal_free_resolution(I, reference)
         assert res == ref
         assert repr(res) == repr(ref)
     assert len(ideals) == 36 and sum(split_off) > 0
+
+
+_POOL = (Fraction(1, 2), Fraction(-3), Fraction(1), Fraction(2, 3))
+
+
+@st.composite
+def _ideals(draw):
+    ring = draw(st.sampled_from([GradingSpec(("x", "y", "z"), (1, 1, 1)),
+                                 GradingSpec(("x", "y"), (1, 2))]))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        monos = monomials_of_degree(ring, draw(st.integers(2, 3 if ring.n == 3 else 5)))
+        support = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        gens.append(Polynomial(ring, {m: draw(st.sampled_from(_POOL)) for m in support}))
+    return Ideal(ring, gens)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(I=_ideals())
+def test_integer_columns_match_the_polynomial_reference(I):
+    res = minimal_free_resolution(I)
+    ref = reference_minimal_free_resolution(I)
+    assert res.steps == ref.steps and res.shifts == ref.shifts
+    assert repr(res) == repr(ref)
+
+
+def test_squares_resolve_without_polynomial_arithmetic(monkeypatch):
+    squares = [power(e.ideal, 2) for e in builtin_corpus() if e.ideal.ring.n <= 3]
+    expected = [betti_table(minimal_free_resolution(I)).entries for I in squares]
+
+    def forbidden(*args):
+        raise AssertionError("Polynomial arithmetic in a resolution")
+
+    for name in ("__add__", "__sub__", "__mul__", "__neg__"):
+        monkeypatch.setattr(Polynomial, name, forbidden)
+    fresh = [Ideal(I.ring, I.generators) for I in squares]
+    assert [betti_table(minimal_free_resolution(I)).entries for I in fresh] == expected
+
+
+def test_a_resolution_shares_exponent_tuples_and_coefficients():
+    for I in _corpus_and_squares():
+        res = minimal_free_resolution(I)
+        terms = [t for M in res.steps for row in M for p in row for t in p.terms]
+        for part in (0, 1):
+            values = [t[part] for t in terms]
+            assert len({id(v) for v in values}) == len(set(values)), I
+        zeros = {id(p) for M in res.steps for row in M for p in row if p.is_zero()}
+        assert len(zeros) <= 1, I
+
+
+def test_exactness_checks_survive_python_O():
+    code = (
+        "from golodkit import GradingSpec, Ideal, minimal_free_resolution, resolution\n"
+        "from golodkit.errors import AlgebraError\n"
+        "r2 = GradingSpec(('x', 'y'), (1, 1))\n"
+        "x, y = r2.variables()\n"
+        "cases = [\n"
+        "    [{0: ({(0, (0, 0)): 1}, 1), 1: ({(0, (1, 0)): 1}, 1)}, {0: ({(0, (1, 0)): 1}, 1)}],\n"
+        "    [{0: ({(0, (1, 0)): 1}, 1), 1: ({(0, (0, 1)): 1}, 1)}, {0: ({(0, (0, 0)): 1}, 1)}],\n"
+        "]\n"
+        "for mats in cases:\n"
+        "    try:\n"
+        "        resolution._minimize(mats, [{0: 0}, {0: 0, 1: 1}, {0: 1}])\n"
+        "    except AlgebraError as e:\n"
+        "        print(e)\n"
+        "real = resolution.module_syzygies\n"
+        "def unsigned(columns, ring):\n"
+        "    rows = real(columns, ring)\n"
+        "    return [tuple(-p if k else p for k, p in enumerate(row)) for row in rows]\n"
+        "resolution.module_syzygies = unsigned\n"
+        "try:\n"
+        "    minimal_free_resolution(Ideal(r2, [x, y]))\n"
+        "except AlgebraError as e:\n"
+        "    print(e)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:3] == ["exactness should clear the freed row",
+                                          "exactness should clear the freed column",
+                                          "composition must vanish"]
 
 
 def test_resolution_rejects_inhomogeneous_and_unit_ideals(r2):
