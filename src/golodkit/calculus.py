@@ -17,9 +17,20 @@ routine behind ``Ideal.minimal_generators``) and scanned pair by pair.  Only
 a failure reads the stored generators: its witness is the first failing
 pair of their derivative list.
 
-Monomial inputs take the combinatorial routes of ``monomial``, the layer
-below this one; the predicate's report and witness types are defined there
-and re-exported here.
+``colon`` takes one of three routes.  Monomial ideals take the
+componentwise differences of their exponents.  A homogeneous I by an ideal
+whose reduced basis is the variables, the maximal ideal m, adds the socle of
+S/I to I's reduced basis: (I : m)/I is the socle, the top Koszul homology
+H_n(x; S/I) shifted by the sum of the weights.  Its dimension in each degree
+is a Betti number of S/I, at most that of S/in(I) (upper semicontinuity), so
+the socle is read only in the socle degrees of S/in(I), and not at all when
+S/in(I) has none.  Every other colon is one engine run
+(``groebner._engine_colon``).  ``saturate`` iterates colons.
+
+``monomial`` and ``koszul`` are the layers below this one: monomial inputs
+take the combinatorial routes of ``monomial``, and the socle and
+``derivative_cycle_check`` read the strands of ``koszul``.  The predicate's
+report and witness types are defined in ``monomial`` and re-exported here.
 """
 
 from __future__ import annotations
@@ -30,14 +41,16 @@ from itertools import combinations_with_replacement
 from random import Random
 from typing import Sequence
 
-from .errors import AlgebraError, ContainmentError, HomogeneityError, ImproperIdealError
-from .groebner import (Ideal, NFRow, _monomial_exps, _primitive_row, colon, contains, minimal_rows,
-                       saturate)
+from .errors import (AlgebraError, ContainmentError, HomogeneityError, ImproperIdealError,
+                     RingMismatchError, SaturationLimitError, ZeroColonError)
+from .groebner import (Ideal, NFRow, _adjoin_socle, _by_basis, _engine_colon, _monomial_exps,
+                       _monomial_operation, _primitive_row, contains, minimal_rows)
+from .koszul import _bounds, _coordinates, _dims, _element, _koszul, _split
 from .linalg import _primitive
 from .monomial import (DerivativePairWitness, MonomialIdeal, MonomialQuotientWitness,
                        StronglyGolodReport, saturate_at_irrelevant, squarefree_symbolic_power,
                        strongly_golod_monomial)
-from .ring import Exps, GradingSpec, Polynomial, axpy_over, mono_mul
+from .ring import Exps, GradingSpec, Polynomial, axpy_over, colon_exps, mono_in_ideal, mono_mul
 
 
 def maximal_ideal(ring: GradingSpec) -> Ideal:
@@ -142,6 +155,32 @@ def _escaping_pair(I: Ideal, rows: Sequence[dict[Exps, int]]) -> tuple[int, int]
     return None
 
 
+def derivative_cycle_check(
+    I: Ideal, l_max: int | None = None, d_max: int | None = None
+) -> bool:
+    """Every positive-degree class in the window has a cycle with coefficients in d(I)R.
+
+    Precondition: I is strongly Golod.  d(I)K, the elements of K with
+    coefficients in d(I)R, is a subcomplex, and K/d(I)K = K(S/J) for
+    J = I + d(I).  By the long exact sequence, H(d(I)K) -> H(K) is onto at a
+    bidegree exactly when every class of K maps to a boundary of K(S/J).
+    """
+    if not strongly_golod(I).verdict:
+        raise AlgebraError("derivative cycle check needs a strongly Golod ideal")
+    cx = _koszul(I)
+    # no truncated is reported, so no strand outside the window is visited
+    dims = _dims(cx, _split(cx, *_bounds(cx, l_max, d_max))[0])
+    J = Ideal(I.ring, I.generators + derivative_ideal(I).generators)
+    cy = _koszul(J)
+    for l, d in sorted(k for k in dims if k[0] >= 1):
+        _, index = cy.basis(l, d)
+        for z in cx.homology(l, d)[1]:
+            image, _ = _coordinates(J, _element(cx, l, d, z), index, (0,) * cx.n)
+            if image and not cy.boundary_span(l, d).contains(image):
+                return False
+    return True
+
+
 def power(I: Ideal, k: int) -> Ideal:
     """Ordinary power I^k, generated by k-fold products of the generators."""
     if k < 1:
@@ -158,6 +197,80 @@ def power(I: Ideal, k: int) -> Ideal:
             seen.add(p.terms)
             gens.append(p)
     return Ideal(I.ring, gens)
+
+
+# -- colons and saturation -------------------------------------------------------
+
+def colon(I: Ideal, J: Ideal) -> Ideal:
+    """I : J: by exponents when both ideals are monomial
+    (``groebner._monomial_operation``), by the socle (``_socle_colon``) when
+    I is homogeneous and J's reduced basis is the variables, and otherwise
+    by one engine run (``groebner._engine_colon``)."""
+    if I.ring != J.ring:
+        raise RingMismatchError("ideals live in different rings")
+    if J.is_zero():
+        raise ZeroColonError("colon by the zero ideal is undefined")
+    out = _monomial_operation(colon_exps, I, J)
+    if out is not None:
+        return out
+    if I.is_homogeneous and _is_maximal(J):
+        return _socle_colon(I)
+    return _engine_colon(I, J)
+
+
+def _is_maximal(J: Ideal) -> bool:
+    """Whether J's reduced basis is the variables: n monic single terms of
+    total degree 1, so n distinct variables."""
+    basis = J.groebner_basis()
+    return len(basis) == J.ring.n and all(g.is_monomial() and sum(g.terms[0][0]) == 1
+                                          for g in basis)
+
+
+def _socle_colon(I: Ideal) -> Ideal:
+    """I : m for a homogeneous I: its reduced basis and the socle of S/I.
+
+    The socle in degree e is the kernel of the top Koszul strand, e_1...e_n
+    times the standard monomials of degree e, in internal degree e + sum(w).
+    Only the socle degrees of S/in(I) are read: the degrees of the minimal
+    generators of in(I) : m outside in(I).  The strands are built on a
+    scratch copy of I, so neither I nor the result keeps their memos.
+    """
+    ring = I.ring
+    scratch = _by_basis(ring, I.groebner_basis())
+    leads = [g.terms[0][0] for g in scratch.generators]
+    units = [tuple(int(i == j) for j in range(ring.n)) for i in range(ring.n)]
+    degrees = {ring.weighted_degree(u) for u in colon_exps(leads, units)
+               if not mono_in_ideal(u, leads)}
+    socle = []
+    cx = _koszul(scratch) if degrees else None
+    for d in (e + sum(ring.weights) for e in degrees):
+        keys, _ = cx.basis(ring.n, d)
+        socle += [{keys[t][1]: c for t, c in row.items()} for row in cx.kernel(ring.n, d)]
+    return _adjoin_socle(scratch, socle) if socle else _by_basis(ring, scratch.generators)
+
+
+SATURATION_CAP = 64
+
+
+@dataclass(frozen=True)
+class SaturationResult:
+    ideal: Ideal
+    exponent: int  # least t with I : J^t equal to the saturation
+
+
+def saturate(I: Ideal, J: Ideal, cap: int = SATURATION_CAP) -> SaturationResult:
+    """I : J^infinity by iterating colons until the chain stabilizes."""
+    current = I
+    exponent = 0
+    for step in range(cap):
+        nxt = colon(current, J)
+        if nxt == current:
+            return SaturationResult(current, exponent)
+        current = nxt
+        exponent = step + 1
+    raise SaturationLimitError(
+        f"saturation did not stabilize within {cap} colon iterations"
+    )
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ from pathlib import Path
 from random import Random
 
 from . import calculus, koszul, monomial, poincare, resolution
+from .calculus import colon
 from .errors import AlgebraError, ParseError
-from .groebner import Ideal, colon, intersect
+from .groebner import Ideal, intersect
 from .ring import _NAME_RE, GradingSpec, Polynomial, parse_polynomial
 
 

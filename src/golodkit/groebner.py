@@ -4,9 +4,10 @@ A monomial ideal, one whose generators are all single terms, never reaches
 the engine: its reduced basis is its divisibility-minimal monomials, an
 intersection of two is generated by the pairwise lcms and a colon by the
 componentwise differences (``ring.minimal_exps``, ``intersect_exps`` and
-``colon_exps``).  ``Ideal.groebner_basis``, ``intersect`` and ``colon`` build
-these results with the engine's order and coefficients, so they equal the
-engine's reduced bases generator for generator.
+``colon_exps``).  ``Ideal.groebner_basis``, ``intersect`` and
+``_monomial_operation`` build these results with the engine's order and
+coefficients, so they equal the engine's reduced bases generator for
+generator.
 
 Every other ideal goes to one engine, which handles both ideals and
 submodules of free modules: an internal "vector" is a sparse dict
@@ -20,8 +21,9 @@ input enters as a primitive integer vector times a positive rational factor,
 every basis element is kept primitive with a positive lead coefficient, and
 a reduction step cross-multiplies instead of dividing.  ``Fraction``s are
 built only at the public boundary: the monic reduced bases of
-``Ideal.groebner_basis`` and ``intersect``, and the syzygy rows, which are
-scaled back by the inputs' factors and returned as primitive integer rows.
+``Ideal.groebner_basis``, ``intersect`` and the colons, and the syzygy rows,
+which are scaled back by the inputs' factors and returned as primitive
+integer rows.
 
 The engine has one reduction loop, ``_Engine.nf``, which returns the
 remainder together with its reduction steps (basis index, shift, a, b): the
@@ -29,11 +31,13 @@ division quotients.  ``_Engine.fold`` applies steps to representations over
 the inputs; tracked Buchberger and syzygies read what they need off the
 steps.  Syzygies come from Schreyer's theorem: S-pair division syzygies of a
 reduced basis, translated back to the caller's generators through the
-tracked representation matrix.  A colon ideal or an intersection is read off
+tracked representation matrix.  An intersection, or a colon that
+``calculus.colon`` does not take by monomials or by the socle, is read off
 one untracked run on module columns under a position-over-term order (Greuel
 and Pfister, *A Singular Introduction to Commutative Algebra*): the basis
 elements in the last component are the reduced grevlex basis of the result,
-which is generated by it.
+which is generated by it.  A colon by the maximal ideal adjoins socle rows
+to a reduced basis with no S-pair (``_adjoin_socle``).
 
 An ``Ideal`` caches its reduced grevlex basis, and from it the normal form
 of every monomial it meets and its standard monomials per degree; the
@@ -54,13 +58,7 @@ from math import gcd, lcm, prod
 from operator import add
 from typing import Iterable, Sequence
 
-from .errors import (
-    AlgebraError,
-    HomogeneityError,
-    RingMismatchError,
-    SaturationLimitError,
-    ZeroColonError,
-)
+from .errors import AlgebraError, HomogeneityError, RingMismatchError
 from .linalg import Span, _primitive, integral
 from .ring import (
     Exps,
@@ -68,7 +66,6 @@ from .ring import (
     Polynomial,
     _scale,
     axpy_over,
-    colon_exps,
     grevlex_key,
     intersect_exps,
     minimal_exps,
@@ -372,12 +369,6 @@ class NormalForm:
     is_member: bool
 
 
-@dataclass(frozen=True)
-class SaturationResult:
-    ideal: "Ideal"
-    exponent: int  # least t with I : J^t equal to the saturation
-
-
 # a normal form row / den: an integer row over standard monomials and a
 # positive denominator, with no common factor left between them
 NFRow = tuple[dict[Exps, int], int]
@@ -668,18 +659,6 @@ def _engine_intersect(I: Ideal, J: Ideal) -> Ideal:
     return _last_component(I.ring, columns, 2)
 
 
-def colon(I: Ideal, J: Ideal) -> Ideal:
-    """I : J: when both ideals are monomial, the intersection over the
-    generators x^w of J of the ideals of the x^g : x^w, g in I, and otherwise
-    ``_engine_colon``."""
-    if I.ring != J.ring:
-        raise RingMismatchError("ideals live in different rings")
-    if J.is_zero():
-        raise ZeroColonError("colon by the zero ideal is undefined")
-    out = _monomial_operation(colon_exps, I, J)
-    return out if out is not None else _engine_colon(I, J)
-
-
 def _engine_colon(I: Ideal, J: Ideal) -> Ideal:
     """I : J: with f_1, ..., f_r generating J, a * f_k lies in I for every k
     exactly when (0, ..., 0, a) lies in the module of the columns
@@ -694,22 +673,28 @@ def _engine_colon(I: Ideal, J: Ideal) -> Ideal:
     return _last_component(I.ring, columns, r + 1)
 
 
-SATURATION_CAP = 64
+def _adjoin_socle(I: Ideal, socle: Sequence[dict[Exps, int]]) -> Ideal:
+    """I + (socle), for integer rows over standard monomials of I that every
+    variable maps into I.
 
-
-def saturate(I: Ideal, J: Ideal, cap: int = SATURATION_CAP) -> SaturationResult:
-    """I : J^infinity by iterating colons until the chain stabilizes."""
-    current = I
-    exponent = 0
-    for step in range(cap):
-        nxt = colon(current, J)
-        if nxt == current:
-            return SaturationResult(current, exponent)
-        current = nxt
-        exponent = step + 1
-    raise SaturationLimitError(
-        f"saturation did not stabilize within {cap} colon iterations"
-    )
+    That ideal is I plus the span of the rows, so I's reduced basis and the
+    rows in echelon form are a Groebner basis of it: ``_Engine.nf`` brings
+    each row into echelon form against the basis as it grows, and
+    ``_Engine._reduce_basis`` drops the leads that a row's lead divides and
+    reduces the tails.  No S-pair is formed.
+    """
+    eng = _Engine(MonomialOrder.grevlex(I.ring), 1, track=False)
+    inputs = [{(0, e): c for e, c in _primitive_row(g).items()} for g in I.groebner_basis()]
+    inputs += [{(0, e): c for e, c in row.items()} for row in socle]
+    for vec in inputs:
+        rem, _ = eng.nf(vec)
+        if rem:
+            lead = max(rem, key=eng.key)
+            eng.leads.append(lead)
+            eng.polys.append(_primitive(rem, lead)[0])
+            eng.reps.append({})
+    eng._reduce_basis()
+    return _by_basis(I.ring, _monic(I.ring, zip(eng.leads, eng.polys), inputs))
 
 
 # -- syzygies -----------------------------------------------------------------

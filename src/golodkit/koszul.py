@@ -22,8 +22,11 @@ any strand outside it carries homology, so a window's ``truncated`` is exact.
 ``_betti_dims`` is the scan without bounds, and ``_window`` reads the default
 internal bound off its top shift.
 
-``derivative_cycle_check`` reads the exact sequence 0 -> d(I)K -> K ->
-K(S/J) -> 0, J = I + d(I), off a second ``_koszul``, over J.
+The layer sits below the paper's calculus and imports nothing from it.
+``calculus`` reads two things off ``_koszul``: the socle of S/I, the kernel
+of the top differential, for ``colon`` by the maximal ideal; and, in
+``derivative_cycle_check``, the exact sequence 0 -> d(I)K -> K -> K(S/J) ->
+0, J = I + d(I), off a second ``_koszul``, over J.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ from functools import wraps
 from itertools import combinations
 from typing import Hashable, Mapping
 
-from .calculus import derivative_ideal, strongly_golod
-from .errors import AlgebraError, HomogeneityError, ImproperIdealError
+from .errors import HomogeneityError, ImproperIdealError
 from .groebner import Ideal
 from .linalg import IntVec, Span, kernel_of_columns
 from .ring import Exps, axpy_over, mono_lcm, mono_mul
@@ -327,29 +329,3 @@ def trivial_multiplication_check(
                         return TrivialMultiplicationReport(
                             False, (l1, d1, i1, l2, d2, i2), truncated)
     return TrivialMultiplicationReport(True, None, truncated)
-
-
-def derivative_cycle_check(
-    I: Ideal, l_max: int | None = None, d_max: int | None = None
-) -> bool:
-    """Every positive-degree class in the window has a cycle with coefficients in d(I)R.
-
-    Precondition: I is strongly Golod.  d(I)K, the elements of K with
-    coefficients in d(I)R, is a subcomplex, and K/d(I)K = K(S/J) for
-    J = I + d(I).  By the long exact sequence, H(d(I)K) -> H(K) is onto at a
-    bidegree exactly when every class of K maps to a boundary of K(S/J).
-    """
-    if not strongly_golod(I).verdict:
-        raise AlgebraError("derivative cycle check needs a strongly Golod ideal")
-    cx = _koszul(I)
-    # no truncated is reported, so no strand outside the window is visited
-    dims = _dims(cx, _split(cx, *_bounds(cx, l_max, d_max))[0])
-    J = Ideal(I.ring, I.generators + derivative_ideal(I).generators)
-    cy = _koszul(J)
-    for l, d in sorted(k for k in dims if k[0] >= 1):
-        _, index = cy.basis(l, d)
-        for z in cx.homology(l, d)[1]:
-            image, _ = _coordinates(J, _element(cx, l, d, z), index, (0,) * cx.n)
-            if image and not cy.boundary_span(l, d).contains(image):
-                return False
-    return True

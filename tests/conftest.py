@@ -54,6 +54,7 @@ from golodkit import (
     MonomialIdeal,
     Polynomial,
     builtin_corpus,
+    calculus,
     derivative_ideal,
     koszul,
     module_syzygies,
@@ -322,14 +323,14 @@ def subcomplex_derivative_cycle_check(I: Ideal, l_max: int | None = None,
     """Whether the cycles of K with coefficients in d(I)R, together with the
     boundaries, span the cycles at every positive bidegree of the window.
 
-    It reads ``koszul.derivative_ideal`` at call time, so a test may
+    It reads ``calculus.derivative_ideal`` at call time, so a test may
     substitute another ideal for d(I).  No strongly Golod precondition.
     """
     cx = _koszul(I)
     l_max, d_max, _, _ = _window(cx, l_max, d_max)
     dgens = [({((), u): c for u, c in integral(dict(f.terms))[0].items()},
               f.homogeneity().degree)
-             for f in koszul.derivative_ideal(I).minimal_generators()]
+             for f in calculus.derivative_ideal(I).minimal_generators()]
     dbasis: dict[int, list[dict[tuple[int, ...], int]]] = {}
 
     def derivative_image_basis(e: int) -> list[dict[tuple[int, ...], int]]:

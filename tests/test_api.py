@@ -77,8 +77,8 @@ def _sources() -> list[Path]:
 
 
 def test_imports_are_at_module_level_and_monomial_sits_below_calculus():
-    # a deferred import hides an import cycle; monomial is the layer below
-    # calculus, which imports it once at the top
+    # a deferred import hides an import cycle; monomial and koszul are layers
+    # below calculus, which imports each once at the top
     nested = set()
     for path in _sources():
         for scope in ast.walk(ast.parse(path.read_text())):
@@ -89,8 +89,11 @@ def test_imports_are_at_module_level_and_monomial_sits_below_calculus():
     imported = [node.module for node in ast.walk(_tree("monomial"))
                 if isinstance(node, ast.ImportFrom)]
     assert "groebner" in imported and "calculus" not in imported
-    assert "monomial" in [node.module for node in _tree("calculus").body
-                          if isinstance(node, ast.ImportFrom)]
+    imported = [node.module for node in ast.walk(_tree("koszul"))
+                if isinstance(node, ast.ImportFrom)]
+    assert "groebner" in imported and "calculus" not in imported
+    below = [node.module for node in _tree("calculus").body if isinstance(node, ast.ImportFrom)]
+    assert "monomial" in below and "koszul" in below
 
 
 def test_sources_parse_as_the_oldest_supported_python():

@@ -35,7 +35,8 @@ from golodkit import (
     zariski_nagata_membership,
 )
 from golodkit import calculus
-from golodkit.calculus import StronglyGolodReport
+from golodkit.calculus import StronglyGolodReport, colon, saturate
+from golodkit.groebner import _engine_colon
 from golodkit.monomial import (
     cycle_graph,
     squarefree_symbolic_power,
@@ -43,11 +44,14 @@ from golodkit.monomial import (
 )
 
 from conftest import (
+    assert_canonical,
     corpus_powers,
     full_pair_scan,
     monomials_of_degree,
     oracle_member,
     oracle_pair_scan,
+    random_homogeneous,
+    reference_colon,
     reference_saturate,
 )
 
@@ -400,8 +404,6 @@ def test_colon_condition_examples(r2):
 
 
 def test_colon_closure_nontrivial(r2):
-    from golodkit.groebner import colon
-
     I = Ideal.from_strings(r2, ["x*y^2", "y^4"])
     J = Ideal.from_strings(r2, ["x"])
     assert strongly_golod(I).verdict
@@ -409,6 +411,94 @@ def test_colon_closure_nontrivial(r2):
     Q = colon(I, J)
     assert Q == Ideal.from_strings(r2, ["y^2"])
     assert strongly_golod(Q).verdict
+
+
+# rings and degree ranges of the random homogeneous ideals coloned by m
+_SOCLE_RINGS = {
+    "r2": (GradingSpec(("x", "y"), (1, 1)), (2, 4)),
+    "r3": (GradingSpec(("x", "y", "z"), (1, 1, 1)), (2, 3)),
+    "rw": (GradingSpec(("x", "y"), (1, 2)), (2, 5)),
+    "r4": (GradingSpec(("x", "y", "z", "w"), (1, 1, 1, 1)), (2, 2)),
+}
+
+
+def _validating(*args, **kwargs):
+    raise AssertionError("the validating constructor ran on the socle route")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(_SOCLE_RINGS)), data=st.data())
+def test_colon_by_the_maximal_ideal_matches_the_engine_and_the_references(name, data):
+    # up to n + 1 generators, so many of the ideals are m-primary and have a socle
+    ring, (lo, hi) = _SOCLE_RINGS[name]
+    rng = Random(data.draw(st.integers(0, 2 ** 32)))
+    degrees = data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=ring.n + 1))
+    I = Ideal(ring, [random_homogeneous(ring, d, rng) for d in degrees])
+    m = maximal_ideal(ring)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Polynomial, "__init__", _validating)
+        Q = colon(I, m)
+    for g in Q.generators:
+        assert_canonical(g)
+    assert Q.generators == _engine_colon(I, m).generators == reference_colon(I, m).generators
+    res = saturate(I, m)
+    ideal, exponent = reference_saturate(I, m)
+    assert (res.ideal.generators, res.exponent) == (ideal.generators, exponent)
+
+
+def _m(ring: GradingSpec) -> Ideal:
+    """The maximal ideal presented as (x + y, y, ..., x): its reduced basis is the
+    variables, though no generator list of it is monomial."""
+    x, y, *rest = ring.variables()
+    return Ideal(ring, [x + y, y, *rest, x])
+
+
+def test_colon_by_the_maximal_ideal_on_edge_ideals(r2, r3, rw, monkeypatch):
+    zero, unit = Ideal(r3, []), Ideal.from_strings(r3, ["1"])
+    for m in (maximal_ideal(r3), _m(r3)):
+        assert colon(zero, m).is_zero()
+        assert colon(unit, m) == unit
+        assert colon(_m(r3), m) == unit
+    I = Ideal.from_strings(r3, ["x^2 + y*z", "x*y", "y^2 - z^2"])
+    assert colon(I, _m(r3)).generators == colon(I, maximal_ideal(r3)).generators
+    # the inhomogeneous ideal stays on the engine route
+    inhomogeneous = Ideal.from_strings(r2, ["x^2 + y", "x*y"])
+    Q = colon(inhomogeneous, maximal_ideal(r2))
+    assert Q.generators == Ideal.from_strings(r2, ["y", "x^2"]).generators
+    assert Q.generators == reference_colon(inhomogeneous, maximal_ideal(r2)).generators
+    # in weights (1, 2), x*x^3*y and y*x^3*y lie in I, and x^3*y does not
+    W = Ideal.from_strings(rw, ["x^4 + x^2*y", "x*y^2"])
+    gained = Ideal.from_strings(rw, ["x^4 + x^2*y", "x*y^2", "x^3*y"])
+    assert colon(W, maximal_ideal(rw)).generators == gained.groebner_basis()
+    assert gained.groebner_basis()[-1] == Polynomial.monomial(rw, (3, 1))
+
+    def no_engine(*args):
+        raise AssertionError("a colon by m ran the engine")
+
+    monkeypatch.setattr(calculus, "_engine_colon", no_engine)
+    for J in (maximal_ideal(r3), _m(r3)):
+        assert colon(I, J).generators == reference_colon(I, J).generators
+    assert colon(_m(r3), _m(r3)) == unit
+    assert colon(W, maximal_ideal(rw)).generators == gained.groebner_basis()
+    with pytest.raises(AssertionError, match="ran the engine"):
+        colon(inhomogeneous, maximal_ideal(r2))
+
+
+def test_colon_by_the_maximal_ideal_leaves_no_memo_behind(r3):
+    # the strands are built on a scratch copy: a memo kept on the argument
+    # or the result would stay alive with every ideal a caller holds
+    def memos(ideal):
+        return ideal._reducers, ideal._nf, ideal._std
+
+    gens = ["x^2 + y*z", "x*y", "y^2 - z^2"]
+    I = Ideal.from_strings(r3, gens)
+    Q = colon(I, maximal_ideal(r3))
+    assert len(Q.generators) > len(I.groebner_basis())  # a nonzero socle was read
+    assert memos(I) == memos(Q) == (None, None, None)
+    I = Ideal.from_strings(r3, gens)
+    res = saturate(I, maximal_ideal(r3))
+    assert res.exponent > 1
+    assert memos(I) == memos(res.ideal) == (None, None, None)
 
 
 def test_add_prime_power_positive(r3):

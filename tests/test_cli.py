@@ -156,6 +156,18 @@ def test_binary_commands(session_file, capsys):
         assert obj["command"] == cmd
 
 
+def test_colon_by_the_maximal_ideal_prints_the_basis_and_the_socle(tmp_path, capsys):
+    session = tmp_path / "socle.golod"
+    session.write_text("ring x, y, z weights 1, 1, 1\n"
+                       "ideal I = x^2 + y*z, x*y, y^2 - z^2\nideal M = x, y, z\n")
+    assert main(["colon", "I", "M", "--session", str(session)]) == 0
+    assert capsys.readouterr().out == "colon: y^2 - z^2, x*y, x^2 + y*z, z^3, y*z^2, x*z^2\n"
+    assert main(["colon", "I", "M", "--session", str(session), "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"command": "colon", "generators": ["y^2 - z^2", "x*y", "x^2 + y*z", "z^3", '
+        '"y*z^2", "x*z^2"], "left": "I", "right": "M"}\n')
+
+
 @pytest.mark.parametrize("argv, first_line", [
     (["derivative-ideal", "Z"], "derivative ideal: 0"),
     (["power", "Z"], "power 2: 0"),

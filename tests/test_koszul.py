@@ -37,7 +37,7 @@ from golodkit import (
     strongly_golod,
     trivial_multiplication_check,
 )
-from golodkit import koszul, linalg, poincare
+from golodkit import calculus, koszul, linalg, poincare
 from golodkit.koszul import _Complex, _betti_dims, _koszul
 from golodkit.linalg import Span, integral
 from golodkit.ring import axpy, axpy_over, mono_lcm
@@ -337,7 +337,7 @@ def test_derivative_cycle_check_agrees_with_the_subcomplex_reference(stand_in, m
         g = derivative_ideal(I).minimal_generators()[0]
         return Ideal(I.ring, [g if stand_in == "first generator" else g * g])
 
-    monkeypatch.setattr(koszul, "derivative_ideal", smaller)
+    monkeypatch.setattr(calculus, "derivative_ideal", smaller)
     answers = []
     for name, I in corpus_powers():
         answers.append(derivative_cycle_check(I))
