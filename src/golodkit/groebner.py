@@ -21,9 +21,8 @@ input enters as a primitive integer vector times a positive rational factor,
 every basis element is kept primitive with a positive lead coefficient, and
 a reduction step cross-multiplies instead of dividing.  ``Fraction``s are
 built only at the public boundary: the monic reduced bases of
-``Ideal.groebner_basis``, ``intersect`` and the colons, and the syzygy rows,
-which are scaled back by the inputs' factors and returned as primitive
-integer rows.
+``Ideal.groebner_basis``, ``intersect`` and the colons, and the rows of
+``module_syzygies``.
 
 The engine has one reduction loop, ``_Engine.nf``, which returns the
 remainder together with its reduction steps (basis index, shift, a, b): the
@@ -31,12 +30,14 @@ division quotients.  ``_Engine.fold`` applies steps to representations over
 the inputs; tracked Buchberger and syzygies read what they need off the
 steps.  Syzygies come from Schreyer's theorem: S-pair division syzygies of a
 reduced basis, translated back to the caller's generators through the
-tracked representation matrix.  An intersection, or a colon that
-``calculus.colon`` does not take by monomials or by the socle, is read off
-one untracked run on module columns under a position-over-term order (Greuel
-and Pfister, *A Singular Introduction to Commutative Algebra*): the basis
-elements in the last component are the reduced grevlex basis of the result,
-which is generated by it.  A colon by the maximal ideal adjoins socle rows
+tracked representation matrix, as integer rows (``_syzygy_rows``) that
+the resolution feeds back in as its next columns; ``module_syzygies`` is
+their public boundary.  An intersection, or a colon that ``calculus.colon``
+does not take by monomials or by the socle, is read off one untracked run on
+module columns under a position-over-term order (Greuel and Pfister, *A
+Singular Introduction to Commutative Algebra*): the basis elements in the
+last component are the reduced grevlex basis of the result, which is
+generated by it.  A colon by the maximal ideal adjoins socle rows
 to a reduced basis with no S-pair (``_adjoin_socle``).
 
 An ``Ideal`` caches its reduced grevlex basis, and from it the normal form
@@ -257,12 +258,16 @@ class _Engine:
             if unit is not None:
                 rep[(unit, (0,) * self.order.grading.n)] = 1
             self.fold(rep, pre + steps)
+        self._insert(rem, rep)
+        self._push_pairs(heap, pending, len(self.polys) - 1)
+
+    def _insert(self, rem: ModVec, rep: ModVec) -> None:
+        """Append a nonzero remainder and its representation, made primitive."""
         lead = max(rem, key=self.key)
         poly, rep = _primitive(rem, lead, rep)
         self.leads.append(lead)
         self.polys.append(poly)
         self.reps.append(rep)
-        self._push_pairs(heap, pending, len(self.polys) - 1)
 
     def run(self, inputs: list[ModVec]):
         heap: list = []
@@ -689,10 +694,7 @@ def _adjoin_socle(I: Ideal, socle: Sequence[dict[Exps, int]]) -> Ideal:
     for vec in inputs:
         rem, _ = eng.nf(vec)
         if rem:
-            lead = max(rem, key=eng.key)
-            eng.leads.append(lead)
-            eng.polys.append(_primitive(rem, lead)[0])
-            eng.reps.append({})
+            eng._insert(rem, {})
     eng._reduce_basis()
     return _by_basis(I.ring, _monic(I.ring, zip(eng.leads, eng.polys), inputs))
 
@@ -702,11 +704,10 @@ def _adjoin_socle(I: Ideal, socle: Sequence[dict[Exps, int]]) -> Ideal:
 def module_syzygies(columns: Sequence[Sequence[Polynomial]], ring: GradingSpec) -> list[tuple[Polynomial, ...]]:
     """Generating set of the syzygy module of the given column vectors.
 
-    Returns rows s with sum_j s[j] * columns[j] == 0 (componentwise, exactly).
-    Schreyer's construction: division syzygies of all S-pairs of a reduced
-    basis G, pulled back along G = T * columns, plus the rows of I - Q * T
-    where columns = Q * G.  Each row is a primitive integer row whose leading
-    term (the largest under the grevlex key, ties to the lower index) has a
+    Returns rows s with sum_j s[j] * columns[j] == 0 (componentwise, exactly):
+    the rows of ``_syzygy_rows`` as Polynomials, sharing one exponent tuple
+    per monomial.  Each row is a primitive integer row whose leading term
+    (the largest under the grevlex key, ties to the lower index) has a
     positive coefficient; no row is repeated.
     """
     cols = [tuple(col) for col in columns]
@@ -719,27 +720,35 @@ def module_syzygies(columns: Sequence[Sequence[Polynomial]], ring: GradingSpec) 
         for p in col:
             if p.ring != ring:
                 raise RingMismatchError("column entry lives in a different ring")
-    order = MonomialOrder.grevlex(ring)
-    scaled = [_to_internal(col) for col in cols]
-    eng = _run_engine([u for u, _ in scaled], order, ncomp, track=True)
+    canon: dict[Exps, Exps] = {}
+    return [_from_internal(row, ring, len(cols), canon)
+            for row in _syzygy_rows([_to_internal(col) for col in cols], ring, ncomp)]
+
+
+def _syzygy_rows(scaled: Sequence[tuple[ModVec, Fraction]], ring: GradingSpec,
+                 ncomp: int) -> list[ModVec]:
+    """The rows of ``module_syzygies`` as ModVecs, for the columns f_j * u_j
+    given as the ``_to_internal`` pairs (u_j, f_j), with ncomp components.
+
+    Schreyer's construction: division syzygies of all S-pairs of a reduced
+    basis G, pulled back along G = T * columns, plus the rows of I - Q * T
+    where columns = Q * G.
+    """
+    eng = _run_engine([u for u, _ in scaled], MonomialOrder.grevlex(ring), ncomp, track=True)
     # rows by their integer terms: primitive with a positive lead, so a
     # repeated syzygy is an exact repeat
-    rows: dict[frozenset, tuple[Polynomial, ...]] = {}
-    # one exponent tuple per monomial across the rows
-    canon: dict[Exps, Exps] = {}
-    # eng.reps[g] is basis element g over the scaled inputs u_j = columns[j] / f_j
-    # (component j is input j), so folding a syzygy of the basis (its steps)
-    # into a row gives one of the u_j; its entry j over the columns is row_j / f_j,
-    # an integer once the row is multiplied by the lcm of the f_j's numerators
+    rows: dict[frozenset, ModVec] = {}
+    # eng.reps[g] is basis element g over the u_j (component j is input j), so
+    # folding a syzygy of the basis (its steps) into a row gives one of the
+    # u_j; its entry j over the columns is row_j / f_j, an integer once the
+    # row is multiplied by the lcm of the f_j's numerators
     big = lcm(*(f.numerator for _, f in scaled))
     back = [f.denominator * (big // f.numerator) for _, f in scaled]
 
     def emit(row: ModVec):
         if row:
             row, _ = _primitive({t: c * back[t[0]] for t, c in row.items()}, max(row, key=eng.key))
-            key = frozenset(row.items())
-            if key not in rows:
-                rows[key] = _from_internal(row, ring, len(cols), canon)
+            rows.setdefault(frozenset(row.items()), row)
 
     # Schreyer division syzygies over all same-component S-pairs of the basis
     for a in range(len(eng.polys)):

@@ -1,14 +1,15 @@
 """Minimal graded free resolutions over the polynomial ring.
 
-The resolution of S/I is built by iterating ``module_syzygies`` and then
-minimized on integer columns: a matrix maps each column id to (vec, den),
-the column vec / den, with vec an int dict keyed by (row id, exponents).
-Ids are the original positions, so deleting one renumbers nothing.  The
-first matrix holds the minimal generators, each later one the primitive
-integer syzygy rows, read once.  Each unit entry is split off as a Schur
-complement, and ``_image`` (the engine's shifted combine) checks exactness
-at each split-off and d∘d = 0 at the end.  Polynomials are built once, from
-the minimized columns; Betti numbers are read off their shifts.
+The resolution of S/I is built by iterating ``groebner._syzygy_rows``, whose
+primitive integer rows, in degree order, are the next step's columns, and
+then minimized on integer columns: a matrix maps each column id to (vec,
+den), the column vec / den, with vec an int dict keyed by (row id,
+exponents).  Ids are the original positions, so deleting one renumbers
+nothing.  The first matrix holds the minimal generators, each later one a
+step's rows.  Each unit entry is split off as a Schur complement, and
+``_image`` (the engine's shifted combine) checks exactness at each
+split-off and d∘d = 0 at the end.  Polynomials are built once, from the
+minimized columns; Betti numbers are read off their shifts.
 """
 
 from __future__ import annotations
@@ -19,12 +20,10 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import AlgebraError, HomogeneityError, ImproperIdealError
-from .groebner import Ideal, _axpy_shifted, module_syzygies
-from .linalg import integral
-from .ring import Exps, GradingSpec, Polynomial
+from .groebner import _ONE, Ideal, ModVec, _axpy_shifted, _syzygy_rows, _to_internal
+from .ring import GradingSpec, Polynomial
 
-Vec = dict[tuple[int, Exps], int]  # (row id, exponents) -> nonzero int
-Columns = dict[int, tuple[Vec, int]]  # column id -> (vec, den > 0), the column vec / den
+Columns = dict[int, tuple[ModVec, int]]  # column id -> (vec, den > 0), the column vec / den
 
 
 @dataclass(frozen=True)
@@ -91,28 +90,17 @@ class BettiTable:
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
-def _integer_column(row: tuple[Polynomial, ...]) -> Vec:
-    """A module_syzygies row, a primitive integer row, as one integer vector."""
-    vec: Vec = {}
-    for r, p in enumerate(row):
-        for e, c in p.terms:
-            if c.denominator != 1:
-                raise AlgebraError("syzygy rows must be integral")
-            vec[r, e] = c.numerator
-    return vec
-
-
-def _column_degree(ring: GradingSpec, vec: Vec, row_shifts: dict[int, int]) -> int:
+def _column_degree(ring: GradingSpec, vec: ModVec, row_shifts: dict[int, int]) -> int:
     degs = {ring.weighted_degree(e) + row_shifts[r] for r, e in vec}
     if len(degs) != 1:
         raise HomogeneityError("matrix column fails to be homogeneous" if degs else "zero syzygy column")
     return degs.pop()
 
 
-def _image(cols: Columns, vec: Vec) -> Vec:
+def _image(cols: Columns, vec: ModVec) -> ModVec:
     """A positive multiple of the matrix cols times the column vec."""
     den = lcm(*{cols[j][1] for j, _ in vec})
-    out: Vec = {}
+    out: ModVec = {}
     for (j, e), a in vec.items():
         v, d = cols[j]
         _axpy_shifted(out, a * (den // d), v, e)
@@ -193,20 +181,21 @@ def minimal_free_resolution(I: Ideal) -> Resolution:
         return Resolution(ring, (), ((0,),))
 
     gens = I.minimal_generators()
-    columns: list[tuple[Polynomial, ...]] = [(g,) for g in gens]
+    # a generator f * u, f = p / q in lowest terms, is the column (p * u, q)
+    scaled = [_to_internal([g]) for g in gens]
     shifts = [{0: 0}, {j: g.homogeneity().degree for j, g in enumerate(gens)}]
-    mats = [{j: integral({(0, e): c for e, c in g.terms}) for j, g in enumerate(gens)}]
+    mats = [{j: ({t: c * f.numerator for t, c in u.items()}, f.denominator)
+             for j, (u, f) in enumerate(scaled)}]
 
     while True:
-        syz = module_syzygies(columns, ring)
-        if not syz:
+        rows = _syzygy_rows(scaled, ring, len(shifts[-2]))
+        if not rows:
             break
-        vecs = [_integer_column(row) for row in syz]
-        degs = [_column_degree(ring, v, shifts[-1]) for v in vecs]
-        order = sorted(range(len(syz)), key=degs.__getitem__)
-        mats.append({c: (vecs[t], 1) for c, t in enumerate(order)})
+        degs = [_column_degree(ring, v, shifts[-1]) for v in rows]
+        order = sorted(range(len(rows)), key=degs.__getitem__)
+        mats.append({c: (rows[t], 1) for c, t in enumerate(order)})
         shifts.append({c: degs[t] for c, t in enumerate(order)})
-        columns = [syz[t] for t in order]
+        scaled = [(rows[t], _ONE) for t in order]
 
     _minimize(mats, shifts)
     while mats and not shifts[len(mats)]:

@@ -762,7 +762,8 @@ def no_resolution(monkeypatch):
         raise AssertionError("a resolution or a syzygy module was computed")
 
     monkeypatch.setattr(resolution, "minimal_free_resolution", forbidden)
-    monkeypatch.setattr(resolution, "module_syzygies", forbidden)
+    monkeypatch.setattr(resolution, "_syzygy_rows", forbidden)
+    monkeypatch.setattr(groebner, "_syzygy_rows", forbidden)
     monkeypatch.setattr(groebner, "module_syzygies", forbidden)
 
 

@@ -27,7 +27,7 @@ from golodkit import (
     power,
 )
 
-from golodkit import resolution
+from golodkit import groebner, resolution
 from golodkit.linalg import integral
 from conftest import (
     _row_reduce,
@@ -369,6 +369,19 @@ def test_squares_resolve_without_polynomial_arithmetic(monkeypatch):
     assert [betti_table(minimal_free_resolution(I)).entries for I in fresh] == expected
 
 
+def test_squares_resolve_without_polynomial_syzygy_rows(monkeypatch):
+    squares = [power(e.ideal, 2) for e in builtin_corpus() if e.ideal.ring.n <= 3]
+    expected = [betti_table(minimal_free_resolution(I)).entries for I in squares]
+
+    def forbidden(*args):
+        raise AssertionError("Polynomial syzygy rows in a resolution")
+
+    monkeypatch.setattr(groebner, "module_syzygies", forbidden)
+    monkeypatch.setattr(groebner, "_from_internal", forbidden)
+    fresh = [Ideal(I.ring, I.generators) for I in squares]
+    assert [betti_table(minimal_free_resolution(I)).entries for I in fresh] == expected
+
+
 def test_a_resolution_shares_exponent_tuples_and_coefficients():
     for I in _corpus_and_squares():
         res = minimal_free_resolution(I)
@@ -395,11 +408,11 @@ def test_exactness_checks_survive_python_O():
         "        resolution._minimize(mats, [{0: 0}, {0: 0, 1: 1}, {0: 1}])\n"
         "    except AlgebraError as e:\n"
         "        print(e)\n"
-        "real = resolution.module_syzygies\n"
-        "def unsigned(columns, ring):\n"
-        "    rows = real(columns, ring)\n"
-        "    return [tuple(-p if k else p for k, p in enumerate(row)) for row in rows]\n"
-        "resolution.module_syzygies = unsigned\n"
+        "real = resolution._syzygy_rows\n"
+        "def unsigned(scaled, ring, ncomp):\n"
+        "    rows = real(scaled, ring, ncomp)\n"
+        "    return [{(k, e): -c if k else c for (k, e), c in row.items()} for row in rows]\n"
+        "resolution._syzygy_rows = unsigned\n"
         "try:\n"
         "    minimal_free_resolution(Ideal(r2, [x, y]))\n"
         "except AlgebraError as e:\n"
